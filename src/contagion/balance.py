@@ -58,7 +58,6 @@ class ExposureMatrix:
         if matrix.diagonal().any():
             raise ValueError("self-exposures are not allowed")
         self._csr = matrix
-        self._coo = matrix.tocoo()
         # Row/column sums: interbank liabilities and assets per bank.
         self._bl = np.asarray(matrix.sum(axis=1)).ravel()
         self._ba = np.asarray(matrix.sum(axis=0)).ravel()
@@ -95,11 +94,14 @@ class ExposureMatrix:
         return float(self._csr[i, j])
 
     def entries(self) -> Iterator[tuple[int, int, float]]:
-        """Iterate (debtor, creditor, weight) sorted by (debtor, creditor)."""
-        c = self._coo
-        order = np.lexsort((c.col, c.row))
-        for k in order:
-            yield int(c.row[k]), int(c.col[k]), float(c.data[k])
+        """Iterate (debtor, creditor, weight) sorted by (debtor, creditor).
+
+        CSR rows are in canonical order after ``sum_duplicates``, so a row
+        walk already yields that order.
+        """
+        indptr, indices, data = self.row_arrays()
+        rows = np.repeat(np.arange(self.n), np.diff(indptr))
+        yield from zip(rows.tolist(), indices.tolist(), data.tolist())
 
 
 def build_exposures(graph: DirectedGraph) -> ExposureMatrix:
@@ -187,17 +189,6 @@ class BalanceSheetSet(Sequence[BalanceSheet]):
     def total_assets(self) -> np.ndarray:
         return self.ba + self.nba
 
-    @classmethod
-    def from_sheets(cls, sheets: Sequence[BalanceSheet]) -> "BalanceSheetSet":
-        return cls(
-            ba=np.array([s.ba for s in sheets]),
-            bl=np.array([s.bl for s in sheets]),
-            nba=np.array([s.nba for s in sheets]),
-            nbl=np.array([s.nbl for s in sheets]),
-            e=np.array([s.e for s in sheets]),
-            lam=np.array([s.lambda_i for s in sheets]),
-        )
-
 
 @dataclass(frozen=True)
 class BalanceConfig:
@@ -242,6 +233,13 @@ def _sample_capital_ratios(
     )
 
 
+def _nonbank_sides(ba, bl, lam, xi):
+    """``(NBA, NBL)`` closing the balance-sheet identities; scalars or arrays."""
+    nba = xi * (ba + bl)
+    nbl = (1.0 - lam) * (1.0 + xi) * ba + ((1.0 - lam) * xi - 1.0) * bl
+    return nba, nbl
+
+
 def build_balance_sheets(
     exposures: ExposureMatrix, config: BalanceConfig
 ) -> BalanceSheetSet:
@@ -266,11 +264,8 @@ def build_balance_sheets(
     lam = _sample_capital_ratios(
         rng, exposures.n, config.lambda_min, config.sigma
     )
-    nba = config.xi * (ba + bl)
+    nba, nbl = _nonbank_sides(ba, bl, lam, config.xi)
     e = lam * (ba + nba)
-    nbl = (1.0 - lam) * (1.0 + config.xi) * ba + (
-        (1.0 - lam) * config.xi - 1.0
-    ) * bl
     negative = np.flatnonzero(nbl < 0.0)
     if negative.size:
         bank = int(negative[0])
@@ -293,11 +288,8 @@ def nonbank_ratios(
     """
     if ba == 0.0 and bl == 0.0:
         raise ValueError("ratios undefined for a bank with no interbank activity")
-    nba = xi * (ba + bl)
-    assets = ba + nba
-    nbl = (1.0 - lambda_i) * (1.0 + xi) * ba + ((1.0 - lambda_i) * xi - 1.0) * bl
-    liabilities = bl + nbl
-    return nba / assets, nbl / liabilities
+    nba, nbl = _nonbank_sides(ba, bl, lambda_i, xi)
+    return nba / (ba + nba), nbl / (bl + nbl)
 
 
 def export_exposures_csv(exposures: ExposureMatrix, path: str | Path) -> None:

@@ -12,6 +12,11 @@ bank, each round marks every bank whose accumulated losses exceed its
 equity as defaulted and re-solves the payment fixed point restricted to the
 defaulted set (solvent banks always pay in full), until no further bank
 fails. Per-shock impact fractions are then read off the solution.
+
+Within a round the default set is fixed, so the fixed point couples only
+the defaulted banks that owe something (the payers). Each round keeps the
+payer-to-payer edges of the payers' exposure rows as its subsystem; work
+and memory per round grow with those edges, not with the cascade squared.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import IO, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .balance import BalanceSheetSet, ExposureMatrix
 
@@ -44,8 +48,6 @@ _INNER_CAP = 10_000
 # A bank defaults when loss exceeds its equity by more than this margin;
 # a loss exactly equal to equity leaves the bank solvent with zero net worth.
 _TRIGGER_EPS = 1e-12
-# Above this default-set size the dense subsystem matrix is not built.
-_DENSE_LIMIT = 4000
 
 
 class ClearingError(RuntimeError):
@@ -135,6 +137,12 @@ def _emit_trace(sink: Optional[IO[str]], record: dict) -> None:
         sink.write(json.dumps(record) + "\n")
 
 
+def _locate(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``x`` in the sorted, non-empty ``ids`` and which match."""
+    pos = np.searchsorted(ids, x)
+    return pos, ids[np.minimum(pos, ids.size - 1)] == x
+
+
 def clear(
     exposures: ExposureMatrix,
     sheets: BalanceSheetSet,
@@ -148,8 +156,12 @@ def clear(
     by successive substitution of
     ``p_i = min(pbar_i, e_i + sum_j ratio_j * w_ji)`` where ``e_i`` is the
     bank's surviving nonbank assets (zero for the fully shocked bank) and
-    solvent banks keep ratio 1. Terminates in at most n rounds because the
-    default set only grows.
+    solvent banks keep ratio 1. Receipts from outside the payer set are
+    computed once per round; each sweep then re-applies the payer-to-payer
+    shortfalls with one ``np.bincount`` over the subsystem's edge list.
+    Only creditors whose losses grew in a round are tested for default in
+    the next. Terminates in at most n rounds because the default set only
+    grows.
 
     Args:
         exposures: interbank obligation matrix.
@@ -190,96 +202,82 @@ def clear(
     indptr, indices, data = exposures.row_arrays()
     loss = np.zeros(n)
     ratio = np.ones(n)
-    defaulted = np.zeros(n, dtype=bool)
-    owes = pbar > 0.0
     iterations = 0
 
+    # Round 0: nobody has interbank losses yet.
+    new = np.flatnonzero(trigger < 0.0)
+    defaulted = new
     for round_no in range(n + 1):
-        new = np.flatnonzero((loss > trigger) & ~defaulted)
-        if new.size == 0:
-            _emit_trace(
-                trace,
-                {"round": round_no, "new_defaults": [], "max_delta": 0.0},
-            )
-            break
-        defaulted[new] = True
-        d_ids = np.flatnonzero(defaulted)
-        payers = d_ids[owes[d_ids]]
-        if payers.size == 0:
-            _emit_trace(
-                trace,
-                {
-                    "round": round_no,
-                    "new_defaults": [int(b) for b in new],
-                    "max_delta": 0.0,
-                },
-            )
-            continue
-
-        # Gather the outgoing links of every defaulted payer once per round.
-        cols = np.concatenate(
-            [indices[indptr[k]:indptr[k + 1]] for k in payers]
-        )
-        vals = np.concatenate([data[indptr[k]:indptr[k + 1]] for k in payers])
-        row_len = indptr[payers + 1] - indptr[payers]
-
-        # Subsystem: payer-to-payer exposures drive the inner fixed point.
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[payers] = np.arange(payers.size)
-        src_pos = np.repeat(np.arange(payers.size), row_len)
-        dst_pos = pos[cols]
-        internal = dst_pos >= 0
-        d = payers.size
-        if d <= _DENSE_LIMIT:
-            sub = np.zeros((d, d))
-            sub[src_pos[internal], dst_pos[internal]] = vals[internal]
-        else:
-            sub = sp.csr_matrix(
-                (vals[internal], (src_pos[internal], dst_pos[internal])),
-                shape=(d, d),
-            )
-
-        # Receipts from solvent debtors stay fixed within the round: strip
-        # the payer-to-payer shortfalls (at current ratios) out of the
-        # accumulated losses, the inner iteration re-applies them.
-        r_old = ratio[payers].copy()
-        base_recv = ba[payers] - loss[payers] + (1.0 - r_old) @ sub
-
-        e_d = resources_ext[payers]
-        pbar_d = pbar[payers]
-        r = r_old.copy()
-        p_prev = r * pbar_d
         max_delta = 0.0
-        while True:
-            iterations += 1
-            recv = base_recv - (1.0 - r) @ sub
-            p = e_d + recv
-            np.minimum(p, pbar_d, out=p)
-            np.maximum(p, 0.0, out=p)
-            delta = float(np.abs(p - p_prev).max())
-            max_delta = max(max_delta, delta)
-            p_prev = p
-            r = p / pbar_d
-            if delta <= _INNER_TOL:
-                break
-            if iterations > _INNER_CAP * (round_no + 1):
-                raise ClearingError(
-                    f"inner fixed point stalled: round {round_no}, "
-                    f"defaulted={d_ids.tolist()}, max_delta={delta:.3e}"
-                )
-        ratio[payers] = r
+        fresh = new[:0]
+        payers = defaulted[pbar[defaulted] > 0.0]
+        if new.size and payers.size:
+            # Edge list of the payers' own rows, in CSR order.
+            starts = indptr[payers]
+            row_len = indptr[payers + 1] - starts
+            edge = np.arange(row_len.sum()) + np.repeat(
+                starts - (np.cumsum(row_len) - row_len), row_len
+            )
+            cols, vals = indices[edge], data[edge]
 
-        # Propagate the round's ratio drops to every creditor.
-        drop = r_old - r
-        np.add.at(loss, cols, np.repeat(drop, row_len) * vals)
+            # Subsystem: the edges whose creditor is also a payer drive the
+            # inner fixed point; dst indexes the creditor within payers.
+            d = payers.size
+            dst, internal = _locate(payers, cols)
+            src = np.repeat(np.arange(d), row_len)[internal]
+            dst, w = dst[internal], vals[internal]
+
+            # Receipts from outside the payer set stay fixed within the
+            # round: strip the payer-to-payer shortfalls (at current ratios)
+            # out of the accumulated losses, the inner iteration re-applies
+            # them.
+            r_old = ratio[payers]
+            base_recv = ba[payers] - loss[payers] + np.bincount(
+                dst, weights=(1.0 - r_old)[src] * w, minlength=d
+            )
+
+            e_d = resources_ext[payers]
+            pbar_d = pbar[payers]
+            r = r_old
+            p_prev = r * pbar_d
+            while True:
+                iterations += 1
+                recv = base_recv - np.bincount(
+                    dst, weights=(1.0 - r)[src] * w, minlength=d
+                )
+                p = e_d + recv
+                np.minimum(p, pbar_d, out=p)
+                np.maximum(p, 0.0, out=p)
+                delta = float(np.abs(p - p_prev).max())
+                max_delta = max(max_delta, delta)
+                p_prev = p
+                r = p / pbar_d
+                if delta <= _INNER_TOL:
+                    break
+                if iterations > _INNER_CAP * (round_no + 1):
+                    raise ClearingError(
+                        f"inner fixed point stalled: round {round_no}, "
+                        f"defaulted={defaulted.tolist()}, max_delta={delta:.3e}"
+                    )
+            ratio[payers] = r
+
+            # Propagate the round's ratio drops to every creditor.
+            np.add.at(loss, cols, np.repeat(r_old - r, row_len) * vals)
+            # Only creditors whose losses grew this round can fail next.
+            failing = cols[loss[cols] > trigger[cols]]
+            fresh = np.unique(failing[~_locate(defaulted, failing)[1]])
         _emit_trace(
             trace,
             {
                 "round": round_no,
-                "new_defaults": [int(b) for b in new],
+                "new_defaults": new.tolist(),
                 "max_delta": max_delta,
             },
         )
+        if new.size == 0:
+            break
+        new = fresh
+        defaulted = np.sort(np.concatenate((defaulted, new)))
     else:
         raise ClearingError(
             "default set failed to stabilize within n rounds "
@@ -293,7 +291,7 @@ def clear(
         obligations=pbar.copy(),
         received=received,
         losses=loss,
-        defaulted=frozenset(int(b) for b in np.flatnonzero(defaulted)),
+        defaulted=frozenset(defaulted.tolist()),
         iterations=iterations,
         shocked_bank=s,
         initial_writeoff=float(writeoff),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -155,27 +156,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report = harness.run_experiment(spec, workers=args.workers)
     harness.write_run_directory(report, args.out)
     print(f"[contagion] run directory: {args.out}", file=sys.stderr)
-
-    def _write_sweep(result: harness.SweepResult, path: Path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(
-                f"{result.parameter},di_mean,di_std,dc_mean,dc_std,"
-                "di_max_mean,dc_max_mean,flag\n"
-            )
-            for row in result.rows:
-                fh.write(
-                    f"{row.value:.12g},{row.di_mean:.12g},{row.di_std:.12g},"
-                    f"{row.dc_mean:.12g},{row.dc_std:.12g},"
-                    f"{row.di_max_mean:.12g},{row.dc_max_mean:.12g},{row.flag}\n"
-                )
-
     if args.sizes:
         result = harness.size_sweep(spec, args.sizes, workers=args.workers)
-        _write_sweep(result, Path(args.out) / "size_sweep.csv")
+        harness.write_sweep_csv(result, Path(args.out) / "size_sweep.csv")
         print("[contagion] size sweep done", file=sys.stderr)
     if args.lambdas:
         result = harness.capital_sweep(spec, args.lambdas, workers=args.workers)
-        _write_sweep(result, Path(args.out) / "capital_sweep.csv")
+        harness.write_sweep_csv(result, Path(args.out) / "capital_sweep.csv")
         print("[contagion] capital sweep done", file=sys.stderr)
     return 0
 
@@ -190,7 +177,15 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    # The library logs progress at INFO without a handler of its own.
+    log = logging.getLogger("contagion")
+    handler = logging.StreamHandler(sys.stderr)
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        return _COMMANDS[args.command](args)
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -20,11 +20,11 @@ Variant parameter rows:
 from __future__ import annotations
 
 import json
+import logging
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -48,8 +48,8 @@ from .metrics import (
     IndexImpactCorrelation,
     NetworkRiskSummary,
     RankingStatistics,
-    _safe_corr,
     compute_topo_indices,
+    correlate_indices,
     index_impact_correlation,
     ranking_statistics,
     summarize,
@@ -69,9 +69,12 @@ __all__ = [
     "size_sweep",
     "capital_sweep",
     "write_run_directory",
+    "write_sweep_csv",
     "replication_seeds",
     "resolve_workers",
 ]
+
+logger = logging.getLogger(__name__)
 
 FAMILIES = ("GC", "S", "GD")
 
@@ -206,19 +209,7 @@ _SCALAR_KEYS = (
 
 
 def _scalar_row(rec: ReplicationRecord) -> dict[str, float]:
-    s = rec.summary
-    return {
-        "rep": rec.rep,
-        "di_aggregate": s.di_aggregate,
-        "dc_aggregate": s.dc_aggregate,
-        "mean_degree": s.mean_degree,
-        "gini_total": s.gini_total,
-        "gini_in": s.gini_in,
-        "gini_out": s.gini_out,
-        "gini_assets": s.gini_assets,
-        "di_max": s.di_max,
-        "dc_max": s.dc_max,
-    }
+    return {"rep": rec.rep} | {k: getattr(rec.summary, k) for k in _SCALAR_KEYS}
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
@@ -306,10 +297,13 @@ def run_experiment(
         records = []
         for task in tasks:
             records.append(_run_replication_args(task))
-            print(
-                f"[contagion] {spec.network_family}{spec.type_variant} "
-                f"n={spec.n_nodes} rep {task[1] + 1}/{spec.replications} done",
-                file=sys.stderr,
+            logger.info(
+                "[contagion] %s%d n=%d rep %d/%d done",
+                spec.network_family,
+                spec.type_variant,
+                spec.n_nodes,
+                task[1] + 1,
+                spec.replications,
             )
     records.sort(key=lambda r: r.rep)
 
@@ -325,20 +319,17 @@ def run_experiment(
     rank_di = ranking_statistics(summaries, "di") if len(records) > 1 else None
     rank_dc = ranking_statistics(summaries, "dc") if len(records) > 1 else None
 
-    corr_names = ("pearson_cs_di", "pearson_f_dc", "spearman_cs_di", "spearman_f_dc")
+    corr_pooled = asdict(
+        correlate_indices(
+            np.concatenate([r.cs for r in records]),
+            np.concatenate([r.frailty for r in records]),
+            np.concatenate([r.di for r in records]),
+            np.concatenate([r.dc for r in records]),
+        )
+    )
     corr_means = {
         name: _mean_or_none([getattr(r.correlations, name) for r in records])
-        for name in corr_names
-    }
-    pooled_cs = np.concatenate([r.cs for r in records])
-    pooled_f = np.concatenate([r.frailty for r in records])
-    pooled_di = np.concatenate([r.di for r in records])
-    pooled_dc = np.concatenate([r.dc for r in records])
-    corr_pooled = {
-        "pearson_cs_di": _safe_corr(pooled_cs, pooled_di, "pearson"),
-        "pearson_f_dc": _safe_corr(pooled_f, pooled_dc, "pearson"),
-        "spearman_cs_di": _safe_corr(pooled_cs, pooled_di, "spearman"),
-        "spearman_f_dc": _safe_corr(pooled_f, pooled_dc, "spearman"),
+        for name in corr_pooled
     }
 
     warnings = []
@@ -430,16 +421,7 @@ def size_sweep(
     reports: dict[float, ExperimentReport] = {}
     for n in sizes:
         reps = (replications_by_size or {}).get(n, spec.replications)
-        sub = ExperimentSpec(
-            network_family=spec.network_family,
-            type_variant=spec.type_variant,
-            n_nodes=n,
-            replications=reps,
-            lambda_min=spec.lambda_min,
-            sigma=spec.sigma,
-            xi=spec.xi,
-            master_seed=spec.master_seed,
-        )
+        sub = replace(spec, n_nodes=n, replications=reps)
         report = run_experiment(sub, workers=workers)
         flag = "below_min_meaningful_size" if n < MIN_MEANINGFUL_SIZE else ""
         rows.append(_sweep_row(float(n), report, flag))
@@ -463,17 +445,7 @@ def capital_sweep(
     rows: list[SweepRow] = []
     reports: dict[float, ExperimentReport] = {}
     for lam in lambdas:
-        sub = ExperimentSpec(
-            network_family=spec.network_family,
-            type_variant=spec.type_variant,
-            n_nodes=spec.n_nodes,
-            replications=spec.replications,
-            lambda_min=lam,
-            sigma=spec.sigma,
-            xi=spec.xi,
-            master_seed=spec.master_seed,
-        )
-        report = run_experiment(sub, workers=workers)
+        report = run_experiment(replace(spec, lambda_min=lam), workers=workers)
         rows.append(_sweep_row(lam, report, ""))
         reports[float(lam)] = report
 
@@ -555,3 +527,18 @@ def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
+
+
+def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
+    """Write a sweep table: the varied parameter, then the row aggregates."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(
+            f"{result.parameter},di_mean,di_std,dc_mean,dc_std,"
+            "di_max_mean,dc_max_mean,flag\n"
+        )
+        for row in result.rows:
+            fh.write(
+                f"{row.value:.12g},{row.di_mean:.12g},{row.di_std:.12g},"
+                f"{row.dc_mean:.12g},{row.dc_std:.12g},"
+                f"{row.di_max_mean:.12g},{row.dc_max_mean:.12g},{row.flag}\n"
+            )

@@ -32,6 +32,7 @@ __all__ = [
     "summarize",
     "ranking_statistics",
     "index_impact_correlation",
+    "correlate_indices",
 ]
 
 
@@ -279,6 +280,21 @@ def _safe_corr(x: np.ndarray, y: np.ndarray, method: str) -> Optional[float]:
     return float(stats.spearmanr(x, y).statistic)
 
 
+def correlate_indices(
+    cs: np.ndarray, frailty: np.ndarray, di: np.ndarray, dc: np.ndarray
+) -> IndexImpactCorrelation:
+    """Pearson and Spearman correlations of CS with DI and frailty with DC.
+
+    The four vectors are aligned by bank (possibly pooled over replications).
+    """
+    return IndexImpactCorrelation(
+        pearson_cs_di=_safe_corr(cs, di, "pearson"),
+        pearson_f_dc=_safe_corr(frailty, dc, "pearson"),
+        spearman_cs_di=_safe_corr(cs, di, "spearman"),
+        spearman_f_dc=_safe_corr(frailty, dc, "spearman"),
+    )
+
+
 def index_impact_correlation(
     indices: TopoIndices, results: Sequence[CascadeResult]
 ) -> IndexImpactCorrelation:
@@ -299,9 +315,4 @@ def index_impact_correlation(
         dc[r.shocked_bank] = r.dc
     if np.isnan(di).any():
         raise ValueError("results must cover every bank")
-    return IndexImpactCorrelation(
-        pearson_cs_di=_safe_corr(indices.cs, di, "pearson"),
-        pearson_f_dc=_safe_corr(indices.frailty, dc, "pearson"),
-        spearman_cs_di=_safe_corr(indices.cs, di, "spearman"),
-        spearman_f_dc=_safe_corr(indices.frailty, dc, "spearman"),
-    )
+    return correlate_indices(indices.cs, indices.frailty, di, dc)

@@ -214,6 +214,29 @@ class TestFixedPointProperties:
         assert seen == set(sol.defaulted)
         assert rounds[-1]["new_defaults"] == []
 
+    def test_oracle_equivalence_on_a_deep_cascade(self):
+        g = generate(params_from_delta_in(3.0).with_size(1000, 8))
+        exposures = build_exposures(g)
+        sheets = build_balance_sheets(exposures, BalanceConfig(0.01, 0.01, 2.0, 8))
+        shocked = int(np.argmax(exposures.bank_liabilities))
+        sink = io.StringIO()
+        sol = clear(exposures, sheets, ShockScenario(shocked), trace=sink)
+        rounds = sink.getvalue().splitlines()
+        # A multi-round cascade with a payer subsystem of dozens of banks.
+        assert len(sol.defaulted) >= 50 and len(rounds) >= 4
+
+        dense = dense_exposures(exposures)
+        external = sheets.nba.copy()
+        external[shocked] = 0.0
+        pbar = sheets.bl + sheets.nbl
+        oracle = picard_clearing(dense, external, pbar)
+        assert np.abs(sol.payments - oracle).max() < 1e-10
+
+        ratio = np.divide(oracle, pbar, out=np.ones(exposures.n), where=pbar > 0)
+        loss = sheets.ba - ratio @ dense
+        loss[shocked] += sheets.nba[shocked]
+        assert sol.defaulted == set(np.flatnonzero(loss > sheets.e).tolist())
+
     def test_restricted_nonbank_recovery_never_shrinks_the_cascade(self):
         rng = np.random.default_rng(17)
         for _ in range(20):

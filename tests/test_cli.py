@@ -128,6 +128,31 @@ class TestSweepCommand:
         assert "[contagion]" in captured.err
 
 
+class TestProgressLogging:
+    def test_library_is_quiet_without_a_handler(self):
+        code = (
+            "from contagion.harness import ExperimentSpec, run_experiment\n"
+            "run_experiment(ExperimentSpec('GC', 0, 60, 2, master_seed=1), workers=1)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    def test_cli_shows_replication_progress(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "network_family": "GC", "type_variant": 0, "n_nodes": 60,
+            "replications": 2, "master_seed": 1,
+        }))
+        main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r"),
+              "--workers", "1"])
+        err = capsys.readouterr().err
+        assert "[contagion] GC0 n=60 rep 1/2 done\n" in err
+        assert "[contagion] GC0 n=60 rep 2/2 done\n" in err
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         out = tmp_path / "net.csv"
