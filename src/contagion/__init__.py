@@ -25,12 +25,14 @@ from .balance import (
     nonbank_ratios,
 )
 from .clearing import (
+    AllBanksClearing,
     CascadeResult,
     ClearingError,
     ClearingSolution,
     ShockScenario,
     cascade_metrics,
     clear,
+    clear_all,
     gross_system_volume,
     total_initial_assets,
 )
@@ -70,6 +72,7 @@ from .powerlaw import DegenerateSequenceError, PowerLawFit, fit_discrete
 __version__ = "0.1.0"
 
 __all__ = [
+    "AllBanksClearing",
     "BalanceConfig",
     "BalanceSheet",
     "BalanceSheetSet",
@@ -95,6 +98,7 @@ __all__ = [
     "capital_sweep",
     "cascade_metrics",
     "clear",
+    "clear_all",
     "compute_topo_indices",
     "constraint_curve",
     "counterparty_susceptibility",

@@ -150,7 +150,7 @@ class BalanceSheetSet(Sequence[BalanceSheet]):
 
     Indexing yields a :class:`BalanceSheet`; the column arrays ``ba``,
     ``bl``, ``nba``, ``nbl``, ``e`` and ``lam`` are read-only views shared
-    with the cascade engine.
+    with the cascade engine. NaN or infinite entries are rejected.
     """
 
     def __init__(
@@ -166,6 +166,13 @@ class BalanceSheetSet(Sequence[BalanceSheet]):
         n = arrays[0].size
         if any(a.shape != (n,) for a in arrays):
             raise ValueError("balance-sheet columns must share one length")
+        for name, a in zip(("ba", "bl", "nba", "nbl", "e", "lam"), arrays):
+            bad = np.flatnonzero(~np.isfinite(a))
+            if bad.size:
+                bank = int(bad[0])
+                raise ValueError(
+                    f"balance-sheet column {name} is not finite at bank {bank}"
+                )
         for a in arrays:
             a.setflags(write=False)
         self.ba, self.bl, self.nba, self.nbl, self.e, self.lam = arrays

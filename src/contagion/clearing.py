@@ -17,6 +17,16 @@ Within a round the default set is fixed, so the fixed point couples only
 the defaulted banks that owe something (the payers). Each round keeps the
 payer-to-payer edges of the payers' exposure rows as its subsystem; work
 and memory per round grow with those edges, not with the cascade squared.
+
+The paper's experiments shock every bank in turn; :func:`clear_all` does
+that in one call. It first screens every shock at once: round 1 for all
+banks is read off the CSR arrays (does the shocked bank fail, what does it
+pay, does any creditor's loss then exceed that creditor's equity?). A
+shock that fails nobody but the shocked bank is settled by the screen with
+the same arithmetic :func:`clear` would use, so its impacts are
+bit-identical; only the shocks whose losses reach a second bank are passed
+to :func:`clear`. There is one engine: the screen solves nothing that
+:func:`clear` would not solve the same way.
 """
 
 from __future__ import annotations
@@ -33,8 +43,10 @@ __all__ = [
     "ShockScenario",
     "ClearingSolution",
     "CascadeResult",
+    "AllBanksClearing",
     "ClearingError",
     "clear",
+    "clear_all",
     "cascade_metrics",
     "total_initial_assets",
     "gross_system_volume",
@@ -132,9 +144,33 @@ class CascadeResult:
             raise ValueError(f"dc out of range: {self.dc}")
 
 
+@dataclass(frozen=True, eq=False)
+class AllBanksClearing:
+    """The outcome of shocking every bank in turn, with engine counters.
+
+    ``results[k]`` is the :class:`CascadeResult` of shocking bank k.
+    ``shocks_screened`` counts the shocks the first-round screen settled and
+    ``shocks_solved`` those passed to :func:`clear`; ``inner_iterations``
+    sums the inner fixed-point sweeps over all shocks (as
+    :attr:`ClearingSolution.iterations` would) and ``max_cascade`` is the
+    largest default set.
+    """
+
+    results: list[CascadeResult]
+    shocks_screened: int
+    shocks_solved: int
+    inner_iterations: int
+    max_cascade: int
+
+
 def _emit_trace(sink: Optional[IO[str]], record: dict) -> None:
     if sink is not None:
         sink.write(json.dumps(record) + "\n")
+
+
+def _trigger(threshold: np.ndarray) -> np.ndarray:
+    """Losses beyond which banks with these loss buffers default."""
+    return threshold + _TRIGGER_EPS * (1.0 + np.abs(threshold))
 
 
 def _locate(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +233,7 @@ def clear(
     # equity; the shocked bank's threshold is lowered by the write-off.
     threshold = sheets.e.copy()
     threshold[s] -= writeoff
-    trigger = threshold + _TRIGGER_EPS * (1.0 + np.abs(threshold))
+    trigger = _trigger(threshold)
 
     indptr, indices, data = exposures.row_arrays()
     loss = np.zeros(n)
@@ -298,6 +334,85 @@ def clear(
     )
 
 
+def clear_all(
+    exposures: ExposureMatrix,
+    sheets: BalanceSheetSet,
+    recovery_on_nonbank: float = 0.0,
+    defaulted_nonbank_recovery: float = 1.0,
+) -> AllBanksClearing:
+    """Shock every bank in turn; equal to clearing each shock separately.
+
+    ``results[k]`` equals ``cascade_metrics(clear(exposures, sheets,
+    ShockScenario(k, recovery_on_nonbank, defaulted_nonbank_recovery)),
+    sheets, k, total_initial_assets(sheets))`` bit for bit. Round 1 of
+    every shock is screened at once over the CSR arrays: shocked bank k
+    fails when its equity net of the write-off is below the trigger, then
+    pays ``p_k = min(pbar_k, rec * NBA_k + BA_k)`` (floored at 0), and
+    creditor j loses ``(1 - p_k / pbar_k) * w_kj``. When no such loss
+    exceeds its creditor's trigger, the shock is settled; otherwise (or
+    when some bank is insolvent before any shock) :func:`clear` solves it.
+    """
+    n = exposures.n
+    if len(sheets) != n:
+        raise ValueError(
+            f"exposures cover {n} banks but sheets cover {len(sheets)}"
+        )
+    ShockScenario(0, recovery_on_nonbank, defaulted_nonbank_recovery)  # validates
+    v0 = _gross_volume(total_initial_assets(sheets), sheets)
+
+    ba, nba = sheets.ba, sheets.nba
+    pbar = sheets.bl + sheets.nbl
+    writeoff = (1.0 - recovery_on_nonbank) * nba
+    # Triggers as in clear: every creditor's from its equity, the shocked
+    # bank's from its equity net of the write-off.
+    trigger = _trigger(sheets.e)
+    fails = _trigger(sheets.e - writeoff) < 0.0
+    payers = fails & (pbar > 0.0)
+    p = recovery_on_nonbank * nba[payers] + ba[payers]
+    np.minimum(p, pbar[payers], out=p)
+    np.maximum(p, 0.0, out=p)
+    ratio = np.ones(n)
+    ratio[payers] = p / pbar[payers]
+    # One sweep finds p; a second confirms it unless it equals pbar.
+    sweeps = np.zeros(n, dtype=np.int64)
+    sweeps[payers] = 1 + (np.abs(p - pbar[payers]) > _INNER_TOL)
+
+    indptr, indices, data = exposures.row_arrays()
+    debtor = np.repeat(np.arange(n), np.diff(indptr))
+    spreads = (1.0 - ratio)[debtor] * data > trigger[indices]
+    solve = np.zeros(n, dtype=bool)
+    solve[debtor[spreads]] = True
+    if (trigger < 0.0).any():
+        # Banks already insolvent join every cascade in round 0.
+        solve[:] = True
+
+    unpaid = pbar - ratio * pbar
+    di, ti, dc = _impacts(unpaid, writeoff, 0, n, v0)
+    results = [
+        CascadeResult(k, d, t, dc, frozenset((k,)) if f else frozenset())
+        for k, d, t, f in zip(range(n), di.tolist(), ti.tolist(), fails.tolist())
+    ]
+    iterations = int(sweeps[~solve].sum())
+    max_cascade = int(fails[~solve].any())
+    for k in np.flatnonzero(solve).tolist():
+        solution = clear(
+            exposures,
+            sheets,
+            ShockScenario(k, recovery_on_nonbank, defaulted_nonbank_recovery),
+        )
+        results[k] = _cascade_result(solution, n, v0)
+        iterations += solution.iterations
+        max_cascade = max(max_cascade, len(solution.defaulted))
+    solved = int(solve.sum())
+    return AllBanksClearing(
+        results=results,
+        shocks_screened=n - solved,
+        shocks_solved=solved,
+        inner_iterations=iterations,
+        max_cascade=max_cascade,
+    )
+
+
 def total_initial_assets(sheets: BalanceSheetSet) -> float:
     """System-wide pre-shock assets: interbank plus nonbank, all banks."""
     return float(sheets.ba.sum() + sheets.nba.sum())
@@ -311,6 +426,34 @@ def gross_system_volume(sheets: BalanceSheetSet) -> float:
     base against which impact fractions are measured.
     """
     return float(sheets.nba.sum() + sheets.ba.sum() + sheets.nbl.sum())
+
+
+def _gross_volume(a0: float, sheets: BalanceSheetSet) -> float:
+    """Impact base: total initial assets ``a0`` plus nonbank liabilities."""
+    if a0 <= 0.0:
+        raise ValueError("total initial assets must be positive")
+    return a0 + float(sheets.nbl.sum())
+
+
+def _impacts(unpaid, writeoff, other_defaults, n: int, v0: float):
+    """``(di, ti, dc)`` of one shock, or elementwise of arrays of shocks."""
+    di = unpaid / v0
+    return di, writeoff / v0 + di, other_defaults / n
+
+
+def _cascade_result(solution: ClearingSolution, n: int, v0: float) -> CascadeResult:
+    """Impacts of a cleared shock in a system of n banks and volume v0."""
+    k = solution.shocked_bank
+    di, ti, dc = _impacts(
+        float((solution.obligations - solution.payments).sum()),
+        solution.initial_writeoff,
+        len(solution.defaulted - {k}),
+        n,
+        v0,
+    )
+    return CascadeResult(
+        shocked_bank=k, di=di, ti=ti, dc=dc, defaulted=solution.defaulted
+    )
 
 
 def cascade_metrics(
@@ -338,23 +481,10 @@ def cascade_metrics(
         a0: total initial assets (interbank plus nonbank), computed before
             the shock; the gross volume adds nonbank liabilities on top.
     """
-    if a0 <= 0.0:
-        raise ValueError("total initial assets must be positive")
+    v0 = _gross_volume(a0, sheets)
     if shocked_bank != solution.shocked_bank:
         raise ValueError(
             f"solution was computed for bank {solution.shocked_bank}, "
             f"not {shocked_bank}"
         )
-    n = len(sheets)
-    v0 = a0 + float(sheets.nbl.sum())
-    unpaid = float((solution.obligations - solution.payments).sum())
-    di = unpaid / v0
-    ti = solution.initial_writeoff / v0 + di
-    dc = len(solution.defaulted - {shocked_bank}) / n
-    return CascadeResult(
-        shocked_bank=shocked_bank,
-        di=di,
-        ti=ti,
-        dc=dc,
-        defaulted=solution.defaulted,
-    )
+    return _cascade_result(solution, len(sheets), v0)

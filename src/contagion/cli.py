@@ -5,8 +5,10 @@ estimates a discrete power-law tail from a degree file, ``shock`` clears a
 single-bank default on a stored network, and ``sweep`` runs an experiment
 (or size/capital sweeps) from a JSON spec file. Progress goes to stderr;
 results go to files or to stdout as single JSON records, so output can be
-piped. The ``CONTAGION_WORKERS`` environment variable overrides the worker
-count used by ``sweep``.
+piped. Bad input (an unreadable or malformed file, a bank id out of
+range) exits with status 1 and a one-line message on stderr. The
+``CONTAGION_WORKERS`` environment variable overrides the worker count used
+by ``sweep``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     shock.add_argument(
         "--recovery", type=float, default=0.0,
         help="surviving fraction of the shocked bank's nonbank assets",
+    )
+    shock.add_argument(
+        "--defaulted-recovery", type=float, default=1.0, dest="defaulted_recovery",
+        help="fraction of other defaulted banks' nonbank assets available "
+        "to their creditors",
     )
     shock.add_argument(
         "--trace", type=Path, default=None,
@@ -128,7 +135,13 @@ def _cmd_shock(args: argparse.Namespace) -> int:
             lambda_min=args.lambda_min, sigma=args.sigma, xi=args.xi, seed=args.seed
         ),
     )
-    scenario = clearing.ShockScenario(args.bank, recovery_on_nonbank=args.recovery)
+    if not 0 <= args.bank < graph.n:
+        raise ValueError(f"--bank {args.bank} outside [0, {graph.n})")
+    scenario = clearing.ShockScenario(
+        args.bank,
+        recovery_on_nonbank=args.recovery,
+        defaulted_nonbank_recovery=args.defaulted_recovery,
+    )
     if args.trace is not None:
         with open(args.trace, "w", encoding="ascii") as sink:
             solution = clearing.clear(exposures, sheets, scenario, trace=sink)
@@ -184,6 +197,11 @@ def main(argv: list[str] | None = None) -> int:
     log.setLevel(logging.INFO)
     try:
         return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:
+        # Bad input (unreadable or malformed files, ids out of range): one
+        # line on stderr instead of a traceback.
+        print(f"contagion {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     finally:
         log.removeHandler(handler)
 

@@ -430,21 +430,30 @@ def read_edge_list(path: str | Path) -> DirectedGraph:
 
     Lines starting with ``#`` are headers; a ``nodes=<n>`` field, when
     present, fixes the node count (otherwise max id + 1 is used).
+
+    Raises:
+        ValueError: naming the file and line of the first line that is
+            neither a header nor a ``source,target`` pair of integers.
     """
     n_header: Optional[int] = None
     links: list[tuple[int, int]] = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                for field in line[1:].split():
-                    if field.startswith("nodes="):
-                        n_header = int(field.split("=", 1)[1])
-                continue
-            s_str, t_str = line.split(",")
-            links.append((int(s_str), int(t_str)))
+            try:
+                if line.startswith("#"):
+                    for field in line[1:].split():
+                        if field.startswith("nodes="):
+                            n_header = int(field.split("=", 1)[1])
+                    continue
+                s_str, t_str = line.split(",")
+                links.append((int(s_str), int(t_str)))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{line_no}: malformed edge-list line {line!r}"
+                ) from None
     if n_header is None:
         n_header = 1 + max((max(s, t) for s, t in links), default=0)
     return DirectedGraph.from_links(n_header, links)

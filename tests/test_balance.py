@@ -139,6 +139,15 @@ class TestBuildBalanceSheets:
         assert sheet.total_assets == pytest.approx(sheet.ba + sheet.nba)
         assert len(list(iter(sheets))) == 100
 
+    def test_non_finite_entries_rejected(self):
+        _, _, sheets = _sheets(n=20)
+        names = ("ba", "bl", "nba", "nbl", "e", "lam")
+        for name, bad in zip(names, [np.nan, np.inf, -np.inf] * 2):
+            columns = {c: getattr(sheets, c).copy() for c in names}
+            columns[name][3] = bad
+            with pytest.raises(ValueError, match=f"{name} is not finite at bank 3"):
+                BalanceSheetSet(**columns)
+
     def test_nonbank_share_exceeds_half_at_xi_two(self):
         _, _, sheets = _sheets(n=1000)
         active = sheets.total_assets > 0

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 
 import numpy as np
@@ -6,15 +7,25 @@ import pytest
 import scipy.sparse as sp
 
 from contagion.balance import BalanceSheetSet, ExposureMatrix, build_balance_sheets, BalanceConfig, build_exposures
+from contagion import clearing
 from contagion.clearing import (
     CascadeResult,
+    ClearingError,
     ShockScenario,
     cascade_metrics,
     clear,
+    clear_all,
     gross_system_volume,
     total_initial_assets,
 )
-from contagion.netgen import DirectedGraph, generate, params_from_delta_in
+from contagion.harness import TYPE3_TARGET_MEAN_DEGREE, TYPE_PARAMS, replication_seeds
+from contagion.netgen import (
+    DirectedGraph,
+    GenParams,
+    augment_random_links,
+    generate,
+    params_from_delta_in,
+)
 
 from conftest import dense_exposures, picard_clearing, random_small_system
 
@@ -249,6 +260,123 @@ class TestFixedPointProperties:
                 ShockScenario(s, defaulted_nonbank_recovery=0.0),
             )
             assert pooled.defaulted <= fenced.defaulted
+
+
+def _per_bank_loop(exposures, sheets, recovery=0.0, defaulted_recovery=1.0):
+    """The reference for clear_all: clear and score each shock separately."""
+    a0 = total_initial_assets(sheets)
+    solutions = [
+        clear(exposures, sheets, ShockScenario(k, recovery, defaulted_recovery))
+        for k in range(exposures.n)
+    ]
+    results = [cascade_metrics(sol, sheets, k, a0) for k, sol in enumerate(solutions)]
+    return solutions, results
+
+
+def _assert_same_results(got, expected):
+    for name in ("shocked_bank", "di", "ti", "dc"):
+        a = np.array([getattr(r, name) for r in got])
+        b = np.array([getattr(r, name) for r in expected])
+        assert np.array_equal(a, b), name
+    assert [r.defaulted for r in got] == [r.defaulted for r in expected]
+
+
+def _replication_system(family, variant, n, lambda_min, xi):
+    """Exposures and sheets of replication 0 of a harness ensemble (seed 99)."""
+    g_seed, aug_seed, b_seed = replication_seeds(99, 0)
+    alpha, beta, gamma, d_in, d_out = TYPE_PARAMS[(family, variant)]
+    graph = generate(GenParams(alpha, beta, gamma, d_in, d_out, n, g_seed))
+    if variant == 3:
+        graph = augment_random_links(graph, TYPE3_TARGET_MEAN_DEGREE, aug_seed)
+    exposures = build_exposures(graph)
+    config = BalanceConfig(lambda_min, 0.01, xi, seed=b_seed)
+    return exposures, build_balance_sheets(exposures, config)
+
+
+class TestClearAll:
+    # Fenced-off defaulted nonbank assets (defaulted recovery 0) make the
+    # deep GC3/GD3 cascades about ten times as costly for the reference
+    # loop; the screen only settles shocks that fail no second bank, so
+    # those systems run with pooled estates only.
+    @pytest.mark.parametrize(
+        "family, variant, lambda_min, xi, defaulted_recoveries",
+        [
+            ("GD", 0, 0.05, 2.0, (1.0, 0.0)),
+            ("GC", 1, 0.05, 2.0, (1.0, 0.0)),
+            ("GD", 3, 0.05, 2.0, (1.0, 0.0)),
+            ("GC", 3, 0.01, 1.1, (1.0,)),
+            ("GD", 3, 0.01, 1.1, (1.0,)),
+        ],
+    )
+    def test_bit_identical_to_the_per_bank_loop(
+        self, family, variant, lambda_min, xi, defaulted_recoveries
+    ):
+        exposures, sheets = _replication_system(family, variant, 1000, lambda_min, xi)
+        for recovery, defaulted_recovery in itertools.product(
+            (0.0, 0.5), defaulted_recoveries
+        ):
+            solutions, expected = _per_bank_loop(
+                exposures, sheets, recovery, defaulted_recovery
+            )
+            out = clear_all(exposures, sheets, recovery, defaulted_recovery)
+            _assert_same_results(out.results, expected)
+            assert out.inner_iterations == sum(sol.iterations for sol in solutions)
+            assert out.max_cascade == max(len(sol.defaulted) for sol in solutions)
+            # The screen settles exactly the shocks that fail no second bank.
+            alone = sum(len(r.defaulted - {r.shocked_bank}) == 0 for r in expected)
+            assert out.shocks_screened == alone
+            assert out.shocks_screened + out.shocks_solved == exposures.n
+
+    def test_small_systems_under_every_recovery_setting(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            exposures, sheets = random_small_system(rng, max_n=8)
+            for recovery in (0.0, 0.5, 1.0):
+                for defaulted_recovery in (1.0, 0.0):
+                    _, expected = _per_bank_loop(
+                        exposures, sheets, recovery, defaulted_recovery
+                    )
+                    out = clear_all(exposures, sheets, recovery, defaulted_recovery)
+                    _assert_same_results(out.results, expected)
+
+    def test_banks_insolvent_before_the_shock_join_every_cascade(self):
+        exposures, sheets = random_small_system(np.random.default_rng(3), max_n=6)
+        columns = {c: getattr(sheets, c) for c in ("ba", "bl", "nba", "nbl", "lam")}
+        e = sheets.e.copy()
+        e[1] = -1.0
+        broken = BalanceSheetSet(e=e, **columns)
+        _, expected = _per_bank_loop(exposures, broken)
+        out = clear_all(exposures, broken)
+        _assert_same_results(out.results, expected)
+        assert out.shocks_solved == exposures.n
+        assert all(1 in r.defaulted for r in out.results)
+
+    def test_validation(self):
+        exposures, sheets = _two_bank_system()
+        g3 = DirectedGraph.from_links(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(ValueError, match="banks"):
+            clear_all(exposures, _model_sheets(build_exposures(g3)))
+        with pytest.raises(ValueError):
+            clear_all(exposures, sheets, recovery_on_nonbank=1.5)
+        with pytest.raises(ValueError):
+            clear_all(exposures, sheets, defaulted_nonbank_recovery=-0.1)
+
+
+class TestClearingErrors:
+    def test_inner_stall_names_round_and_defaulted_set(self, monkeypatch):
+        # Shocking bank 0 of the two-bank system takes two sweeps in round 0
+        # (bank 0's payment drops from 1.9 to 0) and two in round 1 (bank 1
+        # defaults and pays 2 of 2.85).
+        exposures, sheets = _two_bank_system()
+        monkeypatch.setattr(clearing, "_INNER_CAP", 0)
+        with pytest.raises(ClearingError, match=r"round 0, defaulted=\[0\],"):
+            clear(exposures, sheets, ShockScenario(0))
+        monkeypatch.setattr(clearing, "_INNER_CAP", 1)
+        with pytest.raises(ClearingError, match=r"round 1, defaulted=\[0, 1\],"):
+            clear(exposures, sheets, ShockScenario(0))
+        # clear_all hands this shock to clear, so the error reaches its caller.
+        with pytest.raises(ClearingError, match="stalled"):
+            clear_all(exposures, sheets)
 
 
 class TestValidation:

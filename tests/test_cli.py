@@ -84,6 +84,53 @@ class TestShockCommand:
         assert all({"round", "new_defaults", "max_delta"} <= set(r) for r in rounds)
 
 
+    def _network(self, tmp_path):
+        net = tmp_path / "net.csv"
+        main([
+            "generate", "--alpha", "0.1875", "--beta", "0.25",
+            "--gamma", "0.5625", "--delta-in", "3", "--delta-out", "1",
+            "--nodes", "200", "--seed", "5", "--out", str(net),
+        ])
+        return net
+
+    def test_defaulted_recovery_reaches_the_scenario(self, tmp_path, capsys):
+        net = self._network(tmp_path)
+        capsys.readouterr()
+        records = []
+        for value in ("1", "0"):
+            rc = main([
+                "shock", "--edges", str(net), "--bank", "0", "--seed", "2",
+                "--lambda-min", "0.01", "--defaulted-recovery", value,
+            ])
+            assert rc == 0
+            records.append(json.loads(capsys.readouterr().out.strip()))
+        pooled, fenced = records
+        # Fencing off defaulted banks' nonbank assets can only deepen losses.
+        assert set(pooled["defaulted"]) <= set(fenced["defaulted"])
+        assert fenced["di"] > pooled["di"]
+
+    def test_malformed_edge_line_is_a_one_line_error(self, tmp_path, capsys):
+        net = tmp_path / "net.csv"
+        net.write_text("# nodes=3 seed=0\n0,1\n1;2\n")
+        capsys.readouterr()
+        rc = main(["shock", "--edges", str(net), "--bank", "0"])
+        assert rc != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{net}:3" in captured.err and "1;2" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_bank_out_of_range_is_a_one_line_error(self, tmp_path, capsys):
+        net = self._network(tmp_path)
+        capsys.readouterr()
+        rc = main(["shock", "--edges", str(net), "--bank", "200"])
+        assert rc != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "contagion shock: error: --bank 200 outside [0, 200)\n"
+
+
 class TestSweepCommand:
     def test_runs_spec_and_sweeps(self, tmp_path, capsys):
         spec = {

@@ -151,6 +151,29 @@ class TestRunExperiment:
             assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
 
+    def test_worker_count_does_not_change_counters(self, tmp_path):
+        spec = ExperimentSpec("GD", 0, 120, 3, lambda_min=0.01, master_seed=23)
+        runtimes = []
+        for workers in (1, 2):
+            out = write_run_directory(
+                run_experiment(spec, workers=workers), tmp_path / f"w{workers}"
+            )
+            runtimes.append(json.loads((out / "report.json").read_text())["runtime"])
+        serial, pooled = (r["replications"] for r in runtimes)
+        stages = {"generate", "build", "clear", "metrics"}
+        for rows in (serial, pooled):
+            assert [row["rep"] for row in rows] == [0, 1, 2]
+            for row in rows:
+                assert set(row["stage_seconds"]) == stages
+                assert all(t >= 0.0 for t in row["stage_seconds"].values())
+                assert row["shocks_screened"] + row["shocks_solved"] == 120
+                assert row["inner_iterations"] > 0 and row["max_cascade"] > 1
+
+        for row in serial + pooled:
+            del row["stage_seconds"]
+        assert serial == pooled
+
+
 class TestRunDirectory:
     def test_artifact_set(self, tmp_path):
         spec = ExperimentSpec("S", 0, 90, 2, master_seed=13)
