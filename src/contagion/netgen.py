@@ -10,6 +10,17 @@ and a step that draws source == target resamples the target a bounded number
 of times before being discarded, so neither parallel links nor self-links
 are ever recorded.
 
+Each preferential draw costs O(log n): the in- and out-weights
+``degree + delta`` live in two Fenwick trees, and a draw descends one of
+them for the number of prefix sums <= ``u * total``. Uniforms come from the
+generator in blocks, in the order scalar ``rng.random()`` calls would give
+them. With integer or dyadic offsets every weight and partial sum is an
+exact float, so the draws, and the graphs, are those of a per-draw
+``cumsum`` + ``searchsorted(side="right")`` at the same seed; with other
+offsets the law is the same and a draw can differ only where rounding moves
+a boundary. ``augment_random_links`` likewise draws its node ids in blocks
+that equal scalar ``rng.integers(n)`` calls.
+
 Also provides the closed-form limit exponents of the in/out degree
 distributions, the one-parameter family of attachment parameters used to
 trade credit concentration against debt concentration at fixed mean degree,
@@ -22,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -126,54 +137,55 @@ class DirectedGraph:
     """Finalized simple digraph: deduplicated links plus degree tallies.
 
     ``links`` holds one ``(source, target)`` pair per directed link, sorted;
-    a link i -> j is an obligation of i to j. ``raw_link_count`` is the
-    number of links recorded during growth; it equals the finalized count
-    because growth never records parallel or self-links.
+    a link i -> j is an obligation of i to j.
     """
 
     n: int
     links: tuple[tuple[int, int], ...]
     in_degree: np.ndarray
     out_degree: np.ndarray
-    raw_link_count: int
 
     @classmethod
     def from_links(
-        cls,
-        n: int,
-        links: Iterable[tuple[int, int]],
-        raw_link_count: Optional[int] = None,
+        cls, n: int, links: Iterable[tuple[int, int]] | np.ndarray
     ) -> "DirectedGraph":
         """Build a finalized graph from a link collection.
 
         Deduplicates links, rejects self-links and out-of-range ids, and
-        recounts degrees from the deduplicated set.
+        recounts degrees from the deduplicated set. ``links`` is any
+        iterable of ``(source, target)`` pairs, or a ``(k, 2)`` integer
+        array. The error names the first offending link in input order.
         """
         if n < 1:
             raise ValueError("graph needs at least one node")
-        link_set = set()
-        for s, t in links:
-            s, t = int(s), int(t)
-            if s == t:
+        if not isinstance(links, np.ndarray):
+            links = list(links)
+        pairs = np.asarray(links, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("links must be (source, target) pairs")
+        src, dst = pairs[:, 0], pairs[:, 1]
+        self_link = src == dst
+        bad = self_link | (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if bad.any():
+            first = int(np.argmax(bad))
+            s, t = int(src[first]), int(dst[first])
+            if self_link[first]:
                 raise ValueError(f"self-link at node {s}")
-            if not (0 <= s < n and 0 <= t < n):
-                raise ValueError(f"link ({s}, {t}) outside node range [0, {n})")
-            link_set.add((s, t))
-        ordered = tuple(sorted(link_set))
-        kin = np.zeros(n, dtype=np.int64)
-        kout = np.zeros(n, dtype=np.int64)
-        for s, t in ordered:
-            kout[s] += 1
-            kin[t] += 1
+            raise ValueError(f"link ({s}, {t}) outside node range [0, {n})")
+        # Codes s * n + t sort in (source, target) order.
+        codes = np.unique(src * n + dst)
+        src, dst = codes // n, codes % n
+        kin = np.bincount(dst, minlength=n).astype(np.int64, copy=False)
+        kout = np.bincount(src, minlength=n).astype(np.int64, copy=False)
         kin.setflags(write=False)
         kout.setflags(write=False)
-        raw = len(ordered) if raw_link_count is None else int(raw_link_count)
         return cls(
             n=n,
-            links=ordered,
+            links=tuple(zip(src.tolist(), dst.tolist())),
             in_degree=kin,
             out_degree=kout,
-            raw_link_count=raw,
         )
 
     @property
@@ -193,9 +205,81 @@ class DirectedGraph:
         return arr[:, 0], arr[:, 1]
 
 
+class _WeightTree:
+    """Fenwick tree over node weights ``degree + delta`` for one side.
+
+    Slot ``i`` (1-based) holds the weight sum of nodes
+    ``[i - lowbit(i), i)``. Every node's ``delta`` is in place from the
+    start; nodes beyond the current count are never read, because
+    :meth:`total` and :meth:`pick` only visit slots ``<= n``, and each such
+    slot covers existing nodes only. The slots are a plain list because
+    scalar indexing of a Python list is faster than of a numpy array.
+    """
+
+    def __init__(self, size: int, delta: float) -> None:
+        self.size = size
+        # Descent steps, from the highest power of two <= size down to 1.
+        self.steps = [1 << k for k in range(size.bit_length() - 1, -1, -1)]
+        self.slots = [0.0] + [delta * (i & -i) for i in range(1, size + 1)]
+
+    def add(self, node: int, weight: float) -> None:
+        """Add ``weight`` to the weight of ``node``."""
+        slots, size = self.slots, self.size
+        i = node + 1
+        while i <= size:
+            slots[i] += weight
+            i += i & -i
+
+    def total(self, n: int) -> float:
+        """Weight sum of the first ``n`` nodes.
+
+        Summed along the same slot path, high bit first, that :meth:`pick`
+        walks, so that ``pick(x, n) < n`` for every ``x < total(n)``.
+        """
+        slots = self.slots
+        acc = 0.0
+        pos = 0
+        rest = n
+        while rest:
+            step = 1 << (rest.bit_length() - 1)
+            pos += step
+            acc += slots[pos]
+            rest -= step
+        return acc
+
+    def pick(self, x: float, n: int) -> int:
+        """Number of the first ``n`` nodes' prefix sums that are ``<= x``.
+
+        This is ``searchsorted(cumsum(weights[:n]), x, side="right")``;
+        when every weight and partial sum is an exact float (integer or
+        dyadic weights) it returns the same index.
+        """
+        slots = self.slots
+        acc = 0.0
+        pos = 0
+        for step in self.steps:
+            nxt = pos + step
+            if nxt <= n:
+                s = acc + slots[nxt]
+                if s <= x:
+                    pos = nxt
+                    acc = s
+        return pos
+
+
+def _uniforms(rng: np.random.Generator, block: int = 4096) -> Iterator[float]:
+    """The stream of ``rng.random()`` values, drawn ``block`` at a time.
+
+    ``rng.random(k).tolist()`` yields the same doubles as ``k`` scalar
+    ``rng.random()`` calls, so consumers see the scalar stream.
+    """
+    while True:
+        yield from rng.random(block).tolist()
+
+
 def _pick_preferential(
-    rng: np.random.Generator,
-    degrees: np.ndarray,
+    draw: Callable[[], float],
+    tree: _WeightTree,
     n: int,
     m: int,
     delta: float,
@@ -205,17 +289,15 @@ def _pick_preferential(
     """Draw one of the first ``n`` nodes with weight degree + delta.
 
     The weights over the n candidates sum to m + n * delta, where m is the
-    current multigraph link count.
+    current link count.
     """
-    cum = np.cumsum(degrees[:n] + delta)
-    total = cum[-1]
+    total = tree.total(n)
     if probe is not None:
-        probe(kind, float(total), m, n, delta)
+        probe(kind, total, m, n, delta)
     if total <= 0.0:
         # delta == 0 with no links cannot happen after the seed graph.
         raise RuntimeError("degenerate selection: all weights zero")
-    x = rng.random() * total
-    return int(np.searchsorted(cum, x, side="right"))
+    return tree.pick(draw() * total, n)
 
 
 def generate(
@@ -239,6 +321,9 @@ def generate(
     record nothing, so degrees and selection weights always refer to the
     current simple graph.
 
+    Each preferential draw costs O(log n): the in- and out-weights live in
+    two Fenwick trees, and a draw descends one of them.
+
     Args:
         params: validated generation parameters.
         probe: optional instrumentation hook, called at every preferential
@@ -252,61 +337,65 @@ def generate(
             "alpha + gamma = 0: no step can add a node, so the node count "
             f"can never reach n_target = {params.n_target}"
         )
-    rng = np.random.default_rng(params.seed)
+    draw = _uniforms(np.random.default_rng(params.seed)).__next__
     cap = params.n_target
-    kin = np.zeros(cap, dtype=np.float64)
-    kout = np.zeros(cap, dtype=np.float64)
-    links: set[tuple[int, int]] = {(0, 1), (1, 0)}
-    kout[0] = kin[1] = 1.0
-    kout[1] = kin[0] = 1.0
+    w_in = _WeightTree(cap, params.delta_in)
+    w_out = _WeightTree(cap, params.delta_out)
+    # Link s -> t is stored as the code s * cap + t.
+    links = {1, cap}
+    for node in (0, 1):
+        w_in.add(node, 1.0)
+        w_out.add(node, 1.0)
     n = 2
     m = 2
 
-    while n < params.n_target:
-        u = rng.random()
+    while n < cap:
+        u = draw()
         if u < params.alpha:
             # New node n with a link n -> target.
             target = _pick_preferential(
-                rng, kin, n, m, params.delta_in, probe, "in"
+                draw, w_in, n, m, params.delta_in, probe, "in"
             )
-            links.add((n, target))
-            kout[n] += 1.0
-            kin[target] += 1.0
+            links.add(n * cap + target)
+            w_out.add(n, 1.0)
+            w_in.add(target, 1.0)
             n += 1
             m += 1
         elif u < params.alpha + params.beta:
             # Link between existing nodes; resample the target on a
             # self-collision, discard the step on a repeat pair.
             source = _pick_preferential(
-                rng, kout, n, m, params.delta_out, probe, "out"
+                draw, w_out, n, m, params.delta_out, probe, "out"
             )
             target = _pick_preferential(
-                rng, kin, n, m, params.delta_in, probe, "in"
+                draw, w_in, n, m, params.delta_in, probe, "in"
             )
             retries = 0
             while target == source and retries < _SELF_LINK_RETRIES:
                 target = _pick_preferential(
-                    rng, kin, n, m, params.delta_in, probe, "in"
+                    draw, w_in, n, m, params.delta_in, probe, "in"
                 )
                 retries += 1
-            if target == source or (source, target) in links:
+            code = source * cap + target
+            if target == source or code in links:
                 continue
-            links.add((source, target))
-            kout[source] += 1.0
-            kin[target] += 1.0
+            links.add(code)
+            w_out.add(source, 1.0)
+            w_in.add(target, 1.0)
             m += 1
         else:
             # New node n with a link source -> n.
             source = _pick_preferential(
-                rng, kout, n, m, params.delta_out, probe, "out"
+                draw, w_out, n, m, params.delta_out, probe, "out"
             )
-            links.add((source, n))
-            kout[source] += 1.0
-            kin[n] += 1.0
+            links.add(source * cap + n)
+            w_out.add(source, 1.0)
+            w_in.add(n, 1.0)
             n += 1
             m += 1
 
-    return DirectedGraph.from_links(params.n_target, links, raw_link_count=m)
+    codes = np.fromiter(links, dtype=np.int64, count=len(links))
+    return DirectedGraph.from_links(cap, np.column_stack(np.divmod(codes, cap)))
 
 
 def params_from_delta_in(delta_in: float) -> CurvePoint:
@@ -387,34 +476,43 @@ def augment_random_links(
         return graph
 
     rng = np.random.default_rng(seed)
-    link_set = set(graph.links)
+    # Link s -> t is stored as the code s * n + t.
+    link_set = {s * n + t for s, t in graph.links}
     missing = needed_links - len(link_set)
     misses = 0
+    ids: list[int] = []
+    used = 0
     while missing > 0 and misses < 200:
-        s = int(rng.integers(n))
-        t = int(rng.integers(n))
-        if s == t or (s, t) in link_set:
+        if used == len(ids):
+            # Block draws give the same ids as scalar rng.integers(n) calls;
+            # the state before the block lets the dense fallback rewind.
+            block_state = rng.bit_generator.state
+            ids = rng.integers(n, size=4096).tolist()
+            used = 0
+        s, t = ids[used], ids[used + 1]
+        used += 2
+        code = s * n + t
+        if s == t or code in link_set:
             misses += 1
             continue
-        link_set.add((s, t))
+        link_set.add(code)
         missing -= 1
         misses = 0
+    codes = np.fromiter(link_set, dtype=np.int64, count=len(link_set))
+    del link_set  # frees memory before the graph is rebuilt
     if missing > 0:
-        # Dense regime: enumerate absent pairs and sample without replacement.
-        absent = [
-            (s, t)
-            for s in range(n)
-            for t in range(n)
-            if s != t and (s, t) not in link_set
-        ]
-        picks = rng.choice(len(absent), size=missing, replace=False)
-        for idx in picks:
-            link_set.add(absent[int(idx)])
-
-    added = len(link_set) - graph.link_count
-    return DirectedGraph.from_links(
-        n, link_set, raw_link_count=graph.raw_link_count + added
-    )
+        # Dense regime: sample absent pairs without replacement, in
+        # row-major order, from the generator state that scalar draws in
+        # the loop above would have left.
+        rng.bit_generator.state = block_state
+        rng.integers(n, size=used)
+        absent = np.ones(n * n, dtype=bool)
+        absent[codes] = False
+        absent[:: n + 1] = False
+        candidates = np.flatnonzero(absent)
+        picks = rng.choice(len(candidates), size=missing, replace=False)
+        codes = np.concatenate((codes, candidates[picks]))
+    return DirectedGraph.from_links(n, np.column_stack(np.divmod(codes, n)))
 
 
 def write_edge_list(graph: DirectedGraph, path: str | Path, seed: int) -> None:

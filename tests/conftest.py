@@ -2,12 +2,15 @@
 
 The oracles here are deliberately independent of the library's fast paths:
 the clearing oracle is a plain Picard iteration on the dense payment map,
-the Gini oracle is the O(n^2) pairwise definition, and the power-law
-sampler inverts the exact CDF. Ensemble runs are cached per configuration
-so the acceptance criteria share data.
+the Gini oracle is the O(n^2) pairwise definition, the power-law
+sampler inverts the exact CDF, and the network-growth oracles are a
+per-draw ``cumsum`` sampler and a scalar-draw augmentation loop. Ensemble
+runs are cached per configuration so the acceptance criteria share data.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from contagion.balance import (
     build_balance_sheets,
 )
 from contagion.harness import ExperimentSpec, run_experiment
+from contagion.netgen import DirectedGraph, GenParams
 
 # Master seed for every ensemble-level statistical check.
 ACCEPT_SEED = 99
@@ -53,6 +57,83 @@ def picard_clearing(
             return p_new
         p = p_new
     raise RuntimeError("picard oracle did not converge")
+
+
+def cumsum_generate_links(params: GenParams) -> tuple[tuple[int, int], ...]:
+    """Sorted links of ``netgen.generate`` by an O(n) cumsum per draw.
+
+    Each preferential draw scans ``cumsum(degree + delta)`` over the
+    existing nodes and takes ``searchsorted(..., side="right")`` of one
+    scalar ``rng.random()`` scaled by the total.
+    """
+    rng = np.random.default_rng(params.seed)
+    kin = np.zeros(params.n_target)
+    kout = np.zeros(params.n_target)
+    kin[:2] = kout[:2] = 1.0
+    links = {(0, 1), (1, 0)}
+    n = 2
+
+    def pick(degrees, delta):
+        cum = np.cumsum(degrees[:n] + delta)
+        return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+
+    while n < params.n_target:
+        u = rng.random()
+        if u < params.alpha:
+            source, target = n, pick(kin, params.delta_in)
+            n += 1
+        elif u < params.alpha + params.beta:
+            source = pick(kout, params.delta_out)
+            target = pick(kin, params.delta_in)
+            for _ in range(16):
+                if target != source:
+                    break
+                target = pick(kin, params.delta_in)
+            if target == source or (source, target) in links:
+                continue
+        else:
+            source, target = pick(kout, params.delta_out), n
+            n += 1
+        links.add((source, target))
+        kout[source] += 1.0
+        kin[target] += 1.0
+    return tuple(sorted(links))
+
+
+def scalar_augment_links(
+    graph: DirectedGraph, target_mean_degree: float, seed: int
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Sorted links of ``netgen.augment_random_links`` by scalar draws.
+
+    Draws one ``rng.integers(n)`` per endpoint; after 200 misses in a row
+    it lists the absent pairs in row-major order and lets ``rng.choice``
+    pick the rest. Also returns how many links that fallback placed.
+    """
+    n = graph.n
+    rng = np.random.default_rng(seed)
+    link_set = set(graph.links)
+    missing = math.ceil(target_mean_degree * n / 2.0 - 1e-9) - len(link_set)
+    misses = 0
+    while missing > 0 and misses < 200:
+        s = int(rng.integers(n))
+        t = int(rng.integers(n))
+        if s == t or (s, t) in link_set:
+            misses += 1
+            continue
+        link_set.add((s, t))
+        missing -= 1
+        misses = 0
+    fallback = max(missing, 0)
+    if fallback:
+        absent = [
+            (s, t)
+            for s in range(n)
+            for t in range(n)
+            if s != t and (s, t) not in link_set
+        ]
+        for idx in rng.choice(len(absent), size=fallback, replace=False):
+            link_set.add(absent[int(idx)])
+    return tuple(sorted(link_set)), fallback
 
 
 def pairwise_gini(values) -> float:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import cumsum_generate_links, scalar_augment_links
+from contagion.harness import TYPE3_TARGET_MEAN_DEGREE, TYPE_PARAMS
 from contagion.netgen import (
     CurvePoint,
     DirectedGraph,
     GenParams,
+    _WeightTree,
     augment_random_links,
     constraint_curve,
     generate,
@@ -161,6 +164,62 @@ class TestGenerate:
         assert high > low + 2.0
 
 
+class TestAgainstCumsumOracle:
+    """The Fenwick-tree sampler and block draws reproduce the scalar code."""
+
+    @pytest.mark.parametrize(
+        "key", sorted(TYPE_PARAMS), ids=lambda key: f"{key[0]}{key[1]}"
+    )
+    @pytest.mark.parametrize("seed", [5, 1234])
+    def test_type_params_rows(self, key, seed):
+        params = GenParams(*TYPE_PARAMS[key], n_target=1000, seed=seed)
+        assert generate(params).links == cumsum_generate_links(params)
+
+    @pytest.mark.parametrize(
+        "row",
+        [(0.4, 0.2, 0.4, 0.0, 1.0), (0.4, 0.2, 0.4, 1.0, 0.0)],
+        ids=["delta_in=0", "delta_out=0"],
+    )
+    def test_zero_weight_plateaus(self, row):
+        # Zero-degree nodes carry zero weight and must never be drawn.
+        for seed in (0, 1):
+            params = GenParams(*row, n_target=600, seed=seed)
+            assert generate(params).links == cumsum_generate_links(params)
+
+    def test_descent_is_searchsorted_right(self):
+        # x on a prefix sum, inside a zero-weight plateau, and between sums:
+        # the descent counts the prefix sums <= x, as side="right" does.
+        rng = np.random.default_rng(0)
+        weights = rng.integers(0, 3, size=37).astype(float)
+        tree = _WeightTree(weights.size, 0.0)
+        for node, w in enumerate(weights):
+            tree.add(node, w)
+        for n in (1, 2, 16, 20, 37):
+            cum = np.cumsum(weights[:n])
+            assert tree.total(n) == cum[-1]
+            xs = np.concatenate((cum, cum - 0.5, [0.0]))
+            for x in xs[(xs >= 0.0) & (xs < cum[-1])]:
+                expected = int(np.searchsorted(cum, x, side="right"))
+                assert tree.pick(float(x), n) == expected
+
+    def test_augment_sparse(self):
+        base = generate(GD0.with_size(400, 9))
+        links, fallback = scalar_augment_links(
+            base, TYPE3_TARGET_MEAN_DEGREE, 10
+        )
+        assert fallback == 0
+        g = augment_random_links(base, TYPE3_TARGET_MEAN_DEGREE, seed=10)
+        assert g.links == links
+
+    def test_augment_dense_fallback(self):
+        base = generate(GD0.with_size(40, 3))
+        complete = 2.0 * (base.n - 1)
+        for target, seed in ((complete, 0), (complete - 0.1, 1)):
+            links, fallback = scalar_augment_links(base, target, seed)
+            assert fallback > 0
+            assert augment_random_links(base, target, seed).links == links
+
+
 class TestAugmentRandomLinks:
     def _tiny(self):
         return DirectedGraph.from_links(3, [(0, 1)])
@@ -215,3 +274,16 @@ class TestEdgeListRoundTrip:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             DirectedGraph.from_links(2, [(0, 5)])
+
+    @pytest.mark.parametrize(
+        "links,message",
+        [
+            ([(0, 1), (0, 5), (1, 1)], r"link \(0, 5\) outside node range \[0, 3\)"),
+            ([(0, 1), (2, 2), (-1, 0)], r"self-link at node 2"),
+            ([(4, 4), (0, 1)], r"self-link at node 4"),
+            ([(0, 1, 2)], r"\(source, target\) pairs"),
+        ],
+    )
+    def test_names_first_offender(self, links, message):
+        with pytest.raises(ValueError, match=message):
+            DirectedGraph.from_links(3, links)
