@@ -114,7 +114,7 @@ def build_exposures(graph: DirectedGraph) -> ExposureMatrix:
     """
     if graph.link_count == 0:
         raise ValueError("graph has no links; exposures undefined")
-    src, dst = graph.as_arrays()
+    src, dst = graph.links[:, 0], graph.links[:, 1]
     kout = graph.out_degree.astype(np.float64)
     kin = graph.in_degree.astype(np.float64)
     scale = kout.max() * kin.max()

@@ -19,7 +19,8 @@ payer-to-payer edges of the payers' exposure rows as its subsystem; work
 and memory per round grow with those edges, not with the cascade squared.
 
 The paper's experiments shock every bank in turn; :func:`clear_all` does
-that in one call. It first screens every shock at once: round 1 for all
+that in one call and returns the per-bank DI/TI/DC as arrays indexed by
+the shocked bank. It first screens every shock at once: round 1 for all
 banks is read off the CSR arrays (does the shocked bank fail, what does it
 pay, does any creditor's loss then exceed that creditor's equity?). A
 shock that fails nobody but the shocked bank is settled by the screen with
@@ -148,15 +149,17 @@ class CascadeResult:
 class AllBanksClearing:
     """The outcome of shocking every bank in turn, with engine counters.
 
-    ``results[k]`` is the :class:`CascadeResult` of shocking bank k.
-    ``shocks_screened`` counts the shocks the first-round screen settled and
-    ``shocks_solved`` those passed to :func:`clear`; ``inner_iterations``
-    sums the inner fixed-point sweeps over all shocks (as
-    :attr:`ClearingSolution.iterations` would) and ``max_cascade`` is the
-    largest default set.
+    ``di[k]``, ``ti[k]`` and ``dc[k]`` are the impact fractions of shocking
+    bank k, as :class:`CascadeResult` defines them. ``shocks_screened``
+    counts the shocks the first-round screen settled and ``shocks_solved``
+    those passed to :func:`clear`; ``inner_iterations`` sums the inner
+    fixed-point sweeps over all shocks (as :attr:`ClearingSolution.iterations`
+    would) and ``max_cascade`` is the largest default set.
     """
 
-    results: list[CascadeResult]
+    di: np.ndarray
+    ti: np.ndarray
+    dc: np.ndarray
     shocks_screened: int
     shocks_solved: int
     inner_iterations: int
@@ -342,15 +345,18 @@ def clear_all(
 ) -> AllBanksClearing:
     """Shock every bank in turn; equal to clearing each shock separately.
 
-    ``results[k]`` equals ``cascade_metrics(clear(exposures, sheets,
-    ShockScenario(k, recovery_on_nonbank, defaulted_nonbank_recovery)),
-    sheets, k, total_initial_assets(sheets))`` bit for bit. Round 1 of
+    ``di[k]``, ``ti[k]`` and ``dc[k]`` equal those of
+    ``cascade_metrics(clear(exposures, sheets, ShockScenario(k,
+    recovery_on_nonbank, defaulted_nonbank_recovery)), sheets, k,
+    total_initial_assets(sheets))`` bit for bit. Round 1 of
     every shock is screened at once over the CSR arrays: shocked bank k
     fails when its equity net of the write-off is below the trigger, then
     pays ``p_k = min(pbar_k, rec * NBA_k + BA_k)`` (floored at 0), and
     creditor j loses ``(1 - p_k / pbar_k) * w_kj``. When no such loss
     exceeds its creditor's trigger, the shock is settled; otherwise (or
     when some bank is insolvent before any shock) :func:`clear` solves it.
+    Raises ``ValueError`` naming the first bank whose impacts break the
+    :class:`CascadeResult` invariants.
     """
     n = exposures.n
     if len(sheets) != n:
@@ -387,11 +393,7 @@ def clear_all(
         solve[:] = True
 
     unpaid = pbar - ratio * pbar
-    di, ti, dc = _impacts(unpaid, writeoff, 0, n, v0)
-    results = [
-        CascadeResult(k, d, t, dc, frozenset((k,)) if f else frozenset())
-        for k, d, t, f in zip(range(n), di.tolist(), ti.tolist(), fails.tolist())
-    ]
+    di, ti, dc = _impacts(unpaid, writeoff, np.zeros(n), n, v0)
     iterations = int(sweeps[~solve].sum())
     max_cascade = int(fails[~solve].any())
     for k in np.flatnonzero(solve).tolist():
@@ -400,12 +402,22 @@ def clear_all(
             sheets,
             ShockScenario(k, recovery_on_nonbank, defaulted_nonbank_recovery),
         )
-        results[k] = _cascade_result(solution, n, v0)
+        di[k], ti[k], dc[k] = _solution_impacts(solution, n, v0)
         iterations += solution.iterations
         max_cascade = max(max_cascade, len(solution.defaulted))
+    # CascadeResult's invariants, checked for every bank at once.
+    ok = (0.0 <= di) & (di <= ti) & (ti <= 1.0 + 1e-12) & (0.0 <= dc) & (dc <= 1.0)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(
+            f"bank {k}: need 0 <= di <= ti <= 1 and 0 <= dc <= 1, "
+            f"got ({di[k]}, {ti[k]}, {dc[k]})"
+        )
     solved = int(solve.sum())
     return AllBanksClearing(
-        results=results,
+        di=di,
+        ti=ti,
+        dc=dc,
         shocks_screened=n - solved,
         shocks_solved=solved,
         inner_iterations=iterations,
@@ -441,18 +453,14 @@ def _impacts(unpaid, writeoff, other_defaults, n: int, v0: float):
     return di, writeoff / v0 + di, other_defaults / n
 
 
-def _cascade_result(solution: ClearingSolution, n: int, v0: float) -> CascadeResult:
-    """Impacts of a cleared shock in a system of n banks and volume v0."""
-    k = solution.shocked_bank
-    di, ti, dc = _impacts(
+def _solution_impacts(solution: ClearingSolution, n: int, v0: float):
+    """``(di, ti, dc)`` of a cleared shock in a system of n banks and volume v0."""
+    return _impacts(
         float((solution.obligations - solution.payments).sum()),
         solution.initial_writeoff,
-        len(solution.defaulted - {k}),
+        len(solution.defaulted - {solution.shocked_bank}),
         n,
         v0,
-    )
-    return CascadeResult(
-        shocked_bank=k, di=di, ti=ti, dc=dc, defaulted=solution.defaulted
     )
 
 
@@ -487,4 +495,5 @@ def cascade_metrics(
             f"solution was computed for bank {solution.shocked_bank}, "
             f"not {shocked_bank}"
         )
-    return _cascade_result(solution, len(sheets), v0)
+    impacts = _solution_impacts(solution, len(sheets), v0)
+    return CascadeResult(shocked_bank, *impacts, defaulted=solution.defaulted)

@@ -254,16 +254,13 @@ def _run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
     )
     clock.append(time.perf_counter())
     cleared = clear_all(exposures, sheets)
-    results = cleared.results
     clock.append(time.perf_counter())
-    summary = summarize(results, graph, sheets)
+    summary = summarize(cleared.di, cleared.dc, graph, sheets)
     indices = compute_topo_indices(exposures, sheets)
     if graph.n >= 3:
-        correlations = index_impact_correlation(indices, results)
+        correlations = index_impact_correlation(indices, cleared.di, cleared.dc)
     else:
         correlations = IndexImpactCorrelation(None, None, None, None)
-    di = np.array([r.di for r in results])
-    dc = np.array([r.dc for r in results])
     clock.append(time.perf_counter())
     return ReplicationRecord(
         rep=rep,
@@ -274,8 +271,8 @@ def _run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
         sheets=sheets,
         cs=indices.cs,
         frailty=indices.frailty,
-        di=di,
-        dc=dc,
+        di=cleared.di,
+        dc=cleared.dc,
         counters={
             "shocks_screened": cleared.shocks_screened,
             "shocks_solved": cleared.shocks_solved,

@@ -17,7 +17,6 @@ import numpy as np
 from scipy import stats
 
 from .balance import BalanceSheetSet, ExposureMatrix
-from .clearing import CascadeResult
 from .netgen import DirectedGraph
 
 __all__ = [
@@ -176,35 +175,36 @@ def _descending_ranking(values: np.ndarray) -> np.ndarray:
     return np.lexsort((ids, -values))
 
 
+def _impact_vectors(n: int, di, dc) -> tuple[np.ndarray, np.ndarray]:
+    """``di`` and ``dc`` as float arrays, checked to hold n finite values each."""
+    di, dc = np.asarray(di, dtype=np.float64), np.asarray(dc, dtype=np.float64)
+    for name, v in (("di", di), ("dc", dc)):
+        if v.shape != (n,):
+            raise ValueError(f"expected {n} {name} values, got shape {v.shape}")
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"{name} is not finite at bank {int(bad[0])}")
+    return di, dc
+
+
 def summarize(
-    results: Sequence[CascadeResult],
+    di: np.ndarray,
+    dc: np.ndarray,
     graph: DirectedGraph,
     sheets: BalanceSheetSet,
 ) -> NetworkRiskSummary:
-    """Aggregate per-bank cascade results into one network summary.
+    """Aggregate per-bank impacts into one network summary.
 
-    Expects exactly one result per bank. Builds impact rankings and curves,
-    sums the aggregates, and attaches the topology-side concentration
-    measures (mean degree; Gini of total/in/out degree and of total
-    assets).
+    ``di[k]`` and ``dc[k]`` are the impacts of shocking bank k, one finite
+    value per bank (as :func:`contagion.clearing.clear_all` returns them).
+    Builds impact rankings and curves, sums the aggregates, and attaches
+    the topology-side concentration measures (mean degree; Gini of
+    total/in/out degree and of total assets).
     """
     n = graph.n
     if n < 2:
         raise ValueError("summaries need at least 2 banks")
-    if len(results) != n:
-        raise ValueError(f"expected {n} results, got {len(results)}")
-    di = np.full(n, np.nan)
-    dc = np.full(n, np.nan)
-    for r in results:
-        if not 0 <= r.shocked_bank < n:
-            raise ValueError(f"result for unknown bank {r.shocked_bank}")
-        if not np.isnan(di[r.shocked_bank]):
-            raise ValueError(f"duplicate result for bank {r.shocked_bank}")
-        di[r.shocked_bank] = r.di
-        dc[r.shocked_bank] = r.dc
-    if np.isnan(di).any():
-        missing = np.flatnonzero(np.isnan(di))
-        raise ValueError(f"missing results for banks {missing.tolist()}")
+    di, dc = _impact_vectors(n, di, dc)
 
     rank_di = _descending_ranking(di)
     rank_dc = _descending_ranking(dc)
@@ -296,23 +296,15 @@ def correlate_indices(
 
 
 def index_impact_correlation(
-    indices: TopoIndices, results: Sequence[CascadeResult]
+    indices: TopoIndices, di: np.ndarray, dc: np.ndarray
 ) -> IndexImpactCorrelation:
     """Correlate susceptibility with DI and frailty with DC, per bank.
 
-    Results must cover every bank exactly once (any order); vectors are
-    aligned by bank id. Needs at least 3 banks.
+    ``di`` and ``dc`` hold one finite value per bank, aligned with the
+    indices by bank id. Needs at least 3 banks.
     """
     n = indices.cs.size
     if n < 3:
         raise ValueError("correlations need at least 3 banks")
-    if len(results) != n:
-        raise ValueError(f"expected {n} results, got {len(results)}")
-    di = np.full(n, np.nan)
-    dc = np.full(n, np.nan)
-    for r in results:
-        di[r.shocked_bank] = r.di
-        dc[r.shocked_bank] = r.dc
-    if np.isnan(di).any():
-        raise ValueError("results must cover every bank")
+    di, dc = _impact_vectors(n, di, dc)
     return correlate_indices(indices.cs, indices.frailty, di, dc)

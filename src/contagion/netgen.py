@@ -8,7 +8,8 @@ to current out-degree (plus ``delta_out``). The graph is kept simple
 throughout: a link-only step that draws an already-linked pair is discarded,
 and a step that draws source == target resamples the target a bounded number
 of times before being discarded, so neither parallel links nor self-links
-are ever recorded.
+are ever recorded. A finished :class:`DirectedGraph` holds its links as one
+sorted, read-only ``(m, 2)`` integer array, which its consumers read as is.
 
 Each preferential draw costs O(log n): the in- and out-weights
 ``degree + delta`` live in two Fenwick trees, and a draw descends one of
@@ -136,12 +137,13 @@ class ExponentPair:
 class DirectedGraph:
     """Finalized simple digraph: deduplicated links plus degree tallies.
 
-    ``links`` holds one ``(source, target)`` pair per directed link, sorted;
-    a link i -> j is an obligation of i to j.
+    ``links`` is a read-only ``(m, 2)`` int64 array with one
+    ``(source, target)`` row per directed link, sorted by source, then
+    target, without duplicates; a link i -> j is an obligation of i to j.
     """
 
     n: int
-    links: tuple[tuple[int, int], ...]
+    links: np.ndarray
     in_degree: np.ndarray
     out_degree: np.ndarray
 
@@ -155,6 +157,7 @@ class DirectedGraph:
         recounts degrees from the deduplicated set. ``links`` is any
         iterable of ``(source, target)`` pairs, or a ``(k, 2)`` integer
         array. The error names the first offending link in input order.
+        The stored links are sorted by (source, target).
         """
         if n < 1:
             raise ValueError("graph needs at least one node")
@@ -176,17 +179,12 @@ class DirectedGraph:
             raise ValueError(f"link ({s}, {t}) outside node range [0, {n})")
         # Codes s * n + t sort in (source, target) order.
         codes = np.unique(src * n + dst)
-        src, dst = codes // n, codes % n
-        kin = np.bincount(dst, minlength=n).astype(np.int64, copy=False)
-        kout = np.bincount(src, minlength=n).astype(np.int64, copy=False)
-        kin.setflags(write=False)
-        kout.setflags(write=False)
-        return cls(
-            n=n,
-            links=tuple(zip(src.tolist(), dst.tolist())),
-            in_degree=kin,
-            out_degree=kout,
-        )
+        links = np.column_stack(np.divmod(codes, n))
+        kin = np.bincount(links[:, 1], minlength=n).astype(np.int64, copy=False)
+        kout = np.bincount(links[:, 0], minlength=n).astype(np.int64, copy=False)
+        for arr in (links, kin, kout):
+            arr.setflags(write=False)
+        return cls(n=n, links=links, in_degree=kin, out_degree=kout)
 
     @property
     def link_count(self) -> int:
@@ -196,13 +194,6 @@ class DirectedGraph:
     def mean_degree(self) -> float:
         """Mean total degree: (in + out) summed over nodes, over n."""
         return 2.0 * len(self.links) / self.n
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Link endpoints as (sources, targets) integer arrays."""
-        if not self.links:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        arr = np.asarray(self.links, dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
 
 
 class _WeightTree:
@@ -477,7 +468,7 @@ def augment_random_links(
 
     rng = np.random.default_rng(seed)
     # Link s -> t is stored as the code s * n + t.
-    link_set = {s * n + t for s, t in graph.links}
+    link_set = set((graph.links[:, 0] * n + graph.links[:, 1]).tolist())
     missing = needed_links - len(link_set)
     misses = 0
     ids: list[int] = []
@@ -519,8 +510,7 @@ def write_edge_list(graph: DirectedGraph, path: str | Path, seed: int) -> None:
     """Write a graph as ``source,target`` lines under a ``# nodes= seed=`` header."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# nodes={graph.n} seed={seed}\n")
-        for s, t in graph.links:
-            fh.write(f"{s},{t}\n")
+        fh.writelines(f"{s},{t}\n" for s, t in graph.links.tolist())
 
 
 def read_edge_list(path: str | Path) -> DirectedGraph:
@@ -534,7 +524,7 @@ def read_edge_list(path: str | Path) -> DirectedGraph:
             neither a header nor a ``source,target`` pair of integers.
     """
     n_header: Optional[int] = None
-    links: list[tuple[int, int]] = []
+    ids: list[int] = []
     with open(path, "r", encoding="ascii") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -547,11 +537,12 @@ def read_edge_list(path: str | Path) -> DirectedGraph:
                             n_header = int(field.split("=", 1)[1])
                     continue
                 s_str, t_str = line.split(",")
-                links.append((int(s_str), int(t_str)))
+                ids += (int(s_str), int(t_str))
             except ValueError:
                 raise ValueError(
                     f"{path}:{line_no}: malformed edge-list line {line!r}"
                 ) from None
+    links = np.array(ids, dtype=np.int64).reshape(-1, 2)
     if n_header is None:
-        n_header = 1 + max((max(s, t) for s, t in links), default=0)
+        n_header = 1 + (int(links.max()) if ids else 0)
     return DirectedGraph.from_links(n_header, links)

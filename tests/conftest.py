@@ -2,6 +2,7 @@
 
 The oracles here are deliberately independent of the library's fast paths:
 the clearing oracle is a plain Picard iteration on the dense payment map,
+the all-banks reference clears and scores each shock on its own,
 the Gini oracle is the O(n^2) pairwise definition, the power-law
 sampler inverts the exact CDF, and the network-growth oracles are a
 per-draw ``cumsum`` sampler and a scalar-draw augmentation loop. Ensemble
@@ -22,6 +23,12 @@ from contagion.balance import (
     BalanceSheetSet,
     ExposureMatrix,
     build_balance_sheets,
+)
+from contagion.clearing import (
+    ShockScenario,
+    cascade_metrics,
+    clear,
+    total_initial_assets,
 )
 from contagion.harness import ExperimentSpec, run_experiment
 from contagion.netgen import DirectedGraph, GenParams
@@ -59,8 +66,29 @@ def picard_clearing(
     raise RuntimeError("picard oracle did not converge")
 
 
-def cumsum_generate_links(params: GenParams) -> tuple[tuple[int, int], ...]:
-    """Sorted links of ``netgen.generate`` by an O(n) cumsum per draw.
+def per_bank_loop(exposures, sheets, recovery=0.0, defaulted_recovery=1.0):
+    """The reference for ``clear_all``: clear and score each shock separately."""
+    a0 = total_initial_assets(sheets)
+    solutions = [
+        clear(exposures, sheets, ShockScenario(k, recovery, defaulted_recovery))
+        for k in range(exposures.n)
+    ]
+    results = [cascade_metrics(sol, sheets, k, a0) for k, sol in enumerate(solutions)]
+    return solutions, results
+
+
+def assert_matches_per_bank_loop(got, solutions, expected):
+    """``clear_all``'s arrays and counters equal the per-bank loop's, bit for bit."""
+    assert [r.shocked_bank for r in expected] == list(range(got.di.size))
+    for name in ("di", "ti", "dc"):
+        want = np.array([getattr(r, name) for r in expected])
+        assert np.array_equal(getattr(got, name), want), name
+    assert got.inner_iterations == sum(sol.iterations for sol in solutions)
+    assert got.max_cascade == max(len(sol.defaulted) for sol in solutions)
+
+
+def cumsum_generate_links(params: GenParams) -> list[list[int]]:
+    """Sorted ``[s, t]`` links of ``netgen.generate``, an O(n) cumsum per draw.
 
     Each preferential draw scans ``cumsum(degree + delta)`` over the
     existing nodes and takes ``searchsorted(..., side="right")`` of one
@@ -97,13 +125,13 @@ def cumsum_generate_links(params: GenParams) -> tuple[tuple[int, int], ...]:
         links.add((source, target))
         kout[source] += 1.0
         kin[target] += 1.0
-    return tuple(sorted(links))
+    return sorted(map(list, links))
 
 
 def scalar_augment_links(
     graph: DirectedGraph, target_mean_degree: float, seed: int
-) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Sorted links of ``netgen.augment_random_links`` by scalar draws.
+) -> tuple[list[list[int]], int]:
+    """Sorted ``[s, t]`` links of ``netgen.augment_random_links``, scalar draws.
 
     Draws one ``rng.integers(n)`` per endpoint; after 200 misses in a row
     it lists the absent pairs in row-major order and lets ``rng.choice``
@@ -111,7 +139,7 @@ def scalar_augment_links(
     """
     n = graph.n
     rng = np.random.default_rng(seed)
-    link_set = set(graph.links)
+    link_set = set(map(tuple, graph.links.tolist()))
     missing = math.ceil(target_mean_degree * n / 2.0 - 1e-9) - len(link_set)
     misses = 0
     while missing > 0 and misses < 200:
@@ -133,7 +161,7 @@ def scalar_augment_links(
         ]
         for idx in rng.choice(len(absent), size=fallback, replace=False):
             link_set.add(absent[int(idx)])
-    return tuple(sorted(link_set)), fallback
+    return sorted(map(list, link_set)), fallback
 
 
 def pairwise_gini(values) -> float:

@@ -27,7 +27,13 @@ from contagion.netgen import (
     params_from_delta_in,
 )
 
-from conftest import dense_exposures, picard_clearing, random_small_system
+from conftest import (
+    assert_matches_per_bank_loop,
+    dense_exposures,
+    per_bank_loop,
+    picard_clearing,
+    random_small_system,
+)
 
 
 def _model_sheets(exposures, lam=0.05, xi=2.0):
@@ -262,25 +268,6 @@ class TestFixedPointProperties:
             assert pooled.defaulted <= fenced.defaulted
 
 
-def _per_bank_loop(exposures, sheets, recovery=0.0, defaulted_recovery=1.0):
-    """The reference for clear_all: clear and score each shock separately."""
-    a0 = total_initial_assets(sheets)
-    solutions = [
-        clear(exposures, sheets, ShockScenario(k, recovery, defaulted_recovery))
-        for k in range(exposures.n)
-    ]
-    results = [cascade_metrics(sol, sheets, k, a0) for k, sol in enumerate(solutions)]
-    return solutions, results
-
-
-def _assert_same_results(got, expected):
-    for name in ("shocked_bank", "di", "ti", "dc"):
-        a = np.array([getattr(r, name) for r in got])
-        b = np.array([getattr(r, name) for r in expected])
-        assert np.array_equal(a, b), name
-    assert [r.defaulted for r in got] == [r.defaulted for r in expected]
-
-
 def _replication_system(family, variant, n, lambda_min, xi):
     """Exposures and sheets of replication 0 of a harness ensemble (seed 99)."""
     g_seed, aug_seed, b_seed = replication_seeds(99, 0)
@@ -315,13 +302,11 @@ class TestClearAll:
         for recovery, defaulted_recovery in itertools.product(
             (0.0, 0.5), defaulted_recoveries
         ):
-            solutions, expected = _per_bank_loop(
+            solutions, expected = per_bank_loop(
                 exposures, sheets, recovery, defaulted_recovery
             )
             out = clear_all(exposures, sheets, recovery, defaulted_recovery)
-            _assert_same_results(out.results, expected)
-            assert out.inner_iterations == sum(sol.iterations for sol in solutions)
-            assert out.max_cascade == max(len(sol.defaulted) for sol in solutions)
+            assert_matches_per_bank_loop(out, solutions, expected)
             # The screen settles exactly the shocks that fail no second bank.
             alone = sum(len(r.defaulted - {r.shocked_bank}) == 0 for r in expected)
             assert out.shocks_screened == alone
@@ -333,11 +318,11 @@ class TestClearAll:
             exposures, sheets = random_small_system(rng, max_n=8)
             for recovery in (0.0, 0.5, 1.0):
                 for defaulted_recovery in (1.0, 0.0):
-                    _, expected = _per_bank_loop(
+                    solutions, expected = per_bank_loop(
                         exposures, sheets, recovery, defaulted_recovery
                     )
                     out = clear_all(exposures, sheets, recovery, defaulted_recovery)
-                    _assert_same_results(out.results, expected)
+                    assert_matches_per_bank_loop(out, solutions, expected)
 
     def test_banks_insolvent_before_the_shock_join_every_cascade(self):
         exposures, sheets = random_small_system(np.random.default_rng(3), max_n=6)
@@ -345,11 +330,37 @@ class TestClearAll:
         e = sheets.e.copy()
         e[1] = -1.0
         broken = BalanceSheetSet(e=e, **columns)
-        _, expected = _per_bank_loop(exposures, broken)
+        solutions, expected = per_bank_loop(exposures, broken)
         out = clear_all(exposures, broken)
-        _assert_same_results(out.results, expected)
+        assert_matches_per_bank_loop(out, solutions, expected)
         assert out.shocks_solved == exposures.n
-        assert all(1 in r.defaulted for r in out.results)
+        assert all(1 in sol.defaulted for sol in solutions)
+        # Bank 1 fails under every other bank's shock too.
+        others = np.arange(exposures.n) != 1
+        assert (out.dc[others] >= 1.0 / exposures.n).all()
+
+    def test_impacts_out_of_range_name_the_first_bank(self):
+        # Bank 0 is owed 1 by each of banks 1 and 2 and has negative nonbank
+        # liabilities, so the system's volume (2.5) is smaller than what a
+        # default of bank 1 or 2 costs (write-off 1 plus 2 unpaid).
+        exposures = ExposureMatrix(
+            sp.csr_matrix(np.array([[0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]]))
+        )
+        sheets = BalanceSheetSet(
+            ba=np.array([2.0, 0.0, 0.0]),
+            bl=np.array([0.0, 1.0, 1.0]),
+            nba=np.array([1.0, 1.0, 1.0]),
+            nbl=np.array([-4.5, 1.0, 1.0]),
+            e=np.array([10.0, 0.1, 0.1]),
+            lam=np.full(3, 0.05),
+        )
+        with pytest.raises(ValueError, match=r"^bank 1: need 0 <= di <= ti <= 1"):
+            clear_all(exposures, sheets)
+        # The per-bank reference rejects the same shock.
+        a0 = total_initial_assets(sheets)
+        solution = clear(exposures, sheets, ShockScenario(1))
+        with pytest.raises(ValueError, match="di <= ti <= 1"):
+            cascade_metrics(solution, sheets, 1, a0)
 
     def test_validation(self):
         exposures, sheets = _two_bank_system()

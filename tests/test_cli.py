@@ -59,6 +59,18 @@ class TestFitCommand:
         assert record["exponent"] > 1.0
         assert record["n_tail"] >= 2
 
+    def test_malformed_sample_line_is_a_one_line_error(self, tmp_path, capsys):
+        samples = tmp_path / "degrees.txt"
+        samples.write_text("# degrees\n3\n\n4\n2.5\n")
+        capsys.readouterr()
+        rc = main(["fit", "--input", str(samples)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"contagion fit: error: {samples}:5: malformed sample line '2.5'\n"
+        )
+
 
 class TestShockCommand:
     def test_reports_cascade(self, tmp_path, capsys):

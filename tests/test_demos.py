@@ -1,0 +1,31 @@
+"""Every demo script runs to completion against the package in ``src``."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+DEMOS = sorted((REPO / "demos").glob("0*.py"))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    env = os.environ | {"PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -10,7 +10,6 @@ from contagion.balance import (
     build_exposures,
 )
 from contagion.clearing import (
-    CascadeResult,
     ShockScenario,
     cascade_metrics,
     clear,
@@ -179,27 +178,25 @@ def _full_run(n=120, seed=5, lam=0.05):
         cascade_metrics(clear(exposures, sheets, ShockScenario(b)), sheets, b, a0)
         for b in range(n)
     ]
-    return graph, exposures, sheets, results
+    di = np.array([r.di for r in results])
+    dc = np.array([r.dc for r in results])
+    return graph, exposures, sheets, di, dc
 
 
 class TestSummarize:
     def test_aggregates_are_sums(self):
-        graph, _, sheets, results = _full_run()
-        summary = summarize(results, graph, sheets)
-        assert summary.di_aggregate == pytest.approx(
-            sum(r.di for r in results), abs=1e-9
-        )
-        assert summary.dc_aggregate == pytest.approx(
-            sum(r.dc for r in results), abs=1e-9
-        )
+        graph, _, sheets, di, dc = _full_run()
+        summary = summarize(di, dc, graph, sheets)
+        assert summary.di_aggregate == pytest.approx(sum(di.tolist()), abs=1e-9)
+        assert summary.dc_aggregate == pytest.approx(sum(dc.tolist()), abs=1e-9)
         # Aggregate over n equals the mean individual impact.
         assert summary.di_aggregate / graph.n == pytest.approx(
-            np.mean([r.di for r in results]), abs=1e-12
+            np.mean(di), abs=1e-12
         )
 
     def test_rankings_are_permutations_and_sorted(self):
-        graph, _, sheets, results = _full_run()
-        summary = summarize(results, graph, sheets)
+        graph, _, sheets, di, dc = _full_run()
+        summary = summarize(di, dc, graph, sheets)
         assert sorted(summary.ranking_di.tolist()) == list(range(graph.n))
         assert sorted(summary.ranking_dc.tolist()) == list(range(graph.n))
         assert (np.diff(summary.di_curve) <= 1e-15).all()
@@ -211,22 +208,16 @@ class TestSummarize:
         sheets = build_balance_sheets(
             build_exposures(graph), BalanceConfig(0.05, 0.01, 2.0, 1)
         )
-        results = [
-            CascadeResult(b, di=0.1, ti=0.2, dc=0.0, defaulted=frozenset())
-            for b in range(3)
-        ]
-        summary = summarize(results, graph, sheets)
+        summary = summarize(np.full(3, 0.1), np.zeros(3), graph, sheets)
         assert summary.ranking_di.tolist() == [0, 1, 2]
 
     def test_permutation_stability(self):
-        graph, _, sheets, results = _full_run(n=60, seed=9)
-        summary = summarize(results, graph, sheets)
+        graph, _, sheets, di, dc = _full_run(n=60, seed=9)
+        summary = summarize(di, dc, graph, sheets)
 
         rng = np.random.default_rng(1)
         perm = rng.permutation(graph.n)
-        relabeled = DirectedGraph.from_links(
-            graph.n, [(int(perm[s]), int(perm[t])) for s, t in graph.links]
-        )
+        relabeled = DirectedGraph.from_links(graph.n, perm[graph.links])
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(graph.n)
         sheets_p = BalanceSheetSet(
@@ -237,28 +228,27 @@ class TestSummarize:
             e=sheets.e[inverse],
             lam=sheets.lam[inverse],
         )
-        results_p = [
-            CascadeResult(
-                int(perm[r.shocked_bank]),
-                di=r.di,
-                ti=r.ti,
-                dc=r.dc,
-                defaulted=frozenset(int(perm[b]) for b in r.defaulted),
-            )
-            for r in results
-        ]
-        summary_p = summarize(results_p, relabeled, sheets_p)
+        di_p = np.empty_like(di)
+        dc_p = np.empty_like(dc)
+        di_p[perm] = di
+        dc_p[perm] = dc
+        summary_p = summarize(di_p, dc_p, relabeled, sheets_p)
         assert np.allclose(summary.di_curve, summary_p.di_curve, atol=1e-15)
         assert np.allclose(summary.dc_curve, summary_p.dc_curve, atol=1e-15)
         assert summary.gini_total == pytest.approx(summary_p.gini_total, abs=1e-12)
 
     def test_missing_and_duplicate_results_rejected(self):
-        graph, _, sheets, results = _full_run(n=60, seed=9)
-        with pytest.raises(ValueError, match="expected"):
-            summarize(results[:-1], graph, sheets)
-        bad = results[:-1] + [results[0]]
-        with pytest.raises(ValueError, match="duplicate"):
-            summarize(bad, graph, sheets)
+        # Bank-aligned arrays cannot name an unknown or duplicate bank; a
+        # wrong length or a non-finite impact is what remains to reject.
+        graph, _, sheets, di, dc = _full_run(n=60, seed=9)
+        with pytest.raises(ValueError, match="expected 60 di values"):
+            summarize(di[:-1], dc, graph, sheets)
+        with pytest.raises(ValueError, match="expected 60 dc values"):
+            summarize(di, dc[:-1], graph, sheets)
+        broken = dc.copy()
+        broken[7] = np.nan
+        with pytest.raises(ValueError, match="dc is not finite at bank 7"):
+            summarize(di, broken, graph, sheets)
 
     def test_single_bank_network_rejected(self):
         g = DirectedGraph.from_links(1, [])
@@ -267,7 +257,7 @@ class TestSummarize:
             nbl=np.zeros(1), e=np.zeros(1), lam=np.full(1, 0.05),
         )
         with pytest.raises(ValueError, match="at least 2"):
-            summarize([], g, sheets)
+            summarize([], [], g, sheets)
 
 
 class TestRankingStatistics:
@@ -302,24 +292,17 @@ class TestRankingStatistics:
 
 
 class TestIndexImpactCorrelation:
-    def _results_from(self, di, dc):
-        return [
-            CascadeResult(b, di=di[b], ti=di[b], dc=dc[b], defaulted=frozenset())
-            for b in range(len(di))
-        ]
-
     def test_perfect_correlation_with_itself(self):
         values = np.array([0.1, 0.5, 0.3, 0.9])
         indices = TopoIndices(cs=values.copy(), frailty=values.copy())
-        results = self._results_from(values, values)
-        corr = index_impact_correlation(indices, results)
+        corr = index_impact_correlation(indices, values, values)
         assert corr.pearson_cs_di == pytest.approx(1.0, abs=1e-12)
         assert corr.spearman_f_dc == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_index_is_undefined_not_zero(self):
         values = np.array([0.1, 0.5, 0.3, 0.9])
         indices = TopoIndices(cs=np.full(4, 2.0), frailty=values.copy())
-        corr = index_impact_correlation(indices, self._results_from(values, values))
+        corr = index_impact_correlation(indices, values, values)
         assert corr.pearson_cs_di is None
         assert corr.spearman_cs_di is None
         assert corr.pearson_f_dc is not None
@@ -328,10 +311,12 @@ class TestIndexImpactCorrelation:
         values = np.array([0.1, 0.2])
         indices = TopoIndices(cs=values, frailty=values)
         with pytest.raises(ValueError, match="at least 3"):
-            index_impact_correlation(indices, self._results_from(values, values))
+            index_impact_correlation(indices, values, values)
 
     def test_results_must_cover_every_bank(self):
         values = np.array([0.1, 0.2, 0.3])
         indices = TopoIndices(cs=values, frailty=values)
         with pytest.raises(ValueError, match="expected 3"):
-            index_impact_correlation(indices, self._results_from(values, values)[:2])
+            index_impact_correlation(indices, values[:2], values)
+        with pytest.raises(ValueError, match="di is not finite at bank 1"):
+            index_impact_correlation(indices, np.array([0.1, np.inf, 0.3]), values)

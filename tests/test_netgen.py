@@ -98,14 +98,15 @@ class TestGenerate:
 
     def test_simple_graph(self):
         g = generate(S0.with_size(400, 2))
-        assert len(set(g.links)) == len(g.links)
-        assert all(s != t for s, t in g.links)
+        pairs = g.links.tolist()
+        assert len(set(map(tuple, pairs))) == len(pairs)
+        assert all(s != t for s, t in pairs)
 
     def test_degree_tallies_match_links(self):
         g = generate(GC0.with_size(300, 3))
         kin = np.zeros(g.n, dtype=int)
         kout = np.zeros(g.n, dtype=int)
-        for s, t in g.links:
+        for s, t in g.links.tolist():
             kout[s] += 1
             kin[t] += 1
         assert np.array_equal(kin, g.in_degree)
@@ -114,9 +115,9 @@ class TestGenerate:
     def test_deterministic_in_seed(self):
         a = generate(GD0.with_size(300, 42))
         b = generate(GD0.with_size(300, 42))
-        assert a.links == b.links
+        assert np.array_equal(a.links, b.links)
         c = generate(GD0.with_size(300, 43))
-        assert a.links != c.links
+        assert not np.array_equal(a.links, c.links)
 
     def test_beta_one_cannot_grow(self):
         params = GenParams(0.0, 1.0, 0.0, 1.0, 1.0, 10, 0)
@@ -126,7 +127,7 @@ class TestGenerate:
     def test_beta_one_at_seed_size_is_fine(self):
         g = generate(GenParams(0.0, 1.0, 0.0, 1.0, 1.0, 2, 0))
         assert g.n == 2
-        assert g.links == ((0, 1), (1, 0))
+        assert g.links.tolist() == [[0, 1], [1, 0]]
 
     def test_selection_weights_sum_to_links_plus_offsets(self):
         # At every preferential draw the candidate weights must total
@@ -164,6 +165,24 @@ class TestGenerate:
         assert high > low + 2.0
 
 
+class TestLinkArray:
+    def test_sorted_deduplicated_and_read_only(self):
+        g = DirectedGraph.from_links(12, [(10, 2), (2, 11), (0, 3), (10, 2), (2, 0)])
+        assert g.links.dtype == np.int64
+        assert g.links.tolist() == [[0, 3], [2, 0], [2, 11], [10, 2]]
+        with pytest.raises(ValueError, match="read-only"):
+            g.links[0, 0] = 1
+
+    def test_generated_links_strictly_increase(self):
+        for g in (
+            generate(GD0.with_size(500, 1)),
+            augment_random_links(generate(GC0.with_size(300, 2)), 6.0, seed=4),
+        ):
+            pairs = g.links.tolist()
+            assert all(a < b for a, b in zip(pairs, pairs[1:]))
+            assert not g.links.flags.writeable
+
+
 class TestAgainstCumsumOracle:
     """The Fenwick-tree sampler and block draws reproduce the scalar code."""
 
@@ -173,7 +192,7 @@ class TestAgainstCumsumOracle:
     @pytest.mark.parametrize("seed", [5, 1234])
     def test_type_params_rows(self, key, seed):
         params = GenParams(*TYPE_PARAMS[key], n_target=1000, seed=seed)
-        assert generate(params).links == cumsum_generate_links(params)
+        assert generate(params).links.tolist() == cumsum_generate_links(params)
 
     @pytest.mark.parametrize(
         "row",
@@ -184,7 +203,7 @@ class TestAgainstCumsumOracle:
         # Zero-degree nodes carry zero weight and must never be drawn.
         for seed in (0, 1):
             params = GenParams(*row, n_target=600, seed=seed)
-            assert generate(params).links == cumsum_generate_links(params)
+            assert generate(params).links.tolist() == cumsum_generate_links(params)
 
     def test_descent_is_searchsorted_right(self):
         # x on a prefix sum, inside a zero-weight plateau, and between sums:
@@ -209,7 +228,7 @@ class TestAgainstCumsumOracle:
         )
         assert fallback == 0
         g = augment_random_links(base, TYPE3_TARGET_MEAN_DEGREE, seed=10)
-        assert g.links == links
+        assert g.links.tolist() == links
 
     def test_augment_dense_fallback(self):
         base = generate(GD0.with_size(40, 3))
@@ -217,7 +236,7 @@ class TestAgainstCumsumOracle:
         for target, seed in ((complete, 0), (complete - 0.1, 1)):
             links, fallback = scalar_augment_links(base, target, seed)
             assert fallback > 0
-            assert augment_random_links(base, target, seed).links == links
+            assert augment_random_links(base, target, seed).links.tolist() == links
 
 
 class TestAugmentRandomLinks:
@@ -247,13 +266,13 @@ class TestAugmentRandomLinks:
         g = augment_random_links(base, 7.8, seed=10)
         assert g.mean_degree >= 7.8 - 1e-9
         assert g.mean_degree <= 7.8 + 2.0 / g.n
-        assert set(base.links) <= set(g.links)
+        assert set(map(tuple, base.links.tolist())) <= set(map(tuple, g.links.tolist()))
 
     def test_deterministic(self):
         base = generate(GD0.with_size(200, 9))
         a = augment_random_links(base, 6.0, seed=3)
         b = augment_random_links(base, 6.0, seed=3)
-        assert a.links == b.links
+        assert np.array_equal(a.links, b.links)
 
 
 class TestEdgeListRoundTrip:
@@ -263,9 +282,16 @@ class TestEdgeListRoundTrip:
         write_edge_list(g, path, seed=4)
         back = read_edge_list(path)
         assert back.n == g.n
-        assert back.links == g.links
+        assert np.array_equal(back.links, g.links)
         header = path.read_text().splitlines()[0]
         assert header == "# nodes=150 seed=4"
+
+    def test_golden_bytes(self, tmp_path):
+        # Numeric (source, target) order: 2,11 precedes 10,2.
+        g = DirectedGraph.from_links(12, [(10, 2), (2, 11), (0, 3), (2, 0)])
+        path = tmp_path / "edges.csv"
+        write_edge_list(g, path, seed=17)
+        assert path.read_bytes() == b"# nodes=12 seed=17\n0,3\n2,0\n2,11\n10,2\n"
 
     def test_rejects_self_link(self):
         with pytest.raises(ValueError, match="self-link"):
