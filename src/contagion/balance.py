@@ -180,9 +180,7 @@ class BalanceSheetSet(Sequence[BalanceSheet]):
     def __len__(self) -> int:
         return self.ba.size
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> "BalanceSheet":
         return BalanceSheet(
             ba=float(self.ba[i]),
             bl=float(self.bl[i]),

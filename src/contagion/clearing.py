@@ -11,23 +11,21 @@ The solver grows the default set monotonically: starting from the shocked
 bank, each round marks every bank whose accumulated losses exceed its
 equity as defaulted and re-solves the payment fixed point restricted to the
 defaulted set (solvent banks always pay in full), until no further bank
-fails. Per-shock impact fractions are then read off the solution.
+fails (the fictitious-default sequence of Eisenberg and Noe, 2001).
+Per-shock impact fractions are then read off the solution.
 
 Within a round the default set is fixed, so the fixed point couples only
 the defaulted banks that owe something (the payers). Each round keeps the
 payer-to-payer edges of the payers' exposure rows as its subsystem; work
 and memory per round grow with those edges, not with the cascade squared.
 
-The paper's experiments shock every bank in turn; :func:`clear_all` does
-that in one call and returns the per-bank DI/TI/DC as arrays indexed by
-the shocked bank. It first screens every shock at once: round 1 for all
-banks is read off the CSR arrays (does the shocked bank fail, what does it
-pay, does any creditor's loss then exceed that creditor's equity?). A
-shock that fails nobody but the shocked bank is settled by the screen with
-the same arithmetic :func:`clear` would use, so its impacts are
-bit-identical; only the shocks whose losses reach a second bank are passed
-to :func:`clear`. There is one engine: the screen solves nothing that
-:func:`clear` would not solve the same way.
+One round loop settles every shock: a batch of shocks is one
+block-diagonal system whose node ``j * n + i`` is bank i under the j-th
+shock. Each block keeps its own default set, sweeps and losses (stored
+for the nodes it touches only) and adds every sum in a lone shock's
+order, so it gets that shock's results. :func:`clear` is a batch of one;
+:func:`clear_all` shocks every bank in turn, as the paper's experiments
+do, in batches of consecutive banks, and returns per-bank DI/TI/DC arrays.
 """
 
 from __future__ import annotations
@@ -58,6 +56,9 @@ __all__ = [
 # more than 1e-10.
 _INNER_TOL = 1e-13
 _INNER_CAP = 10_000
+# clear_all settles its shocks in batches of consecutive banks; a batch
+# closes once the shocked banks' out-degrees, plus one per shock, pass this.
+_BATCH_LINKS = 5_000
 # A bank defaults when loss exceeds its equity by more than this margin;
 # a loss exactly equal to equity leaves the bank solvent with zero net worth.
 _TRIGGER_EPS = 1e-12
@@ -151,10 +152,11 @@ class AllBanksClearing:
 
     ``di[k]``, ``ti[k]`` and ``dc[k]`` are the impact fractions of shocking
     bank k, as :class:`CascadeResult` defines them. ``shocks_screened``
-    counts the shocks the first-round screen settled and ``shocks_solved``
-    those passed to :func:`clear`; ``inner_iterations`` sums the inner
-    fixed-point sweeps over all shocks (as :attr:`ClearingSolution.iterations`
-    would) and ``max_cascade`` is the largest default set.
+    counts the shocks whose default set holds no bank but the shocked one
+    and ``shocks_solved`` the shocks that fail a second bank;
+    ``inner_iterations`` sums the inner fixed-point sweeps over all shocks
+    (as :attr:`ClearingSolution.iterations` would) and ``max_cascade`` is
+    the largest default set.
     """
 
     di: np.ndarray
@@ -164,11 +166,6 @@ class AllBanksClearing:
     shocks_solved: int
     inner_iterations: int
     max_cascade: int
-
-
-def _emit_trace(sink: Optional[IO[str]], record: dict) -> None:
-    if sink is not None:
-        sink.write(json.dumps(record) + "\n")
 
 
 def _trigger(threshold: np.ndarray) -> np.ndarray:
@@ -182,6 +179,151 @@ def _locate(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, ids[np.minimum(pos, ids.size - 1)] == x
 
 
+def _settle(
+    exposures: ExposureMatrix,
+    sheets: BalanceSheetSet,
+    shocks: np.ndarray,
+    recovery_on_nonbank: float,
+    defaulted_nonbank_recovery: float,
+    trace: Optional[IO[str]] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Clear a batch of shocks; node ``j * n + i`` is bank i under ``shocks[j]``.
+
+    Each round re-solves the defaulted payers of every shock that gained
+    defaults by successive substitution of ``p_i = min(pbar_i, e_i +
+    sum_j ratio_j * w_ji)`` (``e_i`` the recoverable nonbank assets),
+    one ``np.bincount`` over the payers' edges per sweep; a shock stops
+    sweeping once its own payments move by at most ``_INNER_TOL``. Only a
+    batch of one may pass ``trace``. Returns the sorted defaulted nodes and
+    their payment ratios, the sorted nodes that payers owe (and the payers)
+    with their interbank losses, and the inner sweeps of each shock.
+    """
+    n = exposures.n
+    indptr, indices, data = exposures.row_arrays()
+    ba, nba = sheets.ba, sheets.nba
+    pbar = sheets.bl + sheets.nbl
+    trigger = _trigger(sheets.e)
+    # Nonbank assets a bank can hand to creditors once it is in default;
+    # solvent banks always pay in full out of their whole balance sheet.
+    resources_ext = defaulted_nonbank_recovery * nba
+    # The shocked bank's own: its threshold is lowered by the write-off, and
+    # only the surviving part of its nonbank assets is left.
+    writeoff = (1.0 - recovery_on_nonbank) * nba[shocks]
+    shocked_trigger = _trigger(sheets.e[shocks] - writeoff)
+    shocked_ext = recovery_on_nonbank * nba[shocks]
+
+    def own(nodes, per_bank, per_shock):
+        """Values of nodes: by bank, but ``per_shock`` for a shocked bank."""
+        j, i = np.divmod(nodes, n)
+        return np.where(i == shocks[j], per_shock[j], per_bank[i])
+
+    # Round 0: nobody has interbank losses yet.
+    blocks = np.arange(shocks.size) * n
+    insolvent = np.flatnonzero(trigger < 0.0)
+    nodes = np.union1d(np.add.outer(blocks, insolvent), blocks + shocks)
+    new = nodes[own(nodes, trigger, shocked_trigger) < 0.0]
+    defaulted, ratio = new, np.ones(new.size)
+    owed, loss = new[:0], np.zeros(0)
+    iterations = np.zeros(shocks.size, dtype=np.int64)
+    for round_no in range(n + 1):
+        max_delta = 0.0
+        fresh = new[:0]
+        # Every shock with new defaults re-solves all of its payers.
+        busy = np.bincount(new // n, minlength=shocks.size)[defaulted // n] > 0
+        at = np.flatnonzero(busy & (pbar[defaulted % n] > 0.0))
+        if at.size:
+            payers = defaulted[at]
+            block, bank = np.divmod(payers, n)
+            # Edge list of the payers' own rows, in CSR order.
+            starts = indptr[bank]
+            row_len = indptr[bank + 1] - starts
+            edge = np.arange(row_len.sum()) + np.repeat(
+                starts - (np.cumsum(row_len) - row_len), row_len
+            )
+            cols = np.repeat(block * n, row_len) + indices[edge]
+            vals = data[edge]
+
+            # Subsystem: the edges whose creditor is also a payer drive the
+            # inner fixed point; dst indexes the creditor within payers.
+            d = payers.size
+            dst, internal = _locate(payers, cols)
+            src = np.repeat(np.arange(d), row_len)[internal]
+            dst, w = dst[internal], vals[internal]
+
+            # Losses are kept for the nodes the payers owe, and the payers.
+            grown = np.union1d(owed, np.concatenate((payers, cols)))
+            moved = np.zeros(grown.size)
+            moved[np.searchsorted(grown, owed)] = loss
+            owed, loss = grown, moved
+
+            # Receipts from outside the payer set stay fixed within the
+            # round: strip the payer-to-payer shortfalls (at current ratios)
+            # out of the accumulated losses, the inner iteration re-applies
+            # them.
+            r_old = ratio[at]
+            base_recv = ba[bank] - loss[np.searchsorted(owed, payers)] + np.bincount(
+                dst, weights=(1.0 - r_old)[src] * w, minlength=d
+            )
+
+            e_d = own(payers, resources_ext, shocked_ext)
+            pbar_d = pbar[bank]
+            # Payers come sorted by shock; heads start each shock's run.
+            heads = np.append(0, np.flatnonzero(block[1:] != block[:-1]) + 1)
+            live = np.zeros(shocks.size, dtype=bool)
+            live[block] = True
+            r = r_old
+            p_prev = r * pbar_d
+            while True:
+                iterations += live
+                recv = base_recv - np.bincount(
+                    dst, weights=(1.0 - r)[src] * w, minlength=d
+                )
+                p = e_d + recv
+                np.minimum(p, pbar_d, out=p)
+                np.maximum(p, 0.0, out=p)
+                delta = np.zeros(shocks.size)
+                delta[block[heads]] = np.maximum.reduceat(np.abs(p - p_prev), heads)
+                max_delta = max(max_delta, float(delta[live].max()))
+                p_prev = p
+                # A converged shock keeps its ratios, so it sweeps no more.
+                r = np.where(live[block], p / pbar_d, r)
+                live &= delta > _INNER_TOL
+                stalled = live & (iterations > _INNER_CAP * (round_no + 1))
+                if stalled.any():
+                    j = int(np.argmax(stalled))
+                    banks = defaulted[defaulted // n == j] % n
+                    raise ClearingError(
+                        f"inner fixed point stalled: round {round_no}, "
+                        f"defaulted={banks.tolist()}, max_delta={delta[j]:.3e}"
+                    )
+                if not live.any():
+                    break
+            ratio[at] = r
+
+            # Propagate the round's ratio drops to every creditor.
+            cpos = np.searchsorted(owed, cols)
+            np.add.at(loss, cpos, np.repeat(r_old - r, row_len) * vals)
+            # Only creditors whose losses grew this round can fail next.
+            failing = cols[loss[cpos] > own(cols, trigger, shocked_trigger)]
+            fresh = np.unique(failing[~_locate(defaulted, failing)[1]])
+        if trace is not None:
+            record = {"round": round_no, "new_defaults": (new % n).tolist()}
+            trace.write(json.dumps(record | {"max_delta": max_delta}) + "\n")
+        if new.size == 0:
+            break
+        new = fresh
+        defaulted = np.concatenate((defaulted, new))
+        order = defaulted.argsort(kind="stable")
+        defaulted = defaulted[order]
+        ratio = np.concatenate((ratio, np.ones(new.size)))[order]
+    else:
+        raise ClearingError(
+            "default set failed to stabilize within n rounds "
+            "(monotone growth violated)"
+        )
+    return defaulted, ratio, owed, loss, iterations
+
+
 def clear(
     exposures: ExposureMatrix,
     sheets: BalanceSheetSet,
@@ -190,16 +332,8 @@ def clear(
 ) -> ClearingSolution:
     """Settle all obligations after one bank's nonbank assets are shocked.
 
-    Implements the monotone round structure described in the module
-    docstring. Within a round the payments of the defaulted set are solved
-    by successive substitution of
-    ``p_i = min(pbar_i, e_i + sum_j ratio_j * w_ji)`` where ``e_i`` is the
-    bank's surviving nonbank assets (zero for the fully shocked bank) and
-    solvent banks keep ratio 1. Receipts from outside the payer set are
-    computed once per round; each sweep then re-applies the payer-to-payer
-    shortfalls with one ``np.bincount`` over the subsystem's edge list.
-    Only creditors whose losses grew in a round are tested for default in
-    the next. Terminates in at most n rounds because the default set only
+    Runs the round structure of the module docstring as a batch of one
+    shock. Terminates in at most n rounds because the default set only
     grows.
 
     Args:
@@ -224,116 +358,26 @@ def clear(
     if s >= n:
         raise ValueError(f"shocked bank {s} outside [0, {n})")
 
-    ba = sheets.ba
+    # With one shock, node i is bank i.
+    recovery = scenario.recovery_on_nonbank
+    defaulted, ratio, owed, loss, iterations = _settle(
+        exposures, sheets, np.array([s]), recovery,
+        scenario.defaulted_nonbank_recovery, trace,
+    )
     pbar = sheets.bl + sheets.nbl
-    # Nonbank assets a bank can hand to creditors once it is in default;
-    # solvent banks always pay in full out of their whole balance sheet.
-    resources_ext = scenario.defaulted_nonbank_recovery * sheets.nba
-    writeoff = (1.0 - scenario.recovery_on_nonbank) * sheets.nba[s]
-    resources_ext[s] = scenario.recovery_on_nonbank * sheets.nba[s]
-
-    # Insolvency thresholds: a bank fails once its interbank losses exceed
-    # equity; the shocked bank's threshold is lowered by the write-off.
-    threshold = sheets.e.copy()
-    threshold[s] -= writeoff
-    trigger = _trigger(threshold)
-
-    indptr, indices, data = exposures.row_arrays()
-    loss = np.zeros(n)
-    ratio = np.ones(n)
-    iterations = 0
-
-    # Round 0: nobody has interbank losses yet.
-    new = np.flatnonzero(trigger < 0.0)
-    defaulted = new
-    for round_no in range(n + 1):
-        max_delta = 0.0
-        fresh = new[:0]
-        payers = defaulted[pbar[defaulted] > 0.0]
-        if new.size and payers.size:
-            # Edge list of the payers' own rows, in CSR order.
-            starts = indptr[payers]
-            row_len = indptr[payers + 1] - starts
-            edge = np.arange(row_len.sum()) + np.repeat(
-                starts - (np.cumsum(row_len) - row_len), row_len
-            )
-            cols, vals = indices[edge], data[edge]
-
-            # Subsystem: the edges whose creditor is also a payer drive the
-            # inner fixed point; dst indexes the creditor within payers.
-            d = payers.size
-            dst, internal = _locate(payers, cols)
-            src = np.repeat(np.arange(d), row_len)[internal]
-            dst, w = dst[internal], vals[internal]
-
-            # Receipts from outside the payer set stay fixed within the
-            # round: strip the payer-to-payer shortfalls (at current ratios)
-            # out of the accumulated losses, the inner iteration re-applies
-            # them.
-            r_old = ratio[payers]
-            base_recv = ba[payers] - loss[payers] + np.bincount(
-                dst, weights=(1.0 - r_old)[src] * w, minlength=d
-            )
-
-            e_d = resources_ext[payers]
-            pbar_d = pbar[payers]
-            r = r_old
-            p_prev = r * pbar_d
-            while True:
-                iterations += 1
-                recv = base_recv - np.bincount(
-                    dst, weights=(1.0 - r)[src] * w, minlength=d
-                )
-                p = e_d + recv
-                np.minimum(p, pbar_d, out=p)
-                np.maximum(p, 0.0, out=p)
-                delta = float(np.abs(p - p_prev).max())
-                max_delta = max(max_delta, delta)
-                p_prev = p
-                r = p / pbar_d
-                if delta <= _INNER_TOL:
-                    break
-                if iterations > _INNER_CAP * (round_no + 1):
-                    raise ClearingError(
-                        f"inner fixed point stalled: round {round_no}, "
-                        f"defaulted={defaulted.tolist()}, max_delta={delta:.3e}"
-                    )
-            ratio[payers] = r
-
-            # Propagate the round's ratio drops to every creditor.
-            np.add.at(loss, cols, np.repeat(r_old - r, row_len) * vals)
-            # Only creditors whose losses grew this round can fail next.
-            failing = cols[loss[cols] > trigger[cols]]
-            fresh = np.unique(failing[~_locate(defaulted, failing)[1]])
-        _emit_trace(
-            trace,
-            {
-                "round": round_no,
-                "new_defaults": new.tolist(),
-                "max_delta": max_delta,
-            },
-        )
-        if new.size == 0:
-            break
-        new = fresh
-        defaulted = np.sort(np.concatenate((defaulted, new)))
-    else:
-        raise ClearingError(
-            "default set failed to stabilize within n rounds "
-            "(monotone growth violated)"
-        )
-
-    received = ba - loss
-    payments = ratio * pbar
+    ratios = np.ones(n)
+    ratios[defaulted] = ratio
+    losses = np.zeros(n)
+    losses[owed] = loss
     return ClearingSolution(
-        payments=payments,
-        obligations=pbar.copy(),
-        received=received,
-        losses=loss,
+        payments=ratios * pbar,
+        obligations=pbar,
+        received=sheets.ba - losses,
+        losses=losses,
         defaulted=frozenset(defaulted.tolist()),
-        iterations=iterations,
+        iterations=int(iterations[0]),
         shocked_bank=s,
-        initial_writeoff=float(writeoff),
+        initial_writeoff=float((1.0 - recovery) * sheets.nba[s]),
     )
 
 
@@ -348,14 +392,11 @@ def clear_all(
     ``di[k]``, ``ti[k]`` and ``dc[k]`` equal those of
     ``cascade_metrics(clear(exposures, sheets, ShockScenario(k,
     recovery_on_nonbank, defaulted_nonbank_recovery)), sheets, k,
-    total_initial_assets(sheets))`` bit for bit. Round 1 of
-    every shock is screened at once over the CSR arrays: shocked bank k
-    fails when its equity net of the write-off is below the trigger, then
-    pays ``p_k = min(pbar_k, rec * NBA_k + BA_k)`` (floored at 0), and
-    creditor j loses ``(1 - p_k / pbar_k) * w_kj``. When no such loss
-    exceeds its creditor's trigger, the shock is settled; otherwise (or
-    when some bank is insolvent before any shock) :func:`clear` solves it.
-    Raises ``ValueError`` naming the first bank whose impacts break the
+    total_initial_assets(sheets))`` bit for bit, and so do the counters.
+    The shocks are settled in batches of consecutive banks by the same
+    round loop as :func:`clear`; a batch closes once the shocked banks'
+    out-degrees, plus one per shock, pass ``_BATCH_LINKS``. Raises
+    ``ValueError`` naming the first bank whose impacts break the
     :class:`CascadeResult` invariants.
     """
     n = exposures.n
@@ -365,46 +406,28 @@ def clear_all(
         )
     ShockScenario(0, recovery_on_nonbank, defaulted_nonbank_recovery)  # validates
     v0 = _gross_volume(total_initial_assets(sheets), sheets)
-
-    ba, nba = sheets.ba, sheets.nba
     pbar = sheets.bl + sheets.nbl
-    writeoff = (1.0 - recovery_on_nonbank) * nba
-    # Triggers as in clear: every creditor's from its equity, the shocked
-    # bank's from its equity net of the write-off.
-    trigger = _trigger(sheets.e)
-    fails = _trigger(sheets.e - writeoff) < 0.0
-    payers = fails & (pbar > 0.0)
-    p = recovery_on_nonbank * nba[payers] + ba[payers]
-    np.minimum(p, pbar[payers], out=p)
-    np.maximum(p, 0.0, out=p)
-    ratio = np.ones(n)
-    ratio[payers] = p / pbar[payers]
-    # One sweep finds p; a second confirms it unless it equals pbar.
-    sweeps = np.zeros(n, dtype=np.int64)
-    sweeps[payers] = 1 + (np.abs(p - pbar[payers]) > _INNER_TOL)
 
-    indptr, indices, data = exposures.row_arrays()
-    debtor = np.repeat(np.arange(n), np.diff(indptr))
-    spreads = (1.0 - ratio)[debtor] * data > trigger[indices]
-    solve = np.zeros(n, dtype=bool)
-    solve[debtor[spreads]] = True
-    if (trigger < 0.0).any():
-        # Banks already insolvent join every cascade in round 0.
-        solve[:] = True
-
-    unpaid = pbar - ratio * pbar
-    di, ti, dc = _impacts(unpaid, writeoff, np.zeros(n), n, v0)
-    iterations = int(sweeps[~solve].sum())
-    max_cascade = int(fails[~solve].any())
-    for k in np.flatnonzero(solve).tolist():
-        solution = clear(
-            exposures,
-            sheets,
-            ShockScenario(k, recovery_on_nonbank, defaulted_nonbank_recovery),
+    links = np.diff(exposures.row_arrays()[0]) + 1
+    cuts = np.flatnonzero(np.diff((np.cumsum(links) - links) // _BATCH_LINKS)) + 1
+    unpaid = np.zeros(n)
+    others = np.zeros(n, dtype=np.int64)
+    iterations = max_cascade = 0
+    for shocks in np.split(np.arange(n), cuts):
+        defaulted, ratio, _, _, sweeps = _settle(
+            exposures, sheets, shocks, recovery_on_nonbank, defaulted_nonbank_recovery
         )
-        di[k], ti[k], dc[k] = _solution_impacts(solution, n, v0)
-        iterations += solution.iterations
-        max_cascade = max(max_cascade, len(solution.defaulted))
+        j, bank = np.divmod(defaulted, n)
+        owes = pbar[bank]
+        # Each shock's unpaid total, summed over its defaulted banks in
+        # bank order as cascade_metrics sums it.
+        b = shocks.size
+        unpaid[shocks] = np.bincount(j, weights=owes - ratio * owes, minlength=b)
+        others[shocks] = np.bincount(j[bank != shocks[j]], minlength=b)
+        iterations += int(sweeps.sum())
+        max_cascade = max(max_cascade, int(np.bincount(j, minlength=b).max()))
+    writeoff = (1.0 - recovery_on_nonbank) * sheets.nba
+    di, ti, dc = _impacts(unpaid, writeoff, others, n, v0)
     # CascadeResult's invariants, checked for every bank at once.
     ok = (0.0 <= di) & (di <= ti) & (ti <= 1.0 + 1e-12) & (0.0 <= dc) & (dc <= 1.0)
     if not ok.all():
@@ -413,13 +436,13 @@ def clear_all(
             f"bank {k}: need 0 <= di <= ti <= 1 and 0 <= dc <= 1, "
             f"got ({di[k]}, {ti[k]}, {dc[k]})"
         )
-    solved = int(solve.sum())
+    screened = int((others == 0).sum())
     return AllBanksClearing(
         di=di,
         ti=ti,
         dc=dc,
-        shocks_screened=n - solved,
-        shocks_solved=solved,
+        shocks_screened=screened,
+        shocks_solved=n - screened,
         inner_iterations=iterations,
         max_cascade=max_cascade,
     )
@@ -453,17 +476,6 @@ def _impacts(unpaid, writeoff, other_defaults, n: int, v0: float):
     return di, writeoff / v0 + di, other_defaults / n
 
 
-def _solution_impacts(solution: ClearingSolution, n: int, v0: float):
-    """``(di, ti, dc)`` of a cleared shock in a system of n banks and volume v0."""
-    return _impacts(
-        float((solution.obligations - solution.payments).sum()),
-        solution.initial_writeoff,
-        len(solution.defaulted - {solution.shocked_bank}),
-        n,
-        v0,
-    )
-
-
 def cascade_metrics(
     solution: ClearingSolution,
     sheets: BalanceSheetSet,
@@ -495,5 +507,14 @@ def cascade_metrics(
             f"solution was computed for bank {solution.shocked_bank}, "
             f"not {shocked_bank}"
         )
-    impacts = _solution_impacts(solution, len(sheets), v0)
-    return CascadeResult(shocked_bank, *impacts, defaulted=solution.defaulted)
+    defaulted = np.array(sorted(solution.defaulted), dtype=np.int64)
+    unpaid = (solution.obligations - solution.payments)[defaulted]
+    di, ti, dc = _impacts(
+        # Summed over the defaulted banks in bank order, as clear_all sums.
+        float(np.bincount(np.zeros_like(defaulted), unpaid, minlength=1)[0]),
+        solution.initial_writeoff,
+        len(solution.defaulted - {shocked_bank}),
+        len(sheets),
+        v0,
+    )
+    return CascadeResult(shocked_bank, di, ti, dc, defaulted=solution.defaulted)

@@ -287,7 +287,12 @@ def _run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
 
 
 def _run_replication_args(args: tuple[ExperimentSpec, int]) -> ReplicationRecord:
-    return _run_replication(*args)
+    spec, rep = args
+    try:
+        return _run_replication(spec, rep)
+    except Exception as exc:
+        # Same type, so callers still catch it; pool.map names no replication.
+        raise type(exc)(f"replication {rep}: {exc}") from exc
 
 
 def _mean_or_none(values: list[Optional[float]]) -> Optional[float]:
@@ -303,7 +308,9 @@ def run_experiment(
     Replications are dispatched to a process pool when more than one worker
     is available; the merge is keyed by replication index, so outputs are
     byte-identical across worker counts and fully determined by
-    ``spec.master_seed``.
+    ``spec.master_seed``. A failed replication's exception is re-raised
+    with its type kept and ``replication <index>: `` before its message,
+    in serial and pool mode alike.
     """
     start = time.perf_counter()
     n_workers = resolve_workers(workers)

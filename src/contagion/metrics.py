@@ -64,7 +64,7 @@ class TopoIndices:
     """Per-bank local vulnerability indices.
 
     ``cs[i]`` is the maximal exposure to bank i among its creditors,
-    relative to the creditor's buffer; ``frailty[i]`` additionally weights
+    relative to the creditor's equity; ``frailty[i]`` additionally weights
     that exposure by the creditor's interbank liabilities, capturing
     second-round vulnerability. Both are 0 for banks with no creditors.
     """
@@ -74,45 +74,32 @@ class TopoIndices:
 
 
 def _creditor_ratios(
-    exposures: ExposureMatrix,
-    sheets: BalanceSheetSet,
-    normalization: str,
+    exposures: ExposureMatrix, sheets: BalanceSheetSet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-link (debtor, creditor, weight/buffer) arrays."""
-    if normalization not in ("equity", "exposure"):
-        raise ValueError(
-            f"normalization must be 'equity' or 'exposure', got {normalization!r}"
-        )
+    """Per-link (debtor, creditor, weight/creditor equity) arrays."""
     coo = exposures.matrix.tocoo()
-    denom_vec = sheets.e if normalization == "equity" else sheets.ba
-    denom = denom_vec[coo.col]
+    denom = sheets.e[coo.col]
     with np.errstate(divide="ignore"):
         ratio = np.where(denom > 0.0, coo.data / np.where(denom > 0, denom, 1.0), np.inf)
     return coo.row, coo.col, ratio
 
 
 def counterparty_susceptibility(
-    exposures: ExposureMatrix,
-    sheets: BalanceSheetSet,
-    normalization: str = "equity",
+    exposures: ExposureMatrix, sheets: BalanceSheetSet
 ) -> np.ndarray:
     """Maximal relative exposure of each bank's creditors to that bank.
 
     For bank i this is ``max_j w_ij / E_j`` over creditors j, with ``E_j``
-    the creditor's equity (``normalization="equity"``, the default) or its
-    total interbank exposures (``normalization="exposure"``). Banks with no
-    creditors score 0.
+    the creditor's equity. Banks with no creditors score 0.
     """
-    row, _, ratio = _creditor_ratios(exposures, sheets, normalization)
+    row, _, ratio = _creditor_ratios(exposures, sheets)
     cs = np.zeros(exposures.n)
     np.maximum.at(cs, row, ratio)
     return cs
 
 
 def local_network_frailty(
-    exposures: ExposureMatrix,
-    sheets: BalanceSheetSet,
-    normalization: str = "equity",
+    exposures: ExposureMatrix, sheets: BalanceSheetSet
 ) -> np.ndarray:
     """Creditor vulnerability weighted by the creditor's interbank debt.
 
@@ -120,21 +107,19 @@ def local_network_frailty(
     ``BL_j`` factor proxies how hard creditor j's own failure would hit its
     lenders. Banks with no creditors score 0.
     """
-    row, col, ratio = _creditor_ratios(exposures, sheets, normalization)
+    row, col, ratio = _creditor_ratios(exposures, sheets)
     f = np.zeros(exposures.n)
     np.maximum.at(f, row, ratio * sheets.bl[col])
     return f
 
 
 def compute_topo_indices(
-    exposures: ExposureMatrix,
-    sheets: BalanceSheetSet,
-    normalization: str = "equity",
+    exposures: ExposureMatrix, sheets: BalanceSheetSet
 ) -> TopoIndices:
-    """Both local indices in one pass configuration."""
+    """Both local indices of every bank."""
     return TopoIndices(
-        cs=counterparty_susceptibility(exposures, sheets, normalization),
-        frailty=local_network_frailty(exposures, sheets, normalization),
+        cs=counterparty_susceptibility(exposures, sheets),
+        frailty=local_network_frailty(exposures, sheets),
     )
 
 

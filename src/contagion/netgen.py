@@ -178,7 +178,11 @@ class DirectedGraph:
                 raise ValueError(f"self-link at node {s}")
             raise ValueError(f"link ({s}, {t}) outside node range [0, {n})")
         # Codes s * n + t sort in (source, target) order.
-        codes = np.unique(src * n + dst)
+        return cls._from_codes(n, np.unique(src * n + dst))
+
+    @classmethod
+    def _from_codes(cls, n: int, codes: np.ndarray) -> "DirectedGraph":
+        """Finalize from sorted, unique, valid link codes ``s * n + t``."""
         links = np.column_stack(np.divmod(codes, n))
         kin = np.bincount(links[:, 1], minlength=n).astype(np.int64, copy=False)
         kout = np.bincount(links[:, 0], minlength=n).astype(np.int64, copy=False)
@@ -386,7 +390,7 @@ def generate(
             m += 1
 
     codes = np.fromiter(links, dtype=np.int64, count=len(links))
-    return DirectedGraph.from_links(cap, np.column_stack(np.divmod(codes, cap)))
+    return DirectedGraph._from_codes(cap, np.sort(codes))
 
 
 def params_from_delta_in(delta_in: float) -> CurvePoint:
@@ -503,7 +507,7 @@ def augment_random_links(
         candidates = np.flatnonzero(absent)
         picks = rng.choice(len(candidates), size=missing, replace=False)
         codes = np.concatenate((codes, candidates[picks]))
-    return DirectedGraph.from_links(n, np.column_stack(np.divmod(codes, n)))
+    return DirectedGraph._from_codes(n, np.sort(codes))
 
 
 def write_edge_list(graph: DirectedGraph, path: str | Path, seed: int) -> None:

@@ -1,7 +1,8 @@
 """Shared oracles and cached ensemble fixtures.
 
 The oracles here are deliberately independent of the library's fast paths:
-the clearing oracle is a plain Picard iteration on the dense payment map,
+the clearing oracles are a plain Picard iteration on the dense payment map
+and the Eisenberg-Noe linear program solved by HiGHS,
 the all-banks reference clears and scores each shock on its own,
 the Gini oracle is the O(n^2) pairwise definition, the power-law
 sampler inverts the exact CDF, and the network-growth oracles are a
@@ -12,10 +13,12 @@ runs are cached per configuration so the acceptance criteria share data.
 from __future__ import annotations
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linprog
 from scipy.special import zeta
 
 from contagion.balance import (
@@ -30,6 +33,7 @@ from contagion.clearing import (
     clear,
     total_initial_assets,
 )
+from contagion import harness
 from contagion.harness import ExperimentSpec, run_experiment
 from contagion.netgen import DirectedGraph, GenParams
 
@@ -64,6 +68,33 @@ def picard_clearing(
             return p_new
         p = p_new
     raise RuntimeError("picard oracle did not converge")
+
+
+def lp_clearing(
+    dense_w: np.ndarray, external: np.ndarray, obligations: np.ndarray
+) -> np.ndarray:
+    """Greatest clearing vector as a linear program (Eisenberg-Noe, Lemma 4).
+
+    Maximizes ``sum(p)`` subject to ``0 <= p <= pbar`` and
+    ``p <= e + Pi^T p``, with ``Pi_ij = w_ij / pbar_i`` the relative
+    liabilities; every clearing vector is feasible and the greatest one
+    dominates them all, so it is the unique optimum. Solved by HiGHS, whose
+    primal feasibility tolerance (1e-7) bounds the accuracy.
+    """
+    n = obligations.size
+    owes = obligations > 0
+    pi = np.zeros_like(dense_w)
+    pi[owes] = dense_w[owes] / obligations[owes, None]
+    res = linprog(
+        -np.ones(n),
+        A_ub=np.eye(n) - pi.T,
+        b_ub=external,
+        bounds=list(zip(np.zeros(n), obligations)),
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"LP oracle failed: {res.message}")
+    return res.x
 
 
 def per_bank_loop(exposures, sheets, recovery=0.0, defaulted_recovery=1.0):
@@ -231,6 +262,25 @@ def random_small_system(
 
 def dense_exposures(exposures: ExposureMatrix) -> np.ndarray:
     return exposures.matrix.toarray()
+
+
+# --------------------------------------------------------- failing runs
+
+# Serial and pool mode; pool workers see a patched harness only when forked.
+WORKER_MODES = [
+    1,
+    pytest.param(2, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers are not forked",
+    )),
+]
+
+
+def fail_replication_one(spec, rep, _run=harness._run_replication):
+    """``harness._run_replication``, except that replication 1 raises."""
+    if rep == 1:
+        raise ValueError("sheets broken")
+    return _run(spec, rep)
 
 
 # -------------------------------------------------------------- fixtures

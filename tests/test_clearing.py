@@ -296,7 +296,7 @@ class TestClearAll:
         ],
     )
     def test_bit_identical_to_the_per_bank_loop(
-        self, family, variant, lambda_min, xi, defaulted_recoveries
+        self, monkeypatch, family, variant, lambda_min, xi, defaulted_recoveries
     ):
         exposures, sheets = _replication_system(family, variant, 1000, lambda_min, xi)
         for recovery, defaulted_recovery in itertools.product(
@@ -307,10 +307,17 @@ class TestClearAll:
             )
             out = clear_all(exposures, sheets, recovery, defaulted_recovery)
             assert_matches_per_bank_loop(out, solutions, expected)
-            # The screen settles exactly the shocks that fail no second bank.
+            # Screened: the shocks that fail no second bank.
             alone = sum(len(r.defaulted - {r.shocked_bank}) == 0 for r in expected)
             assert out.shocks_screened == alone
             assert out.shocks_screened + out.shocks_solved == exposures.n
+            # Batch boundaries change nothing: a batch per shock (bound 1),
+            # and all shocks in one batch.
+            for batch_links in (1, 10**18):
+                monkeypatch.setattr(clearing, "_BATCH_LINKS", batch_links)
+                out = clear_all(exposures, sheets, recovery, defaulted_recovery)
+                assert_matches_per_bank_loop(out, solutions, expected)
+                monkeypatch.undo()
 
     def test_small_systems_under_every_recovery_setting(self):
         rng = np.random.default_rng(5)
@@ -333,7 +340,8 @@ class TestClearAll:
         solutions, expected = per_bank_loop(exposures, broken)
         out = clear_all(exposures, broken)
         assert_matches_per_bank_loop(out, solutions, expected)
-        assert out.shocks_solved == exposures.n
+        spread = sum(len(sol.defaulted - {sol.shocked_bank}) > 0 for sol in solutions)
+        assert out.shocks_solved == spread
         assert all(1 in sol.defaulted for sol in solutions)
         # Bank 1 fails under every other bank's shock too.
         others = np.arange(exposures.n) != 1
@@ -385,7 +393,7 @@ class TestClearingErrors:
         monkeypatch.setattr(clearing, "_INNER_CAP", 1)
         with pytest.raises(ClearingError, match=r"round 1, defaulted=\[0, 1\],"):
             clear(exposures, sheets, ShockScenario(0))
-        # clear_all hands this shock to clear, so the error reaches its caller.
+        # clear_all runs the same round loop, so the error reaches its caller.
         with pytest.raises(ClearingError, match="stalled"):
             clear_all(exposures, sheets)
 

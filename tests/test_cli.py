@@ -5,8 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from contagion import harness
 from contagion.cli import main
 from contagion.netgen import read_edge_list
+
+from conftest import WORKER_MODES, fail_replication_one
 
 
 def _degree_file(tmp_path, edges_path):
@@ -185,6 +188,24 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "[contagion]" in captured.err
+
+    @pytest.mark.parametrize("workers", WORKER_MODES)
+    def test_failed_replication_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        monkeypatch.setattr(harness, "_run_replication", fail_replication_one)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "network_family": "GC", "type_variant": 0, "n_nodes": 60,
+            "replications": 2, "master_seed": 1,
+        }))
+        rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r"),
+                   "--workers", str(workers)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error" in line] == [
+            "contagion sweep: error: replication 1: sheets broken"
+        ]
 
 
 class TestProgressLogging:

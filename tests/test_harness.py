@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contagion import harness
 from contagion.harness import (
     FAMILIES,
     TYPE3_TARGET_MEAN_DEGREE,
@@ -16,6 +17,8 @@ from contagion.harness import (
     size_sweep,
     write_run_directory,
 )
+
+from conftest import WORKER_MODES, fail_replication_one
 
 # Frozen fixture of the fifteen parameter rows (family x variant).
 EXPECTED_TYPE_PARAMS = {
@@ -172,6 +175,13 @@ class TestRunExperiment:
         for row in serial + pooled:
             del row["stage_seconds"]
         assert serial == pooled
+
+    @pytest.mark.parametrize("workers", WORKER_MODES)
+    def test_failed_replication_is_named(self, monkeypatch, workers):
+        monkeypatch.setattr(harness, "_run_replication", fail_replication_one)
+        spec = ExperimentSpec("GC", 0, 60, 3, master_seed=1)
+        with pytest.raises(ValueError, match=r"^replication 1: sheets broken$"):
+            run_experiment(spec, workers=workers)
 
 
 class TestRunDirectory:

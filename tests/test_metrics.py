@@ -105,14 +105,6 @@ class TestLocalIndices:
         f = local_network_frailty(exposures, sheets)
         assert f[0] == pytest.approx((0.4 / 0.2) * 3.0)
 
-    def test_exposure_normalization_switch(self):
-        exposures, sheets = _hand_system()
-        cs = counterparty_susceptibility(exposures, sheets, normalization="exposure")
-        # Creditor 1's total interbank exposures are 0.4.
-        assert cs[0] == pytest.approx(0.4 / 0.4)
-        with pytest.raises(ValueError, match="normalization"):
-            counterparty_susceptibility(exposures, sheets, normalization="x")
-
     def test_frailty_dominates_cs_times_min_bl(self):
         rng = np.random.default_rng(23)
         for _ in range(30):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_matches_per_bank_loop,
     dense_exposures,
+    lp_clearing,
     per_bank_loop,
     picard_clearing,
 )
@@ -67,6 +68,19 @@ def test_pooled_estates_match_the_picard_oracle(system, recovery, data):
         dense_exposures(exposures), external, sheets.bl + sheets.nbl
     )
     assert np.abs(sol.payments - oracle).max() <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(systems(), recoveries, st.data())
+def test_pooled_estates_match_the_linear_program(system, recovery, data):
+    exposures, sheets = system
+    s = _shocked(system, data)
+    sol = clear(exposures, sheets, ShockScenario(s, recovery_on_nonbank=recovery))
+    external = sheets.nba.copy()
+    external[s] = recovery * sheets.nba[s]
+    lp = lp_clearing(dense_exposures(exposures), external, sheets.bl + sheets.nbl)
+    # No tighter than HiGHS's own primal feasibility tolerance.
+    assert np.abs(sol.payments - lp).max() <= 1e-7
 
 
 @PROPERTY_SETTINGS
