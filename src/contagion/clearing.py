@@ -458,9 +458,10 @@ def gross_system_volume(sheets: BalanceSheetSet) -> float:
 
     Equals total assets plus total liabilities with each interbank position
     counted a single time: sum of NBA, BA and NBL over banks. This is the
-    base against which impact fractions are measured.
+    base against which impact fractions are measured. Raises ``ValueError``
+    when the system holds no assets.
     """
-    return float(sheets.nba.sum() + sheets.ba.sum() + sheets.nbl.sum())
+    return _gross_volume(total_initial_assets(sheets), sheets)
 
 
 def _gross_volume(a0: float, sheets: BalanceSheetSet) -> float:

@@ -24,7 +24,7 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -132,9 +132,25 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentSpec":
-        """Load a spec from a JSON file whose keys match the field names."""
+        """Load a spec from a JSON file whose keys match the field names.
+
+        Raises:
+            ValueError: naming the file, when it holds no JSON object, or an
+                object with unknown keys or without a required one.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: spec must be a JSON object")
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown spec keys {unknown}")
+        missing = [
+            f.name for f in fields(cls)
+            if f.default is MISSING and f.name not in payload
+        ]
+        if missing:
+            raise ValueError(f"{path}: missing spec keys {missing}")
         return cls(**payload)
 
     def to_dict(self) -> dict:

@@ -13,7 +13,8 @@ sorted, read-only ``(m, 2)`` integer array, which its consumers read as is.
 
 Each preferential draw costs O(log n): the in- and out-weights
 ``degree + delta`` live in two Fenwick trees, and a draw descends one of
-them for the number of prefix sums <= ``u * total``. Uniforms come from the
+them for the number of prefix sums <= ``u * (m + n * delta)``, the weight
+sum of the ``n`` existing nodes and ``m`` links. Uniforms come from the
 generator in blocks, in the order scalar ``rng.random()`` calls would give
 them. With integer or dyadic offsets every weight and partial sum is an
 exact float, so the draws, and the graphs, are those of a per-draw
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -86,8 +87,9 @@ class GenParams:
                 "alpha + beta + gamma must equal 1 within 1e-12, got "
                 f"{self.alpha + self.beta + self.gamma!r}"
             )
-        if self.delta_in < 0.0 or self.delta_out < 0.0:
-            raise ValueError("delta_in and delta_out must be non-negative")
+        offsets = (self.delta_in, self.delta_out)
+        if not all(math.isfinite(d) and d >= 0.0 for d in offsets):
+            raise ValueError("delta_in and delta_out must be finite and non-negative")
         if self.n_target < 2:
             raise ValueError(f"n_target must be >= 2, got {self.n_target}")
 
@@ -206,9 +208,10 @@ class _WeightTree:
     Slot ``i`` (1-based) holds the weight sum of nodes
     ``[i - lowbit(i), i)``. Every node's ``delta`` is in place from the
     start; nodes beyond the current count are never read, because
-    :meth:`total` and :meth:`pick` only visit slots ``<= n``, and each such
-    slot covers existing nodes only. The slots are a plain list because
-    scalar indexing of a Python list is faster than of a numpy array.
+    :meth:`pick` only visits slots ``<= n``, and each such slot covers
+    existing nodes only. The tree keeps no total: with ``m`` links the
+    first ``n`` weights sum to ``m + n * delta``. The slots are a plain list
+    because scalar indexing of a Python list is faster than of a numpy array.
     """
 
     def __init__(self, size: int, delta: float) -> None:
@@ -225,29 +228,15 @@ class _WeightTree:
             slots[i] += weight
             i += i & -i
 
-    def total(self, n: int) -> float:
-        """Weight sum of the first ``n`` nodes.
-
-        Summed along the same slot path, high bit first, that :meth:`pick`
-        walks, so that ``pick(x, n) < n`` for every ``x < total(n)``.
-        """
-        slots = self.slots
-        acc = 0.0
-        pos = 0
-        rest = n
-        while rest:
-            step = 1 << (rest.bit_length() - 1)
-            pos += step
-            acc += slots[pos]
-            rest -= step
-        return acc
-
     def pick(self, x: float, n: int) -> int:
         """Number of the first ``n`` nodes' prefix sums that are ``<= x``.
 
         This is ``searchsorted(cumsum(weights[:n]), x, side="right")``;
         when every weight and partial sum is an exact float (integer or
-        dyadic weights) it returns the same index.
+        dyadic weights) it returns the same index. The result is clamped to
+        ``n - 1`` for when rounding puts ``x`` at or above the tree's sum of
+        the first ``n`` weights; that needs ``delta > 0``, so node ``n - 1``
+        is never a zero-weight pick.
         """
         slots = self.slots
         acc = 0.0
@@ -259,7 +248,7 @@ class _WeightTree:
                 if s <= x:
                     pos = nxt
                     acc = s
-        return pos
+        return pos if pos < n else n - 1
 
 
 def _uniforms(rng: np.random.Generator, block: int = 4096) -> Iterator[float]:
@@ -272,33 +261,7 @@ def _uniforms(rng: np.random.Generator, block: int = 4096) -> Iterator[float]:
         yield from rng.random(block).tolist()
 
 
-def _pick_preferential(
-    draw: Callable[[], float],
-    tree: _WeightTree,
-    n: int,
-    m: int,
-    delta: float,
-    probe: Optional[Callable[[str, float, int, int, float], None]],
-    kind: str,
-) -> int:
-    """Draw one of the first ``n`` nodes with weight degree + delta.
-
-    The weights over the n candidates sum to m + n * delta, where m is the
-    current link count.
-    """
-    total = tree.total(n)
-    if probe is not None:
-        probe(kind, total, m, n, delta)
-    if total <= 0.0:
-        # delta == 0 with no links cannot happen after the seed graph.
-        raise RuntimeError("degenerate selection: all weights zero")
-    return tree.pick(draw() * total, n)
-
-
-def generate(
-    params: GenParams,
-    probe: Optional[Callable[[str, float, int, int, float], None]] = None,
-) -> DirectedGraph:
+def generate(params: GenParams) -> DirectedGraph:
     """Grow a simple directed graph by preferential attachment.
 
     Starts from the two-node seed graph 0 -> 1, 1 -> 0. Each step adds one
@@ -317,12 +280,12 @@ def generate(
     current simple graph.
 
     Each preferential draw costs O(log n): the in- and out-weights live in
-    two Fenwick trees, and a draw descends one of them.
+    two Fenwick trees, a uniform is scaled by the weight sum
+    ``m + n * delta`` of the ``n`` existing nodes and ``m`` links, and the
+    draw descends one tree.
 
     Args:
         params: validated generation parameters.
-        probe: optional instrumentation hook, called at every preferential
-            draw with (kind, weight_total, link_count, node_count, delta).
 
     Returns:
         The finalized simple digraph with exactly ``n_target`` nodes.
@@ -334,60 +297,40 @@ def generate(
         )
     draw = _uniforms(np.random.default_rng(params.seed)).__next__
     cap = params.n_target
-    w_in = _WeightTree(cap, params.delta_in)
-    w_out = _WeightTree(cap, params.delta_out)
+    new_source, new_target = params.alpha, params.alpha + params.beta
+    d_in, d_out = params.delta_in, params.delta_out
+    w_in, w_out = _WeightTree(cap, d_in), _WeightTree(cap, d_out)
     # Link s -> t is stored as the code s * cap + t.
     links = {1, cap}
     for node in (0, 1):
         w_in.add(node, 1.0)
         w_out.add(node, 1.0)
-    n = 2
-    m = 2
+    n = m = 2
 
     while n < cap:
+        # Below alpha node n is the source, from alpha + beta on the target.
         u = draw()
-        if u < params.alpha:
-            # New node n with a link n -> target.
-            target = _pick_preferential(
-                draw, w_in, n, m, params.delta_in, probe, "in"
-            )
-            links.add(n * cap + target)
-            w_out.add(n, 1.0)
-            w_in.add(target, 1.0)
-            n += 1
-            m += 1
-        elif u < params.alpha + params.beta:
-            # Link between existing nodes; resample the target on a
-            # self-collision, discard the step on a repeat pair.
-            source = _pick_preferential(
-                draw, w_out, n, m, params.delta_out, probe, "out"
-            )
-            target = _pick_preferential(
-                draw, w_in, n, m, params.delta_in, probe, "in"
-            )
+        if u < new_source:
+            source = n
+        else:
+            source = w_out.pick(draw() * (m + n * d_out), n)
+        if u >= new_target:
+            target = n
+        else:
+            target = w_in.pick(draw() * (m + n * d_in), n)
             retries = 0
             while target == source and retries < _SELF_LINK_RETRIES:
-                target = _pick_preferential(
-                    draw, w_in, n, m, params.delta_in, probe, "in"
-                )
+                target = w_in.pick(draw() * (m + n * d_in), n)
                 retries += 1
-            code = source * cap + target
-            if target == source or code in links:
-                continue
-            links.add(code)
-            w_out.add(source, 1.0)
-            w_in.add(target, 1.0)
-            m += 1
-        else:
-            # New node n with a link source -> n.
-            source = _pick_preferential(
-                draw, w_out, n, m, params.delta_out, probe, "out"
-            )
-            links.add(source * cap + n)
-            w_out.add(source, 1.0)
-            w_in.add(n, 1.0)
+        code = source * cap + target
+        if target == source or code in links:
+            continue
+        links.add(code)
+        w_out.add(source, 1.0)
+        w_in.add(target, 1.0)
+        m += 1
+        if source == n or target == n:
             n += 1
-            m += 1
 
     codes = np.fromiter(links, dtype=np.int64, count=len(links))
     return DirectedGraph._from_codes(cap, np.sort(codes))

@@ -45,6 +45,24 @@ class TestGenerateCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_offset_is_a_one_line_error(self, tmp_path, capsys, bad):
+        out = tmp_path / "net.csv"
+        rc = main([
+            "generate", "--alpha", "0.1875", "--beta", "0.25",
+            "--gamma", "0.5625", f"--delta-in={bad}", "--delta-out", "1",
+            "--nodes", "200", "--seed", "11", "--out", str(out),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "contagion generate: error: delta_in and delta_out must be "
+            "finite and non-negative\n"
+        )
+        assert not out.exists()
+
+
 class TestFitCommand:
     def test_emits_json_record(self, tmp_path, capsys):
         net = tmp_path / "net.csv"
@@ -249,3 +267,31 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (
+                {"network_family": "GC", "type_variant": 0, "n_nodes": 60,
+                 "replications": 1, "lambda": 0.05},
+                "unknown spec keys ['lambda']",
+            ),
+            (
+                {"network_family": "GC", "type_variant": 0, "n_nodes": 60},
+                "missing spec keys ['replications']",
+            ),
+            (["GC", 0, 60, 1], "spec must be a JSON object"),
+        ],
+        ids=["unknown-key", "missing-key", "not-an-object"],
+    )
+    def test_malformed_spec_is_a_one_line_error(
+        self, tmp_path, capsys, payload, message
+    ):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r"),
+                   "--workers", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"contagion sweep: error: {spec_path}: {message}\n"
