@@ -140,10 +140,6 @@ class BalanceSheet:
     def total_assets(self) -> float:
         return self.ba + self.nba
 
-    @property
-    def total_liabilities(self) -> float:
-        return self.bl + self.nbl
-
 
 class BalanceSheetSet(Sequence[BalanceSheet]):
     """Immutable per-bank balance sheets, column-backed for vector math.

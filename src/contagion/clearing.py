@@ -21,9 +21,10 @@ and memory per round grow with those edges, not with the cascade squared.
 
 One round loop settles every shock: a batch of shocks is one
 block-diagonal system whose node ``j * n + i`` is bank i under the j-th
-shock. Each block keeps its own default set, sweeps and losses (stored
-for the nodes it touches only) and adds every sum in a lone shock's
-order, so it gets that shock's results. :func:`clear` is a batch of one;
+shock. Each block keeps its own default set and sweeps and adds every
+sum in a lone shock's order, so it gets that shock's results. Only
+defaulted banks pay short, so each round sums its creditors' losses
+afresh from the payers' edges. :func:`clear` is a batch of one;
 :func:`clear_all` shocks every bank in turn, as the paper's experiments
 do, in batches of consecutive banks, and returns per-bank DI/TI/DC arrays.
 """
@@ -179,6 +180,16 @@ def _locate(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, ids[np.minimum(pos, ids.size - 1)] == x
 
 
+def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR positions of the entries of ``rows``, row by row, and row lengths."""
+    starts = indptr[rows]
+    row_len = indptr[rows + 1] - starts
+    edge = np.arange(row_len.sum()) + np.repeat(
+        starts - (np.cumsum(row_len) - row_len), row_len
+    )
+    return edge, row_len
+
+
 def _settle(
     exposures: ExposureMatrix,
     sheets: BalanceSheetSet,
@@ -186,7 +197,7 @@ def _settle(
     recovery_on_nonbank: float,
     defaulted_nonbank_recovery: float,
     trace: Optional[IO[str]] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clear a batch of shocks; node ``j * n + i`` is bank i under ``shocks[j]``.
 
     Each round re-solves the defaulted payers of every shock that gained
@@ -194,9 +205,8 @@ def _settle(
     sum_j ratio_j * w_ji)`` (``e_i`` the recoverable nonbank assets),
     one ``np.bincount`` over the payers' edges per sweep; a shock stops
     sweeping once its own payments move by at most ``_INNER_TOL``. Only a
-    batch of one may pass ``trace``. Returns the sorted defaulted nodes and
-    their payment ratios, the sorted nodes that payers owe (and the payers)
-    with their interbank losses, and the inner sweeps of each shock.
+    batch of one may pass ``trace``. Returns the sorted defaulted nodes,
+    their payment ratios and the inner sweeps of each shock.
     """
     n = exposures.n
     indptr, indices, data = exposures.row_arrays()
@@ -223,7 +233,6 @@ def _settle(
     nodes = np.union1d(np.add.outer(blocks, insolvent), blocks + shocks)
     new = nodes[own(nodes, trigger, shocked_trigger) < 0.0]
     defaulted, ratio = new, np.ones(new.size)
-    owed, loss = new[:0], np.zeros(0)
     iterations = np.zeros(shocks.size, dtype=np.int64)
     for round_no in range(n + 1):
         max_delta = 0.0
@@ -235,11 +244,7 @@ def _settle(
             payers = defaulted[at]
             block, bank = np.divmod(payers, n)
             # Edge list of the payers' own rows, in CSR order.
-            starts = indptr[bank]
-            row_len = indptr[bank + 1] - starts
-            edge = np.arange(row_len.sum()) + np.repeat(
-                starts - (np.cumsum(row_len) - row_len), row_len
-            )
+            edge, row_len = _row_edges(indptr, bank)
             cols = np.repeat(block * n, row_len) + indices[edge]
             vals = data[edge]
 
@@ -250,28 +255,16 @@ def _settle(
             src = np.repeat(np.arange(d), row_len)[internal]
             dst, w = dst[internal], vals[internal]
 
-            # Losses are kept for the nodes the payers owe, and the payers.
-            grown = np.union1d(owed, np.concatenate((payers, cols)))
-            moved = np.zeros(grown.size)
-            moved[np.searchsorted(grown, owed)] = loss
-            owed, loss = grown, moved
-
-            # Receipts from outside the payer set stay fixed within the
-            # round: strip the payer-to-payer shortfalls (at current ratios)
-            # out of the accumulated losses, the inner iteration re-applies
-            # them.
-            r_old = ratio[at]
-            base_recv = ba[bank] - loss[np.searchsorted(owed, payers)] + np.bincount(
-                dst, weights=(1.0 - r_old)[src] * w, minlength=d
-            )
-
+            # Only defaulted banks pay short, and all of a shock's are payers
+            # here: receipts start at ``ba``, the sweeps apply the shortfalls.
+            r = ratio[at]
+            base_recv = ba[bank]
             e_d = own(payers, resources_ext, shocked_ext)
             pbar_d = pbar[bank]
             # Payers come sorted by shock; heads start each shock's run.
             heads = np.append(0, np.flatnonzero(block[1:] != block[:-1]) + 1)
             live = np.zeros(shocks.size, dtype=bool)
             live[block] = True
-            r = r_old
             p_prev = r * pbar_d
             while True:
                 iterations += live
@@ -300,12 +293,13 @@ def _settle(
                     break
             ratio[at] = r
 
-            # Propagate the round's ratio drops to every creditor.
-            cpos = np.searchsorted(owed, cols)
-            np.add.at(loss, cpos, np.repeat(r_old - r, row_len) * vals)
-            # Only creditors whose losses grew this round can fail next.
-            failing = cols[loss[cpos] > own(cols, trigger, shocked_trigger)]
-            fresh = np.unique(failing[~_locate(defaulted, failing)[1]])
+            # The payers' edges carry every loss of their shocks: sum them
+            # at the new ratios. Only the nodes owed can fail next.
+            owed = np.unique(cols)
+            shortfall = np.repeat(1.0 - r, row_len) * vals
+            loss = np.bincount(owed.searchsorted(cols), shortfall)
+            failing = owed[loss > own(owed, trigger, shocked_trigger)]
+            fresh = failing[~_locate(defaulted, failing)[1]]
         if trace is not None:
             record = {"round": round_no, "new_defaults": (new % n).tolist()}
             trace.write(json.dumps(record | {"max_delta": max_delta}) + "\n")
@@ -321,7 +315,7 @@ def _settle(
             "default set failed to stabilize within n rounds "
             "(monotone growth violated)"
         )
-    return defaulted, ratio, owed, loss, iterations
+    return defaulted, ratio, iterations
 
 
 def clear(
@@ -360,17 +354,21 @@ def clear(
 
     # With one shock, node i is bank i.
     recovery = scenario.recovery_on_nonbank
-    defaulted, ratio, owed, loss, iterations = _settle(
+    defaulted, ratio, iterations = _settle(
         exposures, sheets, np.array([s]), recovery,
         scenario.defaulted_nonbank_recovery, trace,
     )
     pbar = sheets.bl + sheets.nbl
-    ratios = np.ones(n)
-    ratios[defaulted] = ratio
-    losses = np.zeros(n)
-    losses[owed] = loss
+    # Solvent banks pay in full.
+    payments = pbar.copy()
+    payments[defaulted] *= ratio
+    # Only defaulted banks pay short, so their rows carry every loss.
+    indptr, indices, data = exposures.row_arrays()
+    edge, row_len = _row_edges(indptr, defaulted)
+    shortfall = np.repeat(1.0 - ratio, row_len) * data[edge]
+    losses = np.bincount(indices[edge], shortfall, minlength=n)
     return ClearingSolution(
-        payments=ratios * pbar,
+        payments=payments,
         obligations=pbar,
         received=sheets.ba - losses,
         losses=losses,
@@ -414,7 +412,7 @@ def clear_all(
     others = np.zeros(n, dtype=np.int64)
     iterations = max_cascade = 0
     for shocks in np.split(np.arange(n), cuts):
-        defaulted, ratio, _, _, sweeps = _settle(
+        defaulted, ratio, sweeps = _settle(
             exposures, sheets, shocks, recovery_on_nonbank, defaulted_nonbank_recovery
         )
         j, bank = np.divmod(defaulted, n)

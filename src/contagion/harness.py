@@ -24,7 +24,8 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from contextlib import nullcontext
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -117,6 +118,15 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        # Spec files are JSON: refuse a string, bool or fraction where the
+        # field's annotation asks for an int, and anything but a number
+        # where it asks for a float.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = {"int": int, "float": (int, float)}.get(f.type)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                want = "an integer" if f.type == "int" else "a number"
+                raise ValueError(f"{f.name} must be {want}, got {value!r}")
         if self.network_family not in FAMILIES:
             raise ValueError(
                 f"network_family must be one of {FAMILIES}, "
@@ -331,22 +341,20 @@ def run_experiment(
     start = time.perf_counter()
     n_workers = resolve_workers(workers)
     tasks = [(spec, rep) for rep in range(spec.replications)]
-    if n_workers > 1 and spec.replications > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(_run_replication_args, tasks))
-    else:
-        records = []
-        for task in tasks:
-            records.append(_run_replication_args(task))
+    pooled = n_workers > 1 and spec.replications > 1
+    records = []
+    # Both maps yield the records in task order.
+    with ProcessPoolExecutor(n_workers) if pooled else nullcontext() as pool:
+        for record in (pool.map if pooled else map)(_run_replication_args, tasks):
+            records.append(record)
             logger.info(
                 "[contagion] %s%d n=%d rep %d/%d done",
                 spec.network_family,
                 spec.type_variant,
                 spec.n_nodes,
-                task[1] + 1,
+                record.rep + 1,
                 spec.replications,
             )
-    records.sort(key=lambda r: r.rep)
 
     means: dict[str, float] = {}
     stds: dict[str, float] = {}
@@ -582,8 +590,5 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
             "di_max_mean,dc_max_mean,flag\n"
         )
         for row in result.rows:
-            fh.write(
-                f"{row.value:.12g},{row.di_mean:.12g},{row.di_std:.12g},"
-                f"{row.dc_mean:.12g},{row.dc_std:.12g},"
-                f"{row.di_max_mean:.12g},{row.dc_max_mean:.12g},{row.flag}\n"
-            )
+            *values, flag = astuple(row)
+            fh.write(",".join(map(_fmt, values)) + f",{flag}\n")

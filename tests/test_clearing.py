@@ -250,6 +250,7 @@ class TestFixedPointProperties:
         assert np.abs(sol.payments - oracle).max() < 1e-10
 
         ratio = np.divide(oracle, pbar, out=np.ones(exposures.n), where=pbar > 0)
+        assert np.abs(sol.received - ratio @ dense).max() < 1e-10
         loss = sheets.ba - ratio @ dense
         loss[shocked] += sheets.nba[shocked]
         assert sol.defaulted == set(np.flatnonzero(loss > sheets.e).tolist())

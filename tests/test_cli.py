@@ -207,6 +207,31 @@ class TestSweepCommand:
         assert captured.out == ""
         assert "[contagion]" in captured.err
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("n_nodes", "60", "n_nodes must be an integer, got '60'"),
+            ("n_nodes", 60.5, "n_nodes must be an integer, got 60.5"),
+            ("replications", True, "replications must be an integer, got True"),
+            ("xi", "2", "xi must be a number, got '2'"),
+        ],
+    )
+    def test_wrong_typed_spec_value_is_one_error_line(
+        self, tmp_path, capsys, key, value, message
+    ):
+        spec = {
+            "network_family": "GC", "type_variant": 0, "n_nodes": 60,
+            "replications": 1, "master_seed": 1,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec | {key: value}))
+        rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r"),
+                   "--workers", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"contagion sweep: error: {message}\n"
+
     @pytest.mark.parametrize("workers", WORKER_MODES)
     def test_failed_replication_is_one_error_line(
         self, tmp_path, capsys, monkeypatch, workers

@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,32 @@ class TestSpecValidation:
         base.update(kwargs)
         with pytest.raises(ValueError, match=match):
             ExperimentSpec(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"n_nodes": "60"}, "n_nodes must be an integer, got '60'"),
+            ({"n_nodes": 60.5}, "n_nodes must be an integer, got 60.5"),
+            ({"replications": True}, "replications must be an integer, got True"),
+            ({"type_variant": 0.0}, "type_variant must be an integer, got 0.0"),
+            ({"master_seed": None}, "master_seed must be an integer, got None"),
+            ({"lambda_min": "0.05"}, "lambda_min must be a number, got '0.05'"),
+            ({"sigma": False}, "sigma must be a number, got False"),
+            ({"xi": [2.0]}, "xi must be a number, got [2.0]"),
+        ],
+    )
+    def test_wrong_typed_values(self, kwargs, message):
+        base = dict(
+            network_family="GC", type_variant=0, n_nodes=100,
+            replications=1, master_seed=0,
+        )
+        base.update(kwargs)
+        with pytest.raises(ValueError) as info:
+            ExperimentSpec(**base)
+        assert str(info.value) == message
+
+    def test_an_integer_is_a_number(self):
+        assert ExperimentSpec("GC", 0, 100, 1, xi=2).xi == 2
 
 
 class TestSeedDerivation:
@@ -175,6 +202,14 @@ class TestRunExperiment:
         for row in serial + pooled:
             del row["stage_seconds"]
         assert serial == pooled
+
+    @pytest.mark.parametrize("workers", WORKER_MODES)
+    def test_progress_is_logged_in_both_modes(self, caplog, workers):
+        caplog.set_level(logging.INFO, logger="contagion.harness")
+        run_experiment(ExperimentSpec("GC", 0, 60, 3, master_seed=1), workers=workers)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"[contagion] GC0 n=60 rep {k}/3 done" for k in (1, 2, 3)
+        ]
 
     @pytest.mark.parametrize("workers", WORKER_MODES)
     def test_failed_replication_is_named(self, monkeypatch, workers):
