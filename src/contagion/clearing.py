@@ -210,39 +210,35 @@ def _settle(
     """
     n = exposures.n
     indptr, indices, data = exposures.row_arrays()
-    ba, nba = sheets.ba, sheets.nba
-    pbar = sheets.bl + sheets.nbl
-    trigger = _trigger(sheets.e)
-    # Nonbank assets a bank can hand to creditors once it is in default;
-    # solvent banks always pay in full out of their whole balance sheet.
-    resources_ext = defaulted_nonbank_recovery * nba
-    # The shocked bank's own: its threshold is lowered by the write-off, and
-    # only the surviving part of its nonbank assets is left.
-    writeoff = (1.0 - recovery_on_nonbank) * nba[shocks]
-    shocked_trigger = _trigger(sheets.e[shocks] - writeoff)
-    shocked_ext = recovery_on_nonbank * nba[shocks]
+    ba, bl, nba, nbl, e = sheets.ba, sheets.bl, sheets.nba, sheets.nbl, sheets.e
+    # The shocked bank's loss buffer is lowered by the write-off of its
+    # nonbank assets.
+    shocked_e = e[shocks] - (1.0 - recovery_on_nonbank) * nba[shocks]
 
     def own(nodes, per_bank, per_shock):
         """Values of nodes: by bank, but ``per_shock`` for a shocked bank."""
         j, i = np.divmod(nodes, n)
         return np.where(i == shocks[j], per_shock[j], per_bank[i])
 
-    # Round 0: nobody has interbank losses yet.
+    # Round 0: nobody has interbank losses yet. A trigger is below zero only
+    # where equity is, so one scan of ``e`` finds the banks already insolvent.
     blocks = np.arange(shocks.size) * n
-    insolvent = np.flatnonzero(trigger < 0.0)
+    negative = np.flatnonzero(e < 0.0)
+    insolvent = negative[_trigger(e[negative]) < 0.0]
     nodes = np.union1d(np.add.outer(blocks, insolvent), blocks + shocks)
-    new = nodes[own(nodes, trigger, shocked_trigger) < 0.0]
+    new = nodes[_trigger(own(nodes, e, shocked_e)) < 0.0]
     defaulted, ratio = new, np.ones(new.size)
     iterations = np.zeros(shocks.size, dtype=np.int64)
     for round_no in range(n + 1):
         max_delta = 0.0
         fresh = new[:0]
+        j, i = np.divmod(defaulted, n)
+        obligations = bl[i] + nbl[i]
         # Every shock with new defaults re-solves all of its payers.
-        busy = np.bincount(new // n, minlength=shocks.size)[defaulted // n] > 0
-        at = np.flatnonzero(busy & (pbar[defaulted % n] > 0.0))
+        busy = np.bincount(new // n, minlength=shocks.size)[j] > 0
+        at = np.flatnonzero(busy & (obligations > 0.0))
         if at.size:
-            payers = defaulted[at]
-            block, bank = np.divmod(payers, n)
+            payers, block, bank = defaulted[at], j[at], i[at]
             # Edge list of the payers' own rows, in CSR order.
             edge, row_len = _row_edges(indptr, bank)
             cols = np.repeat(block * n, row_len) + indices[edge]
@@ -259,8 +255,13 @@ def _settle(
             # here: receipts start at ``ba``, the sweeps apply the shortfalls.
             r = ratio[at]
             base_recv = ba[bank]
-            e_d = own(payers, resources_ext, shocked_ext)
-            pbar_d = pbar[bank]
+            # Nonbank assets a defaulted bank hands to creditors: the shocked
+            # bank keeps only what survives the write-off. Solvent banks pay
+            # in full out of their whole balance sheet.
+            shocked = bank == shocks[block]
+            recovery = np.where(shocked, recovery_on_nonbank, defaulted_nonbank_recovery)
+            e_d = recovery * nba[bank]
+            pbar_d = obligations[at]
             # Payers come sorted by shock; heads start each shock's run.
             heads = np.append(0, np.flatnonzero(block[1:] != block[:-1]) + 1)
             live = np.zeros(shocks.size, dtype=bool)
@@ -283,11 +284,10 @@ def _settle(
                 live &= delta > _INNER_TOL
                 stalled = live & (iterations > _INNER_CAP * (round_no + 1))
                 if stalled.any():
-                    j = int(np.argmax(stalled))
-                    banks = defaulted[defaulted // n == j] % n
+                    k = int(np.argmax(stalled))
                     raise ClearingError(
                         f"inner fixed point stalled: round {round_no}, "
-                        f"defaulted={banks.tolist()}, max_delta={delta[j]:.3e}"
+                        f"defaulted={i[j == k].tolist()}, max_delta={delta[k]:.3e}"
                     )
                 if not live.any():
                     break
@@ -298,7 +298,7 @@ def _settle(
             owed = np.unique(cols)
             shortfall = np.repeat(1.0 - r, row_len) * vals
             loss = np.bincount(owed.searchsorted(cols), shortfall)
-            failing = owed[loss > own(owed, trigger, shocked_trigger)]
+            failing = owed[loss > _trigger(own(owed, e, shocked_e))]
             fresh = failing[~_locate(defaulted, failing)[1]]
         if trace is not None:
             record = {"round": round_no, "new_defaults": (new % n).tolist()}

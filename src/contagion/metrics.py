@@ -5,7 +5,9 @@ network-level aggregates and rankings of per-bank impact measures, two
 local vulnerability indices read off the exposure matrix (counterparty
 susceptibility and local network frailty), ranking-curve statistics across
 replications, and correlations between the local indices and realized
-impacts.
+impacts. The Pearson and Spearman correlations are a few lines of numpy
+rather than ``scipy.stats``, whose import would dominate the package's
+start-up.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .balance import BalanceSheetSet, ExposureMatrix
 from .netgen import DirectedGraph
@@ -247,7 +248,7 @@ def ranking_statistics(
 class IndexImpactCorrelation:
     """Correlations between local indices and realized impacts.
 
-    ``None`` marks an undefined correlation (an input with zero variance),
+    ``None`` marks an undefined correlation (a constant, zero-variance input),
     deliberately distinct from a measured 0.
     """
 
@@ -257,12 +258,36 @@ class IndexImpactCorrelation:
     spearman_f_dc: Optional[float]
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r of two non-constant vectors, clipped to [-1, 1]."""
+    xm, ym = x - x.mean(), y - y.mean()
+    # Scaled to unit peaks, so that no square overflows or underflows.
+    xm, ym = xm / np.abs(xm).max(), ym / np.abs(ym).max()
+    r = (xm * ym).sum() / np.sqrt((xm * xm).sum() * (ym * ym).sum())
+    return float(np.clip(r, -1.0, 1.0))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``x``, each group of ties sharing its mean rank."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    head = np.concatenate(([True], xs[1:] != xs[:-1]))
+    dense = np.empty(x.size, dtype=np.intp)
+    dense[order] = np.cumsum(head)
+    # With dense[i] = k for the k-th smallest distinct value (from 1),
+    # count[k - 1] values lie below x[i] and count[k] at or below it.
+    count = np.append(np.flatnonzero(head), x.size)
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def _safe_corr(x: np.ndarray, y: np.ndarray, method: str) -> Optional[float]:
-    if np.std(x) == 0.0 or np.std(y) == 0.0:
+    """Pearson or Spearman correlation; ``None`` when an input is constant."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.min() == x.max() or y.min() == y.max():
         return None
     if method == "pearson":
-        return float(stats.pearsonr(x, y).statistic)
-    return float(stats.spearmanr(x, y).statistic)
+        return _pearson(x, y)
+    return _pearson(_average_ranks(x), _average_ranks(y))
 
 
 def correlate_indices(

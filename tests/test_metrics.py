@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from contagion.balance import (
     BalanceConfig,
@@ -18,6 +27,7 @@ from contagion.clearing import (
 from contagion.metrics import (
     TopoIndices,
     compute_topo_indices,
+    correlate_indices,
     counterparty_susceptibility,
     gini,
     index_impact_correlation,
@@ -312,3 +322,88 @@ class TestIndexImpactCorrelation:
             index_impact_correlation(indices, values[:2], values)
         with pytest.raises(ValueError, match="di is not finite at bank 1"):
             index_impact_correlation(indices, np.array([0.1, np.inf, 0.3]), values)
+
+
+def scipy_correlations(x, y):
+    """``(pearson, spearman)`` from scipy.stats, NaN for a constant input."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", stats.ConstantInputWarning)
+        return (
+            float(stats.pearsonr(x, y).statistic),
+            float(stats.spearmanr(x, y).statistic),
+        )
+
+
+def assert_matches_scipy(x, y):
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    corr = correlate_indices(x, x, y, y)
+    ours = (corr.pearson_cs_di, corr.spearman_cs_di)
+    assert (corr.pearson_f_dc, corr.spearman_f_dc) == ours
+    if x.min() == x.max() or y.min() == y.max():
+        assert ours == (None, None)
+        assert np.isnan(scipy_correlations(x, y)).all()
+    else:
+        assert ours == pytest.approx(scipy_correlations(x, y), abs=1e-12, rel=0)
+
+
+class TestCorrelationsAgainstScipy:
+    """The numpy Pearson and Spearman, with scipy.stats as the oracle."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_vectors(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.lognormal(size=200)
+        assert_matches_scipy(x, 0.3 * x + rng.normal(size=200))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_heavy_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        assert_matches_scipy(rng.integers(0, 3, 100), rng.integers(0, 4, 100))
+
+    def test_three_banks(self):
+        assert_matches_scipy([0.2, 0.1, 0.7], [1.0, 3.0, 2.0])
+        assert_matches_scipy([0.2, 0.2, 0.7], [1.0, 3.0, 3.0])
+
+    def test_perfect_and_negative_correlation(self):
+        x = np.array([0.5, 0.1, 0.9, 0.3, 0.7])
+        assert_matches_scipy(x, 3.0 * x)
+        assert_matches_scipy(x, 1.0 - 2.0 * x)
+        corr = correlate_indices(x, x, 1.0 - 2.0 * x, x**3)
+        assert corr.pearson_cs_di == corr.spearman_cs_di == -1.0
+        assert corr.spearman_f_dc == 1.0
+
+    def test_constant_ranks_are_undefined(self):
+        # np.std of three 0.1s is not 0, but the ranks are constant.
+        assert_matches_scipy([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
+        assert_matches_scipy([1.0, 2.0, 3.0], [0.7] * 3)
+        assert_matches_scipy(np.zeros(4), np.zeros(4))
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.data())
+    def test_property(self, data):
+        n = data.draw(st.integers(3, 40))
+        values = st.one_of(
+            st.sampled_from([0.0, 0.1, 1.0, 2.5]),
+            st.floats(-1e6, 1e6, allow_nan=False),
+        )
+        x = data.draw(st.lists(values, min_size=n, max_size=n))
+        y = data.draw(st.lists(values, min_size=n, max_size=n))
+        assert_matches_scipy(x, y)
+
+
+def test_import_loads_no_scipy_stats_or_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import contagion, contagion.cli\n"
+        "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=os.environ | {"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
