@@ -2,8 +2,9 @@
 
 Each directed link i -> j carries an obligation of bank i to bank j whose
 weight grows with the degrees of both endpoints, so better-connected banks
-hold larger positions. Row sums of the resulting exposure matrix are a
-bank's interbank liabilities, column sums its interbank assets. The
+hold larger positions. The exposure matrix is kept as plain numpy CSR
+arrays, which the cascade engine walks row by row; its row sums are a
+bank's interbank liabilities, its column sums its interbank assets. The
 remaining balance-sheet entries follow from three identities: total assets
 equal total liabilities plus equity, equity is a (sampled) fraction
 ``lambda_i`` of total assets, and nonbank assets are a fixed multiple ``xi``
@@ -13,12 +14,12 @@ unit; only ratios matter downstream.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .netgen import DirectedGraph
 
@@ -39,38 +40,79 @@ _LAMBDA_RETRY_CAP = 1000
 
 
 class ExposureMatrix:
-    """Sparse matrix of interbank obligations.
+    """Interbank obligations as canonical CSR arrays.
 
     Entry (i, j) is the obligation of bank i to bank j, equivalently the
-    exposure of j to i. Exactly one positive entry exists per directed
-    link.
+    exposure of j to i. Built from one ``(debtor, creditor, weight)`` triple
+    per directed link: weights must be finite and positive, ids in
+    ``[0, n)``, no bank may owe itself and no pair may repeat. The error
+    names the first offending triple in input order. The triples are sorted
+    by the codes ``debtor * n + creditor`` into ``indptr``, ``indices`` and
+    ``data``, so rows are in bank order and creditors ascend within a row.
+    The margins are summed in the same order as ``scipy.sparse`` sums a
+    canonical CSR matrix, so they match it bit for bit: each row with one
+    ``np.add.reduceat`` segment, each column by ``np.bincount`` in CSR
+    order.
     """
 
-    def __init__(self, matrix: sp.csr_matrix):
-        matrix = sp.csr_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("exposure matrix must be square")
-        if matrix.nnz == 0:
+    def __init__(self, n: int, debtors, creditors, weights):
+        n = operator.index(n)
+        if n < 1:
+            raise ValueError("exposure matrix needs at least one bank")
+        debtors = np.asarray(debtors, dtype=np.int64)
+        creditors = np.asarray(creditors, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        shapes = {a.shape for a in (debtors, creditors, weights)}
+        if len(shapes) != 1 or debtors.ndim != 1:
+            raise ValueError(
+                "debtors, creditors and weights must be 1-D arrays of one "
+                f"length, got shapes {debtors.shape}, {creditors.shape} and "
+                f"{weights.shape}"
+            )
+        if weights.size == 0:
             raise ValueError("exposure matrix has no entries")
-        matrix.sum_duplicates()
-        if matrix.data.min() <= 0.0:
-            raise ValueError("exposure weights must be positive")
-        if matrix.diagonal().any():
-            raise ValueError("self-exposures are not allowed")
-        self._csr = matrix
-        # Row/column sums: interbank liabilities and assets per bank.
-        self._bl = np.asarray(matrix.sum(axis=1)).ravel()
-        self._ba = np.asarray(matrix.sum(axis=0)).ravel()
-        self._bl.setflags(write=False)
-        self._ba.setflags(write=False)
+        outside = (debtors < 0) | (debtors >= n) | (creditors < 0) | (creditors >= n)
+        self_owed = debtors == creditors
+        infinite = ~np.isfinite(weights)
+        bad = outside | self_owed | infinite | (weights <= 0.0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j, w = int(debtors[k]), int(creditors[k]), float(weights[k])
+            if outside[k]:
+                raise ValueError(f"exposure ({i}, {j}) outside bank range [0, {n})")
+            if self_owed[k]:
+                raise ValueError(f"self-exposure of bank {i}")
+            kind = "non-finite" if infinite[k] else "non-positive"
+            raise ValueError(f"exposure ({i}, {j}) has {kind} weight {w}")
+        codes = debtors * n + creditors
+        order = np.argsort(codes, kind="stable")
+        repeat = np.flatnonzero(codes[order[1:]] == codes[order[:-1]])
+        if repeat.size:
+            k = int(order[repeat + 1].min())
+            raise ValueError(
+                f"duplicate exposure ({int(debtors[k])}, {int(creditors[k])})"
+            )
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(debtors, minlength=n), out=indptr[1:])
+        indices, data = creditors[order], weights[order]
+        # Row sums: interbank liabilities; column sums: interbank assets.
+        rows = np.flatnonzero(np.diff(indptr))
+        bl = np.zeros(n)
+        bl[rows] = np.add.reduceat(data, indptr[rows])
+        ba = np.bincount(indices, weights=data, minlength=n)
+        for a in (indptr, indices, data, bl, ba):
+            a.setflags(write=False)
+        self._n = n
+        self._indptr, self._indices, self._data = indptr, indices, data
+        self._bl, self._ba = bl, ba
 
     @property
     def n(self) -> int:
-        return self._csr.shape[0]
+        return self._n
 
     @property
     def nnz(self) -> int:
-        return self._csr.nnz
+        return self._data.size
 
     @property
     def bank_assets(self) -> np.ndarray:
@@ -82,26 +124,20 @@ class ExposureMatrix:
         """Per-bank interbank liabilities (row sums)."""
         return self._bl
 
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        return self._csr
-
     def row_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw CSR arrays (indptr, indices, data) for fast row traversal."""
-        return self._csr.indptr, self._csr.indices, self._csr.data
+        """Read-only CSR arrays (indptr, indices, data) for row traversal."""
+        return self._indptr, self._indices, self._data
 
     def weight(self, i: int, j: int) -> float:
-        return float(self._csr[i, j])
+        """Obligation of bank i to bank j; 0.0 when i owes j nothing."""
+        lo, hi = self._indptr[i], self._indptr[i + 1]
+        k = lo + int(np.searchsorted(self._indices[lo:hi], j))
+        return float(self._data[k]) if k < hi and self._indices[k] == j else 0.0
 
     def entries(self) -> Iterator[tuple[int, int, float]]:
-        """Iterate (debtor, creditor, weight) sorted by (debtor, creditor).
-
-        CSR rows are in canonical order after ``sum_duplicates``, so a row
-        walk already yields that order.
-        """
-        indptr, indices, data = self.row_arrays()
-        rows = np.repeat(np.arange(self.n), np.diff(indptr))
-        yield from zip(rows.tolist(), indices.tolist(), data.tolist())
+        """Iterate (debtor, creditor, weight) sorted by (debtor, creditor)."""
+        rows = np.repeat(np.arange(self.n), np.diff(self._indptr))
+        yield from zip(rows.tolist(), self._indices.tolist(), self._data.tolist())
 
 
 def build_exposures(graph: DirectedGraph) -> ExposureMatrix:
@@ -119,10 +155,7 @@ def build_exposures(graph: DirectedGraph) -> ExposureMatrix:
     kin = graph.in_degree.astype(np.float64)
     scale = kout.max() * kin.max()
     weights = kout[src] * kin[dst] / scale
-    matrix = sp.csr_matrix(
-        (weights, (src, dst)), shape=(graph.n, graph.n)
-    )
-    return ExposureMatrix(matrix)
+    return ExposureMatrix(graph.n, src, dst, weights)
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,19 @@ def _creditor_ratios(
     exposures: ExposureMatrix, sheets: BalanceSheetSet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-link (debtor, creditor, weight/creditor equity) arrays."""
-    coo = exposures.matrix.tocoo()
-    denom = sheets.e[coo.col]
+    indptr, col, data = exposures.row_arrays()
+    row = np.repeat(np.arange(exposures.n), np.diff(indptr))
+    denom = sheets.e[col]
     with np.errstate(divide="ignore"):
-        ratio = np.where(denom > 0.0, coo.data / np.where(denom > 0, denom, 1.0), np.inf)
-    return coo.row, coo.col, ratio
+        ratio = np.where(denom > 0.0, data / np.where(denom > 0, denom, 1.0), np.inf)
+    return row, col, ratio
+
+
+def _debtor_max(n: int, row: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Largest of each debtor's link values; 0 for a bank that owes nothing."""
+    out = np.zeros(n)
+    np.maximum.at(out, row, values)
+    return out
 
 
 def counterparty_susceptibility(
@@ -94,9 +102,7 @@ def counterparty_susceptibility(
     the creditor's equity. Banks with no creditors score 0.
     """
     row, _, ratio = _creditor_ratios(exposures, sheets)
-    cs = np.zeros(exposures.n)
-    np.maximum.at(cs, row, ratio)
-    return cs
+    return _debtor_max(exposures.n, row, ratio)
 
 
 def local_network_frailty(
@@ -109,18 +115,17 @@ def local_network_frailty(
     lenders. Banks with no creditors score 0.
     """
     row, col, ratio = _creditor_ratios(exposures, sheets)
-    f = np.zeros(exposures.n)
-    np.maximum.at(f, row, ratio * sheets.bl[col])
-    return f
+    return _debtor_max(exposures.n, row, ratio * sheets.bl[col])
 
 
 def compute_topo_indices(
     exposures: ExposureMatrix, sheets: BalanceSheetSet
 ) -> TopoIndices:
-    """Both local indices of every bank."""
+    """Both local indices of every bank, from one pass over the links."""
+    row, col, ratio = _creditor_ratios(exposures, sheets)
     return TopoIndices(
-        cs=counterparty_susceptibility(exposures, sheets),
-        frailty=local_network_frailty(exposures, sheets),
+        cs=_debtor_max(exposures.n, row, ratio),
+        frailty=_debtor_max(exposures.n, row, ratio * sheets.bl[col]),
     )
 
 

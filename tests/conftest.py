@@ -17,7 +17,6 @@ import multiprocessing
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.special import zeta
 
@@ -247,7 +246,7 @@ def random_small_system(
         if mask.any():
             break
     dense = np.where(mask, 0.05 + rng.random((n, n)), 0.0)
-    exposures = ExposureMatrix(sp.csr_matrix(dense))
+    exposures = exposures_from_dense(dense)
     # Keep (1 - lambda) * xi >= 1 so nonbank liabilities stay feasible for
     # arbitrarily debt-heavy banks.
     config = BalanceConfig(
@@ -260,8 +259,18 @@ def random_small_system(
     return exposures, sheets
 
 
+def exposures_from_dense(dense) -> ExposureMatrix:
+    """The exposure matrix with one entry per nonzero cell of ``dense``."""
+    dense = np.asarray(dense, dtype=np.float64)
+    debtors, creditors = np.nonzero(dense)
+    return ExposureMatrix(dense.shape[0], debtors, creditors, dense[debtors, creditors])
+
+
 def dense_exposures(exposures: ExposureMatrix) -> np.ndarray:
-    return exposures.matrix.toarray()
+    indptr, indices, data = exposures.row_arrays()
+    dense = np.zeros((exposures.n, exposures.n))
+    dense[np.repeat(np.arange(exposures.n), np.diff(indptr)), indices] = data
+    return dense
 
 
 # --------------------------------------------------------- failing runs

@@ -14,6 +14,8 @@ from contagion.balance import (
 )
 from contagion.netgen import DirectedGraph, generate, params_from_delta_in
 
+from conftest import exposures_from_dense
+
 
 def _sheets(graph_seed=0, n=300, lambda_min=0.05, xi=2.0, sheet_seed=1):
     graph = generate(params_from_delta_in(2.0).with_size(n, graph_seed))
@@ -38,7 +40,7 @@ class TestBuildExposures:
         x = build_exposures(g)
         io_max = np.argmax(g.out_degree)
         ii_max = np.argmax(g.in_degree)
-        assert x.matrix.data.max() <= 1.0 + 1e-15
+        assert x.row_arrays()[2].max() <= 1.0 + 1e-15
         if [int(io_max), int(ii_max)] in g.links.tolist():
             assert x.weight(int(io_max), int(ii_max)) == pytest.approx(1.0)
 
@@ -73,17 +75,100 @@ class TestBuildExposures:
         # debtor's out-degree.
         g = generate(params_from_delta_in(2.0).with_size(300, 5))
         x = build_exposures(g)
-        coo = x.matrix.tocoo()
-        for j in np.unique(coo.col)[:50]:
-            rows = coo.row[coo.col == j]
+        indptr, indices, _ = x.row_arrays()
+        debtors = np.repeat(np.arange(x.n), np.diff(indptr))
+        for j in np.unique(indices)[:50]:
+            rows = debtors[indices == j]
             weights = np.array([x.weight(int(i), int(j)) for i in rows])
             order = np.argsort(g.out_degree[rows], kind="stable")
             assert (np.diff(weights[order]) >= -1e-15).all()
 
     def test_self_exposure_rejected(self):
-        m = sp.csr_matrix(np.array([[0.5, 0.2], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="self-exposure"):
-            ExposureMatrix(m)
+            exposures_from_dense(np.array([[0.5, 0.2], [0.0, 0.0]]))
+
+
+def assert_matches_scipy_csr(x, n, debtors, creditors, weights):
+    """CSR arrays and margins equal scipy's for the same triples, bit for bit."""
+    m = sp.csr_matrix((weights, (debtors, creditors)), shape=(n, n))
+    indptr, indices, data = x.row_arrays()
+    assert np.array_equal(indptr, m.indptr)
+    assert np.array_equal(indices, m.indices)
+    assert np.array_equal(data, m.data)
+    assert np.array_equal(x.bank_liabilities, np.asarray(m.sum(axis=1)).ravel())
+    assert np.array_equal(x.bank_assets, np.asarray(m.sum(axis=0)).ravel())
+    assert x.nnz == m.nnz
+
+
+class TestExposureMatrix:
+    def test_matches_scipy_csr_on_random_systems(self):
+        # Triples in random order, weights over 12 decades and rows long
+        # enough that summation order shows in the last bits.
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(2, 80))
+            mask = rng.random((n, n)) < rng.uniform(0.05, 0.9)
+            np.fill_diagonal(mask, False)
+            if not mask.any():
+                continue
+            debtors, creditors = np.nonzero(mask)
+            order = rng.permutation(debtors.size)
+            debtors, creditors = debtors[order], creditors[order]
+            weights = 10.0 ** rng.uniform(-6, 6, debtors.size)
+            x = ExposureMatrix(n, debtors, creditors, weights)
+            assert_matches_scipy_csr(x, n, debtors, creditors, weights)
+
+    def test_matches_scipy_csr_on_generated_exposures(self):
+        for delta_in, n in ((3.0, 2000), (1.0, 500)):
+            g = generate(params_from_delta_in(delta_in).with_size(n, 3))
+            src, dst = g.links.T
+            kout, kin = g.out_degree.astype(float), g.in_degree.astype(float)
+            weights = kout[src] * kin[dst] / (kout.max() * kin.max())
+            assert kout.max() > 8
+            assert_matches_scipy_csr(build_exposures(g), n, src, dst, weights)
+
+    def test_arrays_are_read_only(self):
+        x = exposures_from_dense([[0.0, 0.4], [0.3, 0.0]])
+        for a in (*x.row_arrays(), x.bank_assets, x.bank_liabilities):
+            assert not a.flags.writeable
+
+    def test_weight_of_absent_pair_is_zero(self):
+        x = exposures_from_dense([[0.0, 0.4, 0.0], [0.0, 0.0, 0.0], [0.7, 0.2, 0.0]])
+        assert x.weight(0, 1) == 0.4
+        assert x.weight(2, 0) == 0.7
+        assert x.weight(2, 1) == 0.2
+        for i, j in ((0, 0), (0, 2), (1, 0), (1, 2), (2, 2)):
+            assert x.weight(i, j) == 0.0
+
+    @pytest.mark.parametrize(
+        "n, debtors, creditors, weights, message",
+        [
+            (2, [1, 0], [0, 1], [0.5, np.nan], r"^exposure \(0, 1\) has non-finite weight nan$"),
+            (2, [0, 1], [1, 0], [np.inf, 0.5], r"^exposure \(0, 1\) has non-finite weight inf$"),
+            (2, [0, 1], [1, 0], [0.5, -np.inf], r"^exposure \(1, 0\) has non-finite weight -inf$"),
+            (2, [0, 1], [1, 0], [0.5, 0.0], r"^exposure \(1, 0\) has non-positive weight 0.0$"),
+            (2, [0, 1], [1, 0], [-0.5, 0.5], r"^exposure \(0, 1\) has non-positive weight -0.5$"),
+            (3, [0, 1, 2], [1, 1, 2], [0.5, 0.5, np.nan], r"^self-exposure of bank 1$"),
+            (2, [0, 2], [1, 0], [0.5, 0.5], r"^exposure \(2, 0\) outside bank range \[0, 2\)$"),
+            (2, [0, 1], [-1, 0], [0.5, 0.5], r"^exposure \(0, -1\) outside bank range \[0, 2\)$"),
+            (3, [0, 1, 0, 1], [1, 2, 1, 2], [0.5, 0.2, 0.3, 0.1], r"^duplicate exposure \(0, 1\)$"),
+            (3, [0, 1], [1, 2], [0.5], r"1-D arrays of one length"),
+            (3, [[0, 1]], [[1, 2]], [[0.5, 0.5]], r"1-D arrays of one length"),
+            (3, [], [], [], r"no entries"),
+            (0, [], [], [], r"at least one bank"),
+        ],
+    )
+    def test_malformed_triples_name_the_first_offender(
+        self, n, debtors, creditors, weights, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExposureMatrix(n, debtors, creditors, weights)
+
+    def test_non_finite_dense_cell_rejected(self):
+        # A NaN or inf cell used to reach the margins: bank_assets [0.5, nan].
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"exposure \(0, 1\) has non-finite"):
+                exposures_from_dense([[0.0, bad], [0.5, 0.0]])
 
 
 class TestBuildBalanceSheets:

@@ -4,9 +4,8 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from contagion.balance import BalanceSheetSet, ExposureMatrix, build_balance_sheets, BalanceConfig, build_exposures
+from contagion.balance import BalanceSheetSet, build_balance_sheets, BalanceConfig, build_exposures
 from contagion import clearing
 from contagion.clearing import (
     CascadeResult,
@@ -30,6 +29,7 @@ from contagion.netgen import (
 from conftest import (
     assert_matches_per_bank_loop,
     dense_exposures,
+    exposures_from_dense,
     per_bank_loop,
     picard_clearing,
     random_small_system,
@@ -49,7 +49,7 @@ def _model_sheets(exposures, lam=0.05, xi=2.0):
 
 def _two_bank_system():
     """One obligation 0 -> 1 of weight 1; lambda exactly 0.05, xi = 2."""
-    exposures = ExposureMatrix(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    exposures = exposures_from_dense([[0.0, 1.0], [0.0, 0.0]])
     return exposures, _model_sheets(exposures)
 
 
@@ -115,9 +115,7 @@ class TestTrivialScenarios:
 
     def test_loss_equal_to_equity_leaves_bank_solvent(self):
         # Bank 1's equity exactly equals its loss when bank 0 pays nothing.
-        exposures = ExposureMatrix(
-            sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        )
+        exposures = exposures_from_dense([[0.0, 1.0], [0.0, 0.0]])
         sheets = BalanceSheetSet(
             ba=np.array([0.0, 1.0]),
             bl=np.array([1.0, 0.0]),
@@ -352,9 +350,7 @@ class TestClearAll:
         # Bank 0 is owed 1 by each of banks 1 and 2 and has negative nonbank
         # liabilities, so the system's volume (2.5) is smaller than what a
         # default of bank 1 or 2 costs (write-off 1 plus 2 unpaid).
-        exposures = ExposureMatrix(
-            sp.csr_matrix(np.array([[0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]]))
-        )
+        exposures = exposures_from_dense([[0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
         sheets = BalanceSheetSet(
             ba=np.array([2.0, 0.0, 0.0]),
             bl=np.array([0.0, 1.0, 1.0]),

@@ -4,6 +4,7 @@ from scipy.special import zeta
 
 from contagion.powerlaw import (
     DegenerateSequenceError,
+    _hurwitz_zeta,
     fit_discrete,
     tail_log_likelihood,
 )
@@ -90,3 +91,23 @@ class TestTailLogLikelihood:
         value = tail_log_likelihood(samples, 2.5, 2)
         expected = -6 * np.log(zeta(2.5, 2)) - 2.5 * np.log(samples).sum()
         assert value == pytest.approx(expected, abs=1e-12)
+
+
+class TestHurwitzZeta:
+    """The numpy Hurwitz zeta, with ``scipy.special.zeta`` as the oracle."""
+
+    @pytest.mark.parametrize("s", [1.01, 1.5, 2.0, 2.5, 3.7, 6.0])
+    def test_scalar_q(self, s):
+        for q in (1, 2, 3, 9, 10, 57, 1000, 99_999, 100_000):
+            value = _hurwitz_zeta(s, q)
+            assert np.shape(value) == ()
+            assert float(value) == pytest.approx(zeta(s, q), rel=1e-14, abs=0)
+
+    def test_array_q(self):
+        rng = np.random.default_rng(3)
+        q = np.concatenate((np.arange(1, 3001), rng.integers(1, 100_001, 2000)))
+        for s in np.concatenate(([1.01], rng.uniform(1.01, 6.0, 50), [6.0])):
+            got = _hurwitz_zeta(s, q)
+            assert got.shape == q.shape
+            np.testing.assert_allclose(got, zeta(s, q), rtol=1e-14, atol=0)
+            assert np.array_equal(_hurwitz_zeta(s, q.reshape(-1, 100)), got.reshape(-1, 100))

@@ -10,18 +10,18 @@ settings. Examples are derandomized, so the suite is deterministic.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     assert_matches_per_bank_loop,
     dense_exposures,
+    exposures_from_dense,
     lp_clearing,
     per_bank_loop,
     picard_clearing,
 )
-from contagion.balance import BalanceConfig, ExposureMatrix, build_balance_sheets
+from contagion.balance import BalanceConfig, build_balance_sheets
 from contagion.clearing import ShockScenario, clear, clear_all
 
 PROPERTY_SETTINGS = settings(
@@ -41,7 +41,7 @@ def systems(draw):
     dense = dense.reshape(n, n)
     np.fill_diagonal(dense, 0.0)
     assume(dense.any())
-    exposures = ExposureMatrix(sp.csr_matrix(dense))
+    exposures = exposures_from_dense(dense)
     # (1 - lambda) * xi >= 1 keeps nonbank liabilities feasible.
     config = BalanceConfig(
         lambda_min=draw(st.floats(0.01, 0.2)),
