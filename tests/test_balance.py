@@ -132,13 +132,16 @@ class TestExposureMatrix:
         for a in (*x.row_arrays(), x.bank_assets, x.bank_liabilities):
             assert not a.flags.writeable
 
-    def test_weight_of_absent_pair_is_zero(self):
+    def test_weight_of_present_absent_and_out_of_range_pairs(self):
         x = exposures_from_dense([[0.0, 0.4, 0.0], [0.0, 0.0, 0.0], [0.7, 0.2, 0.0]])
         assert x.weight(0, 1) == 0.4
         assert x.weight(2, 0) == 0.7
         assert x.weight(2, 1) == 0.2
         for i, j in ((0, 0), (0, 2), (1, 0), (1, 2), (2, 2)):
             assert x.weight(i, j) == 0.0
+        for i, j in ((-1, 0), (0, -1), (3, 0), (0, 3)):
+            with pytest.raises(IndexError, match="outside bank range"):
+                x.weight(i, j)
 
     @pytest.mark.parametrize(
         "n, debtors, creditors, weights, message",
