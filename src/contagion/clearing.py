@@ -31,6 +31,7 @@ do, in batches of consecutive banks, and returns per-bank DI/TI/DC arrays.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import IO, Optional
@@ -180,6 +181,12 @@ def _locate(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, ids[np.minimum(pos, ids.size - 1)] == x
 
 
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique`` of non-negative ids, by sorting (np.unique imports numpy.ma)."""
+    ids = np.sort(ids)
+    return ids[np.diff(ids, prepend=-1) != 0]
+
+
 def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR positions of the entries of ``rows``, row by row, and row lengths."""
     starts = indptr[rows]
@@ -225,11 +232,16 @@ def _settle(
     blocks = np.arange(shocks.size) * n
     negative = np.flatnonzero(e < 0.0)
     insolvent = negative[_trigger(e[negative]) < 0.0]
-    nodes = np.union1d(np.add.outer(blocks, insolvent), blocks + shocks)
+    nodes = _sorted_unique(np.append(np.add.outer(blocks, insolvent), blocks + shocks))
     new = nodes[_trigger(own(nodes, e, shocked_e)) < 0.0]
     defaulted, ratio = new, np.ones(new.size)
     iterations = np.zeros(shocks.size, dtype=np.int64)
-    for round_no in range(n + 1):
+    # The loop ends within n + 1 rounds. A shock re-solves only in rounds
+    # after it gained defaults (only busy shocks' payers spread losses), and
+    # its new defaults are banks it had not lost yet; so it takes part in a
+    # run of rounds that each fail at least one more of its n banks, and the
+    # round after its last bank fails finds nothing new.
+    for round_no in itertools.count():
         max_delta = 0.0
         fresh = new[:0]
         j, i = np.divmod(defaulted, n)
@@ -295,7 +307,7 @@ def _settle(
 
             # The payers' edges carry every loss of their shocks: sum them
             # at the new ratios. Only the nodes owed can fail next.
-            owed = np.unique(cols)
+            owed = _sorted_unique(cols)
             shortfall = np.repeat(1.0 - r, row_len) * vals
             loss = np.bincount(owed.searchsorted(cols), shortfall)
             failing = owed[loss > _trigger(own(owed, e, shocked_e))]
@@ -310,11 +322,6 @@ def _settle(
         order = defaulted.argsort(kind="stable")
         defaulted = defaulted[order]
         ratio = np.concatenate((ratio, np.ones(new.size)))[order]
-    else:
-        raise ClearingError(
-            "default set failed to stabilize within n rounds "
-            "(monotone growth violated)"
-        )
     return defaulted, ratio, iterations
 
 

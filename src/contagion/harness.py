@@ -23,7 +23,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -343,6 +342,10 @@ def run_experiment(
     tasks = [(spec, rep) for rep in range(spec.replications)]
     pooled = n_workers > 1 and spec.replications > 1
     records = []
+    if pooled:
+        # concurrent.futures loads multiprocessing, which a serial run never
+        # needs, so only a pooled run imports it.
+        from concurrent.futures import ProcessPoolExecutor
     # Both maps yield the records in task order.
     with ProcessPoolExecutor(n_workers) if pooled else nullcontext() as pool:
         for record in (pool.map if pooled else map)(_run_replication_args, tasks):

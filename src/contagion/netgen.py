@@ -12,16 +12,20 @@ are ever recorded. A finished :class:`DirectedGraph` holds its links as one
 sorted, read-only ``(m, 2)`` integer array, which its consumers read as is.
 
 Each preferential draw costs O(log n): the in- and out-weights
-``degree + delta`` live in two Fenwick trees, and a draw descends one of
-them for the number of prefix sums <= ``u * (m + n * delta)``, the weight
-sum of the ``n`` existing nodes and ``m`` links. Uniforms come from the
-generator in blocks, in the order scalar ``rng.random()`` calls would give
-them. With integer or dyadic offsets every weight and partial sum is an
-exact float, so the draws, and the graphs, are those of a per-draw
-``cumsum`` + ``searchsorted(side="right")`` at the same seed; with other
-offsets the law is the same and a draw can differ only where rounding moves
-a boundary. ``augment_random_links`` likewise draws its node ids in blocks
-that equal scalar ``rng.integers(n)`` calls.
+``degree + delta`` live in two frontier Fenwick trees, and a draw descends
+one of them for the number of prefix sums <= ``u * (m + n * delta)``, the
+weight sum of the ``n`` existing nodes and ``m`` links. Only grown nodes
+have slots; every slot past the frontier holds ``+inf``, so a descent
+never passes it, and a new node's slot is opened from the slots it covers
+(about one addition on average). The descent subtracts each slot it takes
+from the scaled uniform. Uniforms come from the generator in blocks, in the
+order scalar ``rng.random()`` calls would give them. With integer or dyadic
+offsets every weight, slot sum and subtraction is exact, so the draws, and
+the graphs, are those of a per-draw ``cumsum`` +
+``searchsorted(side="right")`` at the same seed; with other offsets the law
+is the same and a draw can differ only where rounding moves a boundary.
+``augment_random_links`` likewise draws its node ids in blocks that equal
+scalar ``rng.integers(n)`` calls, and tests a whole block's pairs at once.
 
 Also provides the closed-form limit exponents of the in/out degree
 distributions, the one-parameter family of attachment parameters used to
@@ -32,6 +36,7 @@ variants of a given graph.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +60,8 @@ __all__ = [
 
 # Bounded retries when a link-only step picks source == target.
 _SELF_LINK_RETRIES = 16
+# Most node pairs one augmentation block draws.
+_AUGMENT_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -202,63 +209,14 @@ class DirectedGraph:
         return 2.0 * len(self.links) / self.n
 
 
-class _WeightTree:
-    """Fenwick tree over node weights ``degree + delta`` for one side.
-
-    Slot ``i`` (1-based) holds the weight sum of nodes
-    ``[i - lowbit(i), i)``. Every node's ``delta`` is in place from the
-    start; nodes beyond the current count are never read, because
-    :meth:`pick` only visits slots ``<= n``, and each such slot covers
-    existing nodes only. The tree keeps no total: with ``m`` links the
-    first ``n`` weights sum to ``m + n * delta``. The slots are a plain list
-    because scalar indexing of a Python list is faster than of a numpy array.
-    """
-
-    def __init__(self, size: int, delta: float) -> None:
-        self.size = size
-        # Descent steps, from the highest power of two <= size down to 1.
-        self.steps = [1 << k for k in range(size.bit_length() - 1, -1, -1)]
-        self.slots = [0.0] + [delta * (i & -i) for i in range(1, size + 1)]
-
-    def add(self, node: int, weight: float) -> None:
-        """Add ``weight`` to the weight of ``node``."""
-        slots, size = self.slots, self.size
-        i = node + 1
-        while i <= size:
-            slots[i] += weight
-            i += i & -i
-
-    def pick(self, x: float, n: int) -> int:
-        """Number of the first ``n`` nodes' prefix sums that are ``<= x``.
-
-        This is ``searchsorted(cumsum(weights[:n]), x, side="right")``;
-        when every weight and partial sum is an exact float (integer or
-        dyadic weights) it returns the same index. The result is clamped to
-        ``n - 1`` for when rounding puts ``x`` at or above the tree's sum of
-        the first ``n`` weights; that needs ``delta > 0``, so node ``n - 1``
-        is never a zero-weight pick.
-        """
-        slots = self.slots
-        acc = 0.0
-        pos = 0
-        for step in self.steps:
-            nxt = pos + step
-            if nxt <= n:
-                s = acc + slots[nxt]
-                if s <= x:
-                    pos = nxt
-                    acc = s
-        return pos if pos < n else n - 1
-
-
 def _uniforms(rng: np.random.Generator, block: int = 4096) -> Iterator[float]:
     """The stream of ``rng.random()`` values, drawn ``block`` at a time.
 
     ``rng.random(k).tolist()`` yields the same doubles as ``k`` scalar
     ``rng.random()`` calls, so consumers see the scalar stream.
     """
-    while True:
-        yield from rng.random(block).tolist()
+    # iter(f, None) calls f forever, since no block equals None.
+    return itertools.chain.from_iterable(iter(lambda: rng.random(block).tolist(), None))
 
 
 def generate(params: GenParams) -> DirectedGraph:
@@ -280,9 +238,15 @@ def generate(params: GenParams) -> DirectedGraph:
     current simple graph.
 
     Each preferential draw costs O(log n): the in- and out-weights live in
-    two Fenwick trees, a uniform is scaled by the weight sum
-    ``m + n * delta`` of the ``n`` existing nodes and ``m`` links, and the
-    draw descends one tree.
+    two frontier Fenwick trees (see the module docstring), a uniform is
+    scaled by the weight sum ``m + n * delta`` of the ``n`` existing nodes
+    and ``m`` links, and the draw descends one tree. With integer or dyadic
+    offsets it picks what ``searchsorted(cumsum(weights), x,
+    side="right")`` picks. Where rounding puts the scaled uniform at or past
+    the tree's sum of the ``n`` weights (other offsets only), the descent
+    ends past the last node and the pick is clamped to node ``n - 1``,
+    whose weight is at least ``delta > 0``. The descent is written out in
+    the loop, since a call per draw costs more than the descent.
 
     Args:
         params: validated generation parameters.
@@ -299,38 +263,83 @@ def generate(params: GenParams) -> DirectedGraph:
     cap = params.n_target
     new_source, new_target = params.alpha, params.alpha + params.beta
     d_in, d_out = params.delta_in, params.delta_out
-    w_in, w_out = _WeightTree(cap, d_in), _WeightTree(cap, d_out)
+    # Slot i of a tree holds the weight sum of nodes [i - lowbit(i), i) once
+    # node i - 1 has grown, and +inf before: a descent never passes the
+    # frontier, so it needs no bound test. A descent steps from the highest
+    # power of two <= n down to 1, so it reaches every node and no slot past
+    # the padding to a power of two >= cap.
+    size = 1 << (cap - 1).bit_length()
+    steps = [2, 1]
+    t_in, t_out = [0.0] + [math.inf] * size, [0.0] + [math.inf] * size
+    t_in[1], t_out[1] = 1.0 + d_in, 1.0 + d_out
+    t_in[2], t_out[2] = 1.0 + d_in + t_in[1], 1.0 + d_out + t_out[1]
     # Link s -> t is stored as the code s * cap + t.
     links = {1, cap}
-    for node in (0, 1):
-        w_in.add(node, 1.0)
-        w_out.add(node, 1.0)
     n = m = 2
 
     while n < cap:
         # Below alpha node n is the source, from alpha + beta on the target.
+        # A descent takes slot pos + step while its sum fits in what is left
+        # of x; it ends on the number of prefix sums <= x, clamped to n - 1.
         u = draw()
         if u < new_source:
             source = n
         else:
-            source = w_out.pick(draw() * (m + n * d_out), n)
+            x = draw() * (m + n * d_out)
+            pos = 0
+            for step in steps:
+                v = t_out[pos + step]
+                if v <= x:
+                    pos += step
+                    x -= v
+            source = pos if pos < n else n - 1
         if u >= new_target:
             target = n
         else:
-            target = w_in.pick(draw() * (m + n * d_in), n)
             retries = 0
-            while target == source and retries < _SELF_LINK_RETRIES:
-                target = w_in.pick(draw() * (m + n * d_in), n)
+            while True:
+                x = draw() * (m + n * d_in)
+                pos = 0
+                for step in steps:
+                    v = t_in[pos + step]
+                    if v <= x:
+                        pos += step
+                        x -= v
+                target = pos if pos < n else n - 1
+                if target != source or retries == _SELF_LINK_RETRIES:
+                    break
                 retries += 1
         code = source * cap + target
         if target == source or code in links:
             continue
         links.add(code)
-        w_out.add(source, 1.0)
-        w_in.add(target, 1.0)
         m += 1
+        # An existing endpoint gains one in every grown slot that covers it.
+        if source < n:
+            i = source + 1
+            while i <= n:
+                t_out[i] += 1.0
+                i += i & -i
+        if target < n:
+            i = target + 1
+            while i <= n:
+                t_in[i] += 1.0
+                i += i & -i
         if source == n or target == n:
+            # Open node n's slots: its own weight plus the slots they cover.
+            if source == n:
+                v_in, v_out = d_in, 1.0 + d_out
+            else:
+                v_in, v_out = 1.0 + d_in, d_out
             n += 1
+            low, j = n & -n, 1
+            while j < low:
+                v_in += t_in[n - j]
+                v_out += t_out[n - j]
+                j <<= 1
+            t_in[n], t_out[n] = v_in, v_out
+            if not n & (n - 1):
+                steps = [n] + steps
 
     codes = np.fromiter(links, dtype=np.int64, count=len(links))
     return DirectedGraph._from_codes(cap, np.sort(codes))
@@ -414,30 +423,44 @@ def augment_random_links(
         return graph
 
     rng = np.random.default_rng(seed)
-    # Link s -> t is stored as the code s * n + t.
-    link_set = set((graph.links[:, 0] * n + graph.links[:, 1]).tolist())
-    missing = needed_links - len(link_set)
-    misses = 0
-    ids: list[int] = []
-    used = 0
+    # Link s -> t is stored as the code s * n + t; graph links are sorted,
+    # so their codes are too. The pair that scalar rng.integers(n) draws
+    # would give next counts if it is no self-link and its code is neither
+    # a link yet nor drawn before in this block (only a first occurrence
+    # can count); 200 misses in a row end the sparse phase.
+    codes = graph.links[:, 0] * n + graph.links[:, 1]
+    missing = needed_links - codes.size
+    misses = used = 0
     while missing > 0 and misses < 200:
-        if used == len(ids):
-            # Block draws give the same ids as scalar rng.integers(n) calls;
-            # the state before the block lets the dense fallback rewind.
-            block_state = rng.bit_generator.state
-            ids = rng.integers(n, size=4096).tolist()
-            used = 0
-        s, t = ids[used], ids[used + 1]
-        used += 2
-        code = s * n + t
-        if s == t or code in link_set:
-            misses += 1
-            continue
-        link_set.add(code)
-        missing -= 1
-        misses = 0
-    codes = np.fromiter(link_set, dtype=np.int64, count=len(link_set))
-    del link_set  # frees memory before the graph is rebuilt
+        # Block draws give the same ids as scalar rng.integers(n) calls, for
+        # any block size; the state before the block lets the dense
+        # fallback rewind.
+        block_state = rng.bit_generator.state
+        pairs = min(missing + missing // 4 + 256, _AUGMENT_BLOCK)
+        s, t = rng.integers(n, size=2 * pairs).reshape(pairs, 2).T
+        drawn = s * n + t
+        order = drawn.argsort(kind="stable")
+        first = np.ones(pairs, dtype=bool)
+        first[order[1:]] = drawn[order[1:]] != drawn[order[:-1]]
+        # A sentinel past every code keeps each position in range.
+        known = np.append(codes, n * n)
+        hit = first & (s != t) & (known[known.searchsorted(drawn)] != drawn)
+        hits = np.flatnonzero(hit)
+        # The sparse phase stops at the hit that fills the target or at the
+        # 200th miss in a row, whichever comes first.
+        stop = pairs
+        if hits.size >= missing:
+            stop = int(hits[missing - 1]) + 1
+        gaps = np.diff(hits, prepend=-1 - misses, append=pairs)
+        long = np.flatnonzero(gaps > 200)
+        if long.size:
+            run_end = (int(hits[long[0] - 1]) if long[0] else -1 - misses) + 201
+            stop = min(stop, run_end)
+        hits = hits[hits < stop]
+        misses = stop - 1 - int(hits[-1]) if hits.size else misses + stop
+        missing -= hits.size
+        used = 2 * stop
+        codes = np.sort(np.concatenate((codes, drawn[hits])))
     if missing > 0:
         # Dense regime: sample absent pairs without replacement, in
         # row-major order, from the generator state that scalar draws in
@@ -449,8 +472,8 @@ def augment_random_links(
         absent[:: n + 1] = False
         candidates = np.flatnonzero(absent)
         picks = rng.choice(len(candidates), size=missing, replace=False)
-        codes = np.concatenate((codes, candidates[picks]))
-    return DirectedGraph._from_codes(n, np.sort(codes))
+        codes = np.sort(np.concatenate((codes, candidates[picks])))
+    return DirectedGraph._from_codes(n, codes)
 
 
 def write_edge_list(graph: DirectedGraph, path: str | Path, seed: int) -> None:

@@ -5,12 +5,15 @@ positive integers (typically a degree sequence). For every candidate tail
 cutoff x_min the exponent is estimated by maximizing the discrete
 log-likelihood (Hurwitz-zeta normalization), and the cutoff minimizing the
 Kolmogorov-Smirnov distance between the empirical and fitted tail CDFs is
-selected. The Hurwitz zeta is a short numpy Euler-Maclaurin sum, the scheme
-of the Cephes ``zeta``, so the package needs no special-function library.
+selected. The golden-section searches of all cutoffs advance in lock-step,
+with one zeta call per step. The Hurwitz zeta is a short numpy
+Euler-Maclaurin sum, the scheme of the Cephes ``zeta``, so the package
+needs no special-function library.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,6 +39,7 @@ _MIN_SAMPLES = 10
 _ZETA_OFFSETS = np.concatenate((np.arange(9.0), np.full(14, 9.0)))
 _ZETA_SHIFTS = np.concatenate((np.zeros(10), [1.0], -(2.0 * np.arange(12) + 1.0)))
 _ZETA_RISING = np.arange(23.0)
+_ZETA_HEAD = np.append(np.ones(9), 0.5)
 # (2j)! / B_2j for j = 1..12, B the Bernoulli numbers.
 _BERNOULLI_DIVISORS = np.array([
     12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
@@ -73,55 +77,66 @@ class PowerLawFit:
             raise ValueError("KS distance must lie in [0, 1]")
 
 
-def _hurwitz_zeta(s: float, q):
-    """Hurwitz zeta ``sum_k (q + k)**-s`` for ``s > 1``, vectorised over ``q >= 1``.
+def _hurwitz_zeta(s, q):
+    """Hurwitz zeta ``sum_k (q + k)**-s`` for ``s > 1`` and ``q >= 1``, elementwise.
 
     The Euler-Maclaurin sum of Cephes: ``(q + k)**-s`` for k = 0..8, plus,
     at ``N = q + 9``, ``N**-s / 2``, ``N**(1-s) / (s-1)`` and the
     corrections ``B_2j / (2j)! * s (s+1) ... (s+2j-2) * N**(1-s-2j)`` for
     j = 1..12. With ``N >= 10`` each correction is at most a fifth of the
-    one before for s up to 6, so the sum is good to a few ulp.
+    one before for s up to 6, so the sum is good to a few ulp. ``s`` and
+    ``q`` broadcast against each other.
     """
-    q = np.asarray(q, dtype=np.float64)
-    weights = np.concatenate((
-        np.ones(9),
-        [0.5, 1.0 / (s - 1.0)],
-        np.cumprod(s + _ZETA_RISING)[::2] / _BERNOULLI_DIVISORS,
-    ))
-    powers = (q[..., None] + _ZETA_OFFSETS) ** (_ZETA_SHIFTS - s)
+    s = np.asarray(s, dtype=np.float64)[..., None]
+    q = np.asarray(q, dtype=np.float64)[..., None]
+    corrections = np.cumprod(s + _ZETA_RISING, axis=-1)[..., ::2] / _BERNOULLI_DIVISORS
+    weights = np.concatenate(
+        (np.broadcast_to(_ZETA_HEAD, s.shape[:-1] + (10,)), 1.0 / (s - 1.0), corrections),
+        axis=-1,
+    )
+    powers = (q + _ZETA_OFFSETS) ** (_ZETA_SHIFTS - s)
     return (powers * weights).sum(axis=-1)
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    """Locate the maximizer of a unimodal function on [lo, hi]."""
+def _mle_exponents(n_tail: np.ndarray, x_min: np.ndarray, log_sum: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood exponents of several tails, one per cutoff.
+
+    Golden-section maximization of ``-n * log(zeta(a, x_min)) - a * log_sum``
+    on [1.01, 6.0], every cutoff's search advanced in lock-step: each step
+    evaluates the new point of every live search with one zeta call, and a
+    search stops once its own interval is no wider than the tolerance. Each
+    search makes the comparisons and takes the points of a search run alone.
+    """
+    def log_likelihood(a, live):
+        zeta = _hurwitz_zeta(a, x_min[live])
+        return -n_tail[live] * np.log(zeta) - a * log_sum[live]
+
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a = np.full(n_tail.size, _EXPONENT_LO)
+    b = np.full(n_tail.size, _EXPONENT_HI)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    every = np.ones(n_tail.size, dtype=bool)
+    fc, fd = log_likelihood(c, every), log_likelihood(d, every)
+    live = b - a > _GOLDEN_TOL
+    while live.any():
+        # Left: keep [a, d] and probe a new c; right: keep [c, b], new d.
+        left = live & (fc >= fd)
+        right = live & ~left
+        b = np.where(left, d, b)
+        d = np.where(left, c, d)
+        fd = np.where(left, fc, fd)
+        a = np.where(right, c, a)
+        c = np.where(right, d, c)
+        fc = np.where(right, fd, fc)
+        c = np.where(left, b - invphi * (b - a), c)
+        d = np.where(right, a + invphi * (b - a), d)
+        probe = np.where(left, c, d)[live]
+        value = log_likelihood(probe, live)
+        fc[left] = value[left[live]]
+        fd[right] = value[right[live]]
+        live = b - a > _GOLDEN_TOL
     return 0.5 * (a + b)
-
-
-def _mle_exponent(tail: np.ndarray, x_min: int) -> float:
-    """Maximum-likelihood exponent for a fixed cutoff."""
-    n = tail.size
-    log_sum = float(np.log(tail).sum())
-
-    def log_likelihood(a: float) -> float:
-        return -n * np.log(_hurwitz_zeta(a, x_min)) - a * log_sum
-
-    return _golden_section_max(
-        log_likelihood, _EXPONENT_LO, _EXPONENT_HI, _GOLDEN_TOL
-    )
 
 
 def _ks_distance(tail: np.ndarray, x_min: int, exponent: float) -> float:
@@ -159,10 +174,11 @@ def fit_discrete(
 
     Candidate cutoffs are the distinct sample values up to the 90th
     percentile (guaranteeing at least two tail observations). For each
-    candidate the exponent is fitted by golden-section maximization of the
-    discrete log-likelihood over (1.01, 6.0]; the cutoff with the smallest
-    Kolmogorov-Smirnov distance wins. Passing ``x_min`` skips the cutoff
-    search and fits that tail directly.
+    candidate whose tail holds two distinct values the exponent is fitted
+    by golden-section maximization of the discrete log-likelihood over
+    (1.01, 6.0], all candidates' searches in lock-step; the cutoff with the
+    smallest Kolmogorov-Smirnov distance wins, the first on a tie. Passing
+    ``x_min`` skips the cutoff search and fits that tail directly.
 
     Args:
         samples: positive integers, at least 10 of them, not all equal.
@@ -183,7 +199,9 @@ def fit_discrete(
         )
     if x.min() < 1:
         raise ValueError("samples must be positive integers")
-    values = np.unique(x)
+    # Sort-based distinct values: np.unique's hash path imports numpy.ma.
+    xs = np.sort(x)
+    values = xs[np.append(True, xs[1:] != xs[:-1])]
     if values.size < 2:
         raise DegenerateSequenceError(
             "degenerate sequence: all samples equal"
@@ -192,27 +210,43 @@ def fit_discrete(
     if x_min is not None:
         candidates = np.asarray([x_min], dtype=np.int64)
     else:
-        cap = np.quantile(x, 0.9)
-        candidates = values[values <= cap]
-        if candidates.size == 0:
-            candidates = values[:1]
-
-    best: Optional[PowerLawFit] = None
-    for cutoff in candidates:
-        tail = x[x >= cutoff]
-        if tail.size < 2 or np.unique(tail).size < 2:
-            continue
-        exponent = _mle_exponent(tail, int(cutoff))
-        ks = _ks_distance(tail, int(cutoff), exponent)
-        if best is None or ks < best.ks_distance:
-            best = PowerLawFit(
-                exponent=exponent,
-                x_min=int(cutoff),
-                ks_distance=ks,
-                n_tail=int(tail.size),
-            )
-    if best is None:
+        candidates = values[values <= _upper_decile(xs)]
+    # A tail is fittable when it holds two distinct values, that is, when
+    # its cutoff lies below the largest sample.
+    first = np.minimum(xs.searchsorted(candidates), xs.size - 1)
+    candidates = candidates[xs[first] < xs[-1]]
+    if candidates.size == 0:
         raise DegenerateSequenceError(
             "degenerate sequence: no cutoff leaves a fittable tail"
         )
+    tails = [x[x >= cutoff] for cutoff in candidates.tolist()]
+    exponents = _mle_exponents(
+        np.array([tail.size for tail in tails]),
+        candidates,
+        np.array([float(np.log(tail).sum()) for tail in tails]),
+    )
+
+    best: Optional[PowerLawFit] = None
+    for cutoff, tail, exponent in zip(candidates.tolist(), tails, exponents.tolist()):
+        ks = _ks_distance(tail, cutoff, exponent)
+        if best is None or ks < best.ks_distance:
+            best = PowerLawFit(
+                exponent=exponent, x_min=cutoff, ks_distance=ks, n_tail=tail.size
+            )
     return best
+
+
+def _upper_decile(xs: np.ndarray) -> float:
+    """``np.quantile(xs, 0.9)`` of sorted samples, the same float.
+
+    The default linear method, written out: the virtual index
+    ``(size - 1) * 0.9`` and numpy's two-sided interpolation between its
+    neighbours. ``np.quantile`` itself imports numpy.ma.
+    """
+    index = (xs.size - 1) * 0.9
+    lo = math.floor(index)
+    t = index - lo
+    a, b = xs[lo], xs[lo + 1]
+    if t >= 0.5:
+        return float(b - (b - a) * (1 - t))
+    return float(a + (b - a) * t)

@@ -5,8 +5,9 @@ the clearing oracles are a plain Picard iteration on the dense payment map
 and the Eisenberg-Noe linear program solved by HiGHS,
 the all-banks reference clears and scores each shock on its own,
 the Gini oracle is the O(n^2) pairwise definition, the power-law
-sampler inverts the exact CDF, and the network-growth oracles are a
-per-draw ``cumsum`` sampler and a scalar-draw augmentation loop. Ensemble
+sampler inverts the exact CDF, the network-growth oracles are a per-draw
+``cumsum`` sampler and a scalar-draw augmentation loop, and the tail-fit
+oracle searches one cutoff at a time. Ensemble
 runs are cached per configuration so the acceptance criteria share data.
 """
 
@@ -35,6 +36,7 @@ from contagion.clearing import (
 from contagion import harness
 from contagion.harness import ExperimentSpec, run_experiment
 from contagion.netgen import DirectedGraph, GenParams
+from contagion.powerlaw import DegenerateSequenceError, PowerLawFit, _hurwitz_zeta
 
 # Master seed for every ensemble-level statistical check.
 ACCEPT_SEED = 99
@@ -192,6 +194,63 @@ def scalar_augment_links(
         for idx in rng.choice(len(absent), size=fallback, replace=False):
             link_set.add(absent[int(idx)])
     return sorted(map(list, link_set)), fallback
+
+
+def sequential_fit_discrete(samples, x_min=None) -> PowerLawFit:
+    """``powerlaw.fit_discrete`` with one golden-section search per cutoff.
+
+    Candidates come from ``np.unique`` and ``np.quantile``, and each
+    candidate's exponent is searched on its own with scalar
+    ``_hurwitz_zeta`` calls, one after another.
+    """
+    x = np.asarray(samples, dtype=np.int64)
+    if x.size < 10:
+        raise ValueError(f"need at least 10 samples, got {x.size}")
+    if x.min() < 1:
+        raise ValueError("samples must be positive integers")
+    values = np.unique(x)
+    if values.size < 2:
+        raise DegenerateSequenceError("degenerate sequence: all samples equal")
+    if x_min is not None:
+        candidates = np.asarray([x_min], dtype=np.int64)
+    else:
+        candidates = values[values <= np.quantile(x, 0.9)]
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    best = None
+    for cutoff in candidates:
+        tail = x[x >= cutoff]
+        if tail.size < 2 or np.unique(tail).size < 2:
+            continue
+        log_sum = float(np.log(tail).sum())
+
+        def f(a):
+            return -tail.size * np.log(_hurwitz_zeta(a, int(cutoff))) - a * log_sum
+
+        a, b = 1.01, 6.0
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc, fd = f(c), f(d)
+        while b - a > 1e-6:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = f(d)
+        exponent = float(0.5 * (a + b))
+
+        ks = np.arange(cutoff, tail.max() + 1, dtype=np.int64)
+        fitted = 1.0 - _hurwitz_zeta(exponent, ks + 1) / _hurwitz_zeta(exponent, cutoff)
+        empirical = np.cumsum(np.bincount(tail - cutoff, minlength=ks.size)) / tail.size
+        distance = float(np.abs(empirical - fitted).max())
+        if best is None or distance < best.ks_distance:
+            best = PowerLawFit(exponent, int(cutoff), distance, int(tail.size))
+    if best is None:
+        raise DegenerateSequenceError("degenerate sequence: no cutoff leaves a fittable tail")
+    return best
 
 
 def pairwise_gini(values) -> float:

@@ -1,5 +1,8 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -289,3 +292,29 @@ class TestWorkerResolution:
     def test_default_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv("CONTAGION_WORKERS", raising=False)
         assert resolve_workers() >= 1
+
+
+def test_serial_run_loads_no_pool_or_masked_arrays():
+    # A serial run needs neither the process pool (concurrent.futures
+    # brings in multiprocessing) nor numpy.ma, which np.unique and
+    # np.quantile import.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from contagion import ExperimentSpec, run_experiment\n"
+        "for variant in (0, 3):\n"
+        "    spec = ExperimentSpec('GD', variant, n_nodes=200, replications=2,\n"
+        "                          lambda_min=0.01, xi=1.1, master_seed=1)\n"
+        "    run_experiment(spec, workers=1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+        "             or m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=os.environ | {"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

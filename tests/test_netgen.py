@@ -1,13 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from conftest import cumsum_generate_links, scalar_augment_links
+from contagion import netgen
 from contagion.harness import TYPE3_TARGET_MEAN_DEGREE, TYPE_PARAMS
 from contagion.netgen import (
     CurvePoint,
     DirectedGraph,
     GenParams,
-    _WeightTree,
     augment_random_links,
     constraint_curve,
     generate,
@@ -177,7 +179,7 @@ class TestLinkArray:
 
 
 class TestAgainstCumsumOracle:
-    """The Fenwick-tree sampler and block draws reproduce the scalar code."""
+    """The frontier-tree sampler and block draws reproduce the scalar code."""
 
     @pytest.mark.parametrize(
         "key", sorted(TYPE_PARAMS), ids=lambda key: f"{key[0]}{key[1]}"
@@ -198,31 +200,61 @@ class TestAgainstCumsumOracle:
             params = GenParams(*row, n_target=600, seed=seed)
             assert generate(params).links.tolist() == cumsum_generate_links(params)
 
-    def test_descent_is_searchsorted_right(self):
+    @pytest.mark.parametrize("n_target", [2, 3, 4, 5, 1023, 1024, 1025])
+    @pytest.mark.parametrize("key", [("GC", 0), ("GD", 1), ("S", 4)], ids=["GC0", "GD1", "S4"])
+    def test_sizes_around_powers_of_two(self, key, n_target):
+        # The slot lists are padded to the next power of two.
+        for seed in (3, 11):
+            params = GenParams(*TYPE_PARAMS[key], n_target=n_target, seed=seed)
+            assert generate(params).links.tolist() == cumsum_generate_links(params)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_non_dyadic_offsets(self, seed):
+        # delta_in = 1.3, delta_out = 2.7: weights and sums round, so the
+        # two samplers may only differ where rounding moves a boundary;
+        # at these seeds no draw lands that close.
+        params = params_from_delta_in(1.3).with_size(1500, seed)
+        assert generate(params).links.tolist() == cumsum_generate_links(params)
+
+    def test_descent_is_searchsorted_right(self, monkeypatch):
         # x on a prefix sum, inside a zero-weight plateau, and between sums:
         # the descent counts the prefix sums <= x, as side="right" does.
-        rng = np.random.default_rng(0)
-        weights = rng.integers(0, 3, size=37).astype(float)
-        tree = _WeightTree(weights.size, 0.0)
-        for node, w in enumerate(weights):
-            tree.add(node, w)
-        for n in (1, 2, 16, 20, 37):
-            cum = np.cumsum(weights[:n])
-            xs = np.concatenate((cum, cum - 0.5, [0.0]))
-            for x in xs[(xs >= 0.0) & (xs < cum[-1])]:
-                expected = int(np.searchsorted(cum, x, side="right"))
-                assert tree.pick(float(x), n) == expected
+        # Every step adds a node: a new lender (u = 0.25) links to a target
+        # drawn by in-weight, a new borrower (u = 0.75) to a source drawn by
+        # out-weight. New borrowers have out-degree 0 and new lenders
+        # in-degree 0, so with zero offsets both trees have plateaus.
+        for offsets in ((0.0, 0.0), (0.25, 0.5)):
+            for seed in range(4):
+                on_sum = descend_scripted(monkeypatch, offsets, seed)
+                assert on_sum >= 10
 
-    def test_pick_is_clamped_below_n(self):
-        # With delta = 0.1 the tree's sum of the first 41 weights is 4.1,
-        # while the scale m + n * delta computes 41 * 0.1 as
-        # 4.1000000000000005: a uniform can land at or above the tree's sum.
-        tree = _WeightTree(64, 0.1)
-        assert 41 * 0.1 > 4.1
-        assert tree.pick(4.1, 41) == 40
-        assert tree.pick(41 * 0.1, 41) == 40
-        assert tree.pick(4.05, 41) == 40
-        assert tree.pick(3.95, 41) == 39
+    @pytest.mark.parametrize("lender", [True, False], ids=["target", "source"])
+    def test_pick_is_clamped_below_n(self, monkeypatch, lender):
+        # With delta = 1.3 the weights round: the scale m + n * delta, times
+        # a uniform just below 1, can land at or above the tree's sum of the
+        # first n weights, and the descent then ends past the last node. The
+        # pick must still be the last node n - 1, never the new node n (a
+        # self-link, which would consume another draw). Every step adds a
+        # new lender (or borrower) whose target (source) takes that uniform,
+        # so the graph is a chain; at n = 9, 18, 23, ... x reaches even the
+        # weight sum rounded once.
+        n_target = 50
+        row = (1.0, 0.0, 0.0) if lender else (0.0, 0.0, 1.0)
+        params = GenParams(*row, 1.3, 1.3, n_target, 0)
+        below_one = float(np.nextafter(1.0, 0.0))
+        stream = iter([0.5, below_one] * (n_target - 2))
+        monkeypatch.setattr(netgen, "_uniforms", lambda rng: stream)
+        graph = generate(params)
+        assert next(stream, None) is None
+        chain = [[k, k - 1] if lender else [k - 1, k] for k in range(2, n_target)]
+        assert graph.links.tolist() == sorted([[0, 1], [1, 0]] + chain)
+        weight = 1 + Fraction(1.3)
+        reached = [
+            n
+            for n in range(2, n_target)
+            if below_one * (n + n * 1.3) >= float(n * weight)
+        ]
+        assert reached[:3] == [9, 18, 23]
 
     def test_augment_sparse(self):
         base = generate(GD0.with_size(400, 9))
@@ -233,6 +265,23 @@ class TestAgainstCumsumOracle:
         g = augment_random_links(base, TYPE3_TARGET_MEAN_DEGREE, seed=10)
         assert g.links.tolist() == links
 
+    @pytest.mark.parametrize("block", [2, 7, 150])
+    def test_augment_in_small_blocks(self, monkeypatch, block):
+        # Misses and draws carry across blocks as across scalar draws.
+        monkeypatch.setattr(netgen, "_AUGMENT_BLOCK", block)
+        cases = [(400, TYPE3_TARGET_MEAN_DEGREE, 10), (40, 70.0, 0)]
+        cases += [(40, 77.5, seed) for seed in range(1, 7)]
+        for n, target, seed in cases:
+            base = generate(GD0.with_size(n, 9))
+            links, _ = scalar_augment_links(base, target, seed)
+            assert augment_random_links(base, target, seed).links.tolist() == links
+
+    def test_augment_linkless_graph(self):
+        base = DirectedGraph.from_links(6, [])
+        for target, seed in ((1.0, 0), (9.5, 1)):
+            links, _ = scalar_augment_links(base, target, seed)
+            assert augment_random_links(base, target, seed).links.tolist() == links
+
     def test_augment_dense_fallback(self):
         base = generate(GD0.with_size(40, 3))
         complete = 2.0 * (base.n - 1)
@@ -240,6 +289,59 @@ class TestAgainstCumsumOracle:
             links, fallback = scalar_augment_links(base, target, seed)
             assert fallback > 0
             assert augment_random_links(base, target, seed).links.tolist() == links
+
+
+def descend_scripted(monkeypatch, offsets, seed, n_target=70):
+    """Grow a graph from scripted uniforms; check every draw; count exact hits.
+
+    Each step is a new lender or a new borrower, chosen at random, and its
+    draw's uniform is aimed at a prefix sum, half a unit below one, zero, or
+    a random point. The expected pick is ``searchsorted(cumsum(weights), x,
+    side="right")`` with x scaled as ``generate`` scales it, so integer and
+    dyadic weights make every comparison exact.
+    """
+    d_in, d_out = offsets
+    rng = np.random.default_rng(seed)
+    kin, kout = np.zeros(n_target), np.zeros(n_target)
+    kin[:2] = kout[:2] = 1.0
+    links = [[0, 1], [1, 0]]
+    script = []
+    on_sum = 0
+    for n in range(2, n_target):
+        m = len(links)
+        lender = bool(rng.random() < 0.5)
+        degrees, delta = (kin, d_in) if lender else (kout, d_out)
+        cum = np.cumsum(degrees[:n] + delta)
+        scale = m + n * delta
+        aim = rng.integers(4)
+        inner = cum[cum < scale]
+        if aim == 0 and inner.size:
+            goal = inner[rng.integers(inner.size)]
+        elif aim == 1:
+            goal = max(cum[rng.integers(n)] - 0.5, 0.0)
+        else:
+            goal = 0.0 if aim == 2 else rng.random() * scale
+        v = float(goal / scale)
+        for _ in range(2):
+            if v * scale < goal:
+                v = float(np.nextafter(v, 1.0))
+            elif v * scale > goal:
+                v = float(np.nextafter(v, 0.0))
+        x = v * scale
+        on_sum += bool(x > 0.0 and x in cum)
+        pick = min(int(np.searchsorted(cum, x, side="right")), n - 1)
+        assert degrees[pick] + delta > 0.0
+        script += [0.25 if lender else 0.75, v]
+        source, target = (n, pick) if lender else (pick, n)
+        links.append([source, target])
+        kout[source] += 1.0
+        kin[target] += 1.0
+    stream = iter(script)
+    monkeypatch.setattr(netgen, "_uniforms", lambda rng: stream)
+    graph = generate(GenParams(0.5, 0.0, 0.5, d_in, d_out, n_target, 0))
+    assert next(stream, None) is None
+    assert graph.links.tolist() == sorted(links)
+    return on_sum
 
 
 class TestAugmentRandomLinks:

@@ -1,15 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 
+from contagion.harness import TYPE3_TARGET_MEAN_DEGREE, TYPE_PARAMS
+from contagion.netgen import GenParams, augment_random_links, generate
 from contagion.powerlaw import (
     DegenerateSequenceError,
     _hurwitz_zeta,
+    _upper_decile,
     fit_discrete,
     tail_log_likelihood,
 )
 
-from conftest import sample_discrete_power_law
+from conftest import sample_discrete_power_law, sequential_fit_discrete
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True, deadline=None, max_examples=150, database=None
+)
+
+# Degree-like samples: mostly small values with a sparse heavy tail, so
+# that several cutoffs compete.
+degree_sequences = st.lists(
+    st.one_of(st.integers(1, 6), st.integers(1, 6), st.integers(1, 400)),
+    min_size=10,
+    max_size=300,
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +128,55 @@ class TestHurwitzZeta:
             assert got.shape == q.shape
             np.testing.assert_allclose(got, zeta(s, q), rtol=1e-14, atol=0)
             assert np.array_equal(_hurwitz_zeta(s, q.reshape(-1, 100)), got.reshape(-1, 100))
+
+
+def assert_same_fit(samples, x_min=None):
+    """``fit_discrete`` equals the one-cutoff-at-a-time oracle, bit for bit."""
+    try:
+        want = sequential_fit_discrete(samples, x_min)
+    except DegenerateSequenceError as err:
+        with pytest.raises(DegenerateSequenceError, match=str(err)):
+            fit_discrete(samples, x_min)
+        return
+    got = fit_discrete(samples, x_min)
+    assert (got.x_min, got.n_tail) == (want.x_min, want.n_tail)
+    assert got.exponent == want.exponent
+    assert got.ks_distance == want.ks_distance
+
+
+class TestAgainstSequentialFit:
+    """Cutoff searches advanced in lock-step give the sequential fits."""
+
+    @pytest.mark.parametrize(
+        "key", sorted(TYPE_PARAMS), ids=lambda key: f"{key[0]}{key[1]}"
+    )
+    def test_type_params_rows(self, key):
+        graph = generate(GenParams(*TYPE_PARAMS[key], n_target=1000, seed=99))
+        if key[1] == 3:
+            graph = augment_random_links(graph, TYPE3_TARGET_MEAN_DEGREE, seed=100)
+        for degrees in (graph.in_degree, graph.out_degree):
+            assert_same_fit(degrees[degrees > 0])
+
+    @PROPERTY_SETTINGS
+    @given(degree_sequences, st.one_of(st.none(), st.integers(1, 40)))
+    def test_random_sequences(self, samples, x_min):
+        assert_same_fit(samples, x_min)
+
+    @PROPERTY_SETTINGS
+    @given(degree_sequences)
+    def test_upper_decile_is_numpy_quantile(self, samples):
+        x = np.asarray(samples, dtype=np.int64)
+        assert _upper_decile(np.sort(x)) == np.quantile(x, 0.9)
+
+
+def test_zeta_broadcasts_over_s_and_q():
+    # One call over (s, q) pairs gives the values of one call per s.
+    rng = np.random.default_rng(8)
+    s = rng.uniform(1.01, 6.0, 40)
+    q = rng.integers(1, 5000, 40)
+    each = np.array([_hurwitz_zeta(si, qi) for si, qi in zip(s, q)])
+    assert np.array_equal(_hurwitz_zeta(s, q), each)
+    grid = _hurwitz_zeta(s[:, None], np.arange(1, 30))
+    assert grid.shape == (40, 29)
+    for row, si in zip(grid, s):
+        assert np.array_equal(row, _hurwitz_zeta(si, np.arange(1, 30)))

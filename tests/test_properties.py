@@ -10,6 +10,7 @@ settings. Examples are derandomized, so the suite is deterministic.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,13 @@ from conftest import (
     picard_clearing,
 )
 from contagion.balance import BalanceConfig, build_balance_sheets
-from contagion.clearing import ShockScenario, clear, clear_all
+from contagion.clearing import (
+    ShockScenario,
+    clear,
+    clear_all,
+    gross_system_volume,
+    total_initial_assets,
+)
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, deadline=None, max_examples=100, database=None
@@ -68,6 +75,30 @@ def test_pooled_estates_match_the_picard_oracle(system, recovery, data):
         dense_exposures(exposures), external, sheets.bl + sheets.nbl
     )
     assert np.abs(sol.payments - oracle).max() <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(systems(), recoveries, defaulted_recoveries, st.data())
+def test_payments_and_receipts_are_conserved(system, recovery, defaulted_recovery, data):
+    exposures, sheets = system
+    s = _shocked(system, data)
+    sol = clear(exposures, sheets, ShockScenario(s, recovery, defaulted_recovery))
+    ratio = sol.payment_ratios
+    writeoff = sol.initial_writeoff
+    # What debtors pay on interbank claims is what creditors receive.
+    assert abs((ratio * sheets.bl).sum() - sol.received.sum()) <= 1e-10
+    # Asset side: initial assets minus marked assets equals the write-off
+    # plus interbank shortfalls.
+    marked = sheets.nba.sum() - writeoff + sol.received.sum()
+    assert total_initial_assets(sheets) - marked == pytest.approx(
+        writeoff + sol.losses.sum(), abs=1e-8
+    )
+    # Gross side: the volume falls by the write-off plus every unpaid
+    # obligation, interbank and nonbank, with claims marked to payments.
+    marked += (ratio * sheets.nbl).sum()
+    assert gross_system_volume(sheets) - marked == pytest.approx(
+        writeoff + (sol.obligations - sol.payments).sum(), abs=1e-8
+    )
 
 
 @PROPERTY_SETTINGS
