@@ -213,21 +213,20 @@ def fit_discrete(
         candidates = values[values <= _upper_decile(xs)]
     # A tail is fittable when it holds two distinct values, that is, when
     # its cutoff lies below the largest sample.
-    first = np.minimum(xs.searchsorted(candidates), xs.size - 1)
-    candidates = candidates[xs[first] < xs[-1]]
+    starts = xs.searchsorted(candidates)
+    fittable = xs[np.minimum(starts, xs.size - 1)] < xs[-1]
+    candidates, starts = candidates[fittable], starts[fittable]
     if candidates.size == 0:
         raise DegenerateSequenceError(
             "degenerate sequence: no cutoff leaves a fittable tail"
         )
-    tails = [x[x >= cutoff] for cutoff in candidates.tolist()]
-    exponents = _mle_exponents(
-        np.array([tail.size for tail in tails]),
-        candidates,
-        np.array([float(np.log(tail).sum()) for tail in tails]),
-    )
+    # Log sums in sample order, as a tail's own sum adds them.
+    log_sums = [float(np.log(x[x >= cutoff]).sum()) for cutoff in candidates.tolist()]
+    exponents = _mle_exponents(xs.size - starts, candidates, np.array(log_sums))
 
     best: Optional[PowerLawFit] = None
-    for cutoff, tail, exponent in zip(candidates.tolist(), tails, exponents.tolist()):
+    for cutoff, start, exponent in zip(candidates.tolist(), starts.tolist(), exponents.tolist()):
+        tail = xs[start:]
         ks = _ks_distance(tail, cutoff, exponent)
         if best is None or ks < best.ks_distance:
             best = PowerLawFit(
