@@ -267,10 +267,10 @@ def generate(params: GenParams) -> DirectedGraph:
     # node i - 1 has grown, and +inf before: a descent never passes the
     # frontier, so it needs no bound test. A descent steps from the highest
     # power of two <= n down to 1, so it reaches every node and no slot past
-    # the padding to a power of two >= cap.
+    # the padding to a power of two >= cap. Slot 0 is never read.
     size = 1 << (cap - 1).bit_length()
     steps = [2, 1]
-    t_in, t_out = [0.0] + [math.inf] * size, [0.0] + [math.inf] * size
+    t_in, t_out = [math.inf] * (size + 1), [math.inf] * (size + 1)
     t_in[1], t_out[1] = 1.0 + d_in, 1.0 + d_out
     t_in[2], t_out[2] = 1.0 + d_in + t_in[1], 1.0 + d_out + t_out[1]
     # Link s -> t is stored as the code s * cap + t.
@@ -438,13 +438,19 @@ def augment_random_links(
         block_state = rng.bit_generator.state
         pairs = min(missing + missing // 4 + 256, _AUGMENT_BLOCK)
         s, t = rng.integers(n, size=2 * pairs).reshape(pairs, 2).T
-        drawn = s * n + t
+        hit = s != t
+        drawn = s * n
+        drawn += t
+        del s, t  # each temporary is freed once read: a block can be large
         order = drawn.argsort(kind="stable")
+        ranked = drawn[order]
         first = np.ones(pairs, dtype=bool)
-        first[order[1:]] = drawn[order[1:]] != drawn[order[:-1]]
+        first[order[1:]] = ranked[1:] != ranked[:-1]
+        del order, ranked
+        hit &= first
         # A sentinel past every code keeps each position in range.
         known = np.append(codes, n * n)
-        hit = first & (s != t) & (known[known.searchsorted(drawn)] != drawn)
+        hit &= known[known.searchsorted(drawn)] != drawn
         hits = np.flatnonzero(hit)
         # The sparse phase stops at the hit that fills the target or at the
         # 200th miss in a row, whichever comes first.
