@@ -228,8 +228,7 @@ class TestAgainstCumsumOracle:
                 on_sum = descend_scripted(monkeypatch, offsets, seed)
                 assert on_sum >= 10
 
-    @pytest.mark.parametrize("lender", [True, False], ids=["target", "source"])
-    def test_pick_is_clamped_below_n(self, monkeypatch, lender):
+    def test_pick_is_clamped_below_n(self, monkeypatch):
         # With delta = 1.3 the weights round: the scale m + n * delta, times
         # a uniform just below 1, can land at or above the tree's sum of the
         # first n weights, and the descent then ends past the last node. The
@@ -239,15 +238,16 @@ class TestAgainstCumsumOracle:
         # so the graph is a chain; at n = 9, 18, 23, ... x reaches even the
         # weight sum rounded once.
         n_target = 50
-        row = (1.0, 0.0, 0.0) if lender else (0.0, 0.0, 1.0)
-        params = GenParams(*row, 1.3, 1.3, n_target, 0)
         below_one = float(np.nextafter(1.0, 0.0))
-        stream = iter([0.5, below_one] * (n_target - 2))
-        monkeypatch.setattr(netgen, "_uniforms", lambda rng: stream)
-        graph = generate(params)
-        assert next(stream, None) is None
-        chain = [[k, k - 1] if lender else [k - 1, k] for k in range(2, n_target)]
-        assert graph.links.tolist() == sorted([[0, 1], [1, 0]] + chain)
+        for lender in (True, False):
+            row = (1.0, 0.0, 0.0) if lender else (0.0, 0.0, 1.0)
+            params = GenParams(*row, 1.3, 1.3, n_target, 0)
+            stream = iter([0.5, below_one] * (n_target - 2))
+            monkeypatch.setattr(netgen, "_uniforms", lambda rng: stream)
+            graph = generate(params)
+            assert next(stream, None) is None
+            chain = [[k, k - 1] if lender else [k - 1, k] for k in range(2, n_target)]
+            assert graph.links.tolist() == sorted([[0, 1], [1, 0]] + chain)
         weight = 1 + Fraction(1.3)
         reached = [
             n
