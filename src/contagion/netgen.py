@@ -18,12 +18,18 @@ weight sum of the ``n`` existing nodes and ``m`` links. Only grown nodes
 have slots; every slot past the frontier holds ``+inf``, so a descent
 never passes it, and a new node's slot is opened from the slots it covers
 (about one addition on average). The descent subtracts each slot it takes
-from the scaled uniform. Uniforms come from the generator in blocks, in the
-order scalar ``rng.random()`` calls would give them. With integer or dyadic
-offsets every weight, slot sum and subtraction is exact, so the draws, and
-the graphs, are those of a per-draw ``cumsum`` +
-``searchsorted(side="right")`` at the same seed; with other offsets the law
-is the same and a draw can differ only where rounding moves a boundary.
+from the scaled uniform and adds the new link's 1 to each slot it passes:
+those are exactly the grown slots that cover the pick, so an accepted link
+needs no second walk. A link-only step takes that 1 back with a walk up
+the tree when its target draw hits the source and is redrawn, and for both
+picks when the step is discarded. Uniforms come from the generator in
+blocks, in the order scalar ``rng.random()`` calls would give them. With
+integer or dyadic offsets every weight, slot sum, subtraction and
+``+-1`` is exact, so the draws, and the graphs, are those of a per-draw
+``cumsum`` + ``searchsorted(side="right")`` at the same seed; with other
+offsets the law is the same and a draw can differ only where rounding moves
+a boundary, or where a take-back ``(v + 1) - 1`` left a slot one ulp away
+from ``v``.
 ``augment_random_links`` likewise draws its node ids in blocks that equal
 scalar ``rng.integers(n)`` calls, and tests a whole block's pairs at once.
 
@@ -186,8 +192,10 @@ class DirectedGraph:
             if self_link[first]:
                 raise ValueError(f"self-link at node {s}")
             raise ValueError(f"link ({s}, {t}) outside node range [0, {n})")
-        # Codes s * n + t sort in (source, target) order.
-        return cls._from_codes(n, np.unique(src * n + dst))
+        # Codes s * n + t sort in (source, target) order. A sort-based
+        # unique: np.unique's hash path imports numpy.ma.
+        codes = np.sort(src * n + dst)
+        return cls._from_codes(n, codes[np.diff(codes, prepend=-1) != 0])
 
     @classmethod
     def _from_codes(cls, n: int, codes: np.ndarray) -> "DirectedGraph":
@@ -240,13 +248,20 @@ def generate(params: GenParams) -> DirectedGraph:
     Each preferential draw costs O(log n): the in- and out-weights live in
     two frontier Fenwick trees (see the module docstring), a uniform is
     scaled by the weight sum ``m + n * delta`` of the ``n`` existing nodes
-    and ``m`` links, and the draw descends one tree. With integer or dyadic
-    offsets it picks what ``searchsorted(cumsum(weights), x,
-    side="right")`` picks. Where rounding puts the scaled uniform at or past
-    the tree's sum of the ``n`` weights (other offsets only), the descent
-    ends past the last node and the pick is clamped to node ``n - 1``,
-    whose weight is at least ``delta > 0``. The descent is written out in
-    the loop, since a call per draw costs more than the descent.
+    and ``m`` links, and the draw descends one tree, adding the link's 1 to
+    every slot it passes, which are the slots that cover the pick. With
+    integer or dyadic offsets it picks what ``searchsorted(cumsum(weights),
+    x, side="right")`` picks. Where rounding puts the scaled uniform at or
+    past the tree's sum of the ``n`` weights (other offsets only), the
+    descent ends past the last node, having passed only ``+inf`` slots; the
+    pick is clamped to node ``n - 1``, whose weight is at least
+    ``delta > 0``, and its one grown slot, slot ``n``, gets the 1. A target
+    draw redrawn for a self-link, and both draws of a discarded step, take
+    their 1 back. Node steps are never discarded. With integer or dyadic
+    offsets every ``+-1`` is exact and the tree holds exactly what per-link
+    updates would give; with other offsets a take-back can leave a slot one
+    ulp off. The descent is written out in the loop, since a call per draw
+    costs more than the descent.
 
     Args:
         params: validated generation parameters.
@@ -281,6 +296,10 @@ def generate(params: GenParams) -> DirectedGraph:
         # Below alpha node n is the source, from alpha + beta on the target.
         # A descent takes slot pos + step while its sum fits in what is left
         # of x; it ends on the number of prefix sums <= x, clamped to n - 1.
+        # A slot it passes covers [pos, pos + step), which holds the pick:
+        # the slots passed are the pick's grown slots (and +inf ones), so
+        # the descent adds the link's 1 to them as it goes. A pick clamped
+        # to n - 1 passed only +inf slots; its one grown slot is slot n.
         u = draw()
         if u < new_source:
             source = n
@@ -288,11 +307,18 @@ def generate(params: GenParams) -> DirectedGraph:
             x = draw() * (m + n * d_out)
             pos = 0
             for step in steps:
-                v = t_out[pos + step]
+                i = pos + step
+                v = t_out[i]
                 if v <= x:
-                    pos += step
+                    pos = i
                     x -= v
-            source = pos if pos < n else n - 1
+                else:
+                    t_out[i] = v + 1.0
+            if pos < n:
+                source = pos
+            else:
+                source = n - 1
+                t_out[n] += 1.0
         if u >= new_target:
             target = n
         else:
@@ -301,30 +327,30 @@ def generate(params: GenParams) -> DirectedGraph:
                 x = draw() * (m + n * d_in)
                 pos = 0
                 for step in steps:
-                    v = t_in[pos + step]
+                    i = pos + step
+                    v = t_in[i]
                     if v <= x:
-                        pos += step
+                        pos = i
                         x -= v
-                target = pos if pos < n else n - 1
+                    else:
+                        t_in[i] = v + 1.0
+                if pos < n:
+                    target = pos
+                else:
+                    target = n - 1
+                    t_in[n] += 1.0
                 if target != source or retries == _SELF_LINK_RETRIES:
                     break
+                _take_back(t_in, target, n)
                 retries += 1
         code = source * cap + target
         if target == source or code in links:
+            # Only a link-only step, whose endpoints both exist, gets here.
+            _take_back(t_out, source, n)
+            _take_back(t_in, target, n)
             continue
         links.add(code)
         m += 1
-        # An existing endpoint gains one in every grown slot that covers it.
-        if source < n:
-            i = source + 1
-            while i <= n:
-                t_out[i] += 1.0
-                i += i & -i
-        if target < n:
-            i = target + 1
-            while i <= n:
-                t_in[i] += 1.0
-                i += i & -i
         if source == n or target == n:
             # Open node n's slots: its own weight plus the slots they cover.
             if source == n:
@@ -343,6 +369,14 @@ def generate(params: GenParams) -> DirectedGraph:
 
     codes = np.fromiter(links, dtype=np.int64, count=len(links))
     return DirectedGraph._from_codes(cap, np.sort(codes))
+
+
+def _take_back(tree: list[float], node: int, n: int) -> None:
+    """Subtract the 1 a descent added for ``node`` from its ``n`` grown slots."""
+    i = node + 1
+    while i <= n:
+        tree[i] -= 1.0
+        i += i & -i
 
 
 def params_from_delta_in(delta_in: float) -> CurvePoint:

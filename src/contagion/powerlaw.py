@@ -142,15 +142,24 @@ def _mle_exponents(n_tail: np.ndarray, x_min: np.ndarray, log_sum: np.ndarray) -
 def _ks_distance(tail: np.ndarray, x_min: int, exponent: float) -> float:
     """Sup distance between empirical and fitted CDFs on the tail support.
 
-    Evaluated at every integer in [x_min, max(tail)]; the fitted CDF is
-    F(k) = 1 - zeta(exponent, k + 1) / zeta(exponent, x_min).
+    The sup over every integer in [x_min, max(tail)] of sorted ``tail``;
+    the fitted CDF is F(k) = 1 - zeta(exponent, k + 1) / zeta(exponent,
+    x_min). F rises with k and the empirical CDF is flat between tail
+    values, so on each flat stretch the distance peaks at one of its ends:
+    a tail value, or one below the next tail value. Only those are
+    evaluated.
     """
-    ks = np.arange(x_min, tail.max() + 1, dtype=np.int64)
+    last = np.flatnonzero(np.append(tail[1:] != tail[:-1], True))
+    values = tail[last]
+    empirical = (last + 1) / tail.size
+    # At value - 1 the empirical CDF is that of the value before; the first
+    # value's stretch starts at x_min.
+    below, below_cdf = values - 1, np.append(0.0, empirical[:-1])
+    if values[0] == x_min:
+        below, below_cdf = below[1:], below_cdf[1:]
     z0 = _hurwitz_zeta(exponent, x_min)
-    fitted = 1.0 - _hurwitz_zeta(exponent, ks + 1) / z0
-    counts = np.bincount(tail - x_min, minlength=ks.size)
-    empirical = np.cumsum(counts) / tail.size
-    return float(np.abs(empirical - fitted).max())
+    fitted = 1.0 - _hurwitz_zeta(exponent, np.concatenate((values, below)) + 1) / z0
+    return float(np.abs(np.concatenate((empirical, below_cdf)) - fitted).max())
 
 
 def tail_log_likelihood(

@@ -119,14 +119,17 @@ def assert_matches_per_bank_loop(got, solutions, expected):
     assert got.max_cascade == max(len(sol.defaulted) for sol in solutions)
 
 
-def cumsum_generate_links(params: GenParams) -> list[list[int]]:
+def cumsum_generate_links(params: GenParams, uniforms=None) -> list[list[int]]:
     """Sorted ``[s, t]`` links of ``netgen.generate``, an O(n) cumsum per draw.
 
     Each preferential draw scans ``cumsum(degree + delta)`` over the
     existing nodes and takes ``searchsorted(..., side="right")`` of one
-    scalar ``rng.random()`` scaled by the total.
+    scalar ``rng.random()`` scaled by the total. An iterator ``uniforms``
+    replaces the ``rng.random()`` values, as a script patched over
+    ``netgen._uniforms`` replaces them for ``generate``.
     """
     rng = np.random.default_rng(params.seed)
+    draw = rng.random if uniforms is None else uniforms.__next__
     kin = np.zeros(params.n_target)
     kout = np.zeros(params.n_target)
     kin[:2] = kout[:2] = 1.0
@@ -135,10 +138,10 @@ def cumsum_generate_links(params: GenParams) -> list[list[int]]:
 
     def pick(degrees, delta):
         cum = np.cumsum(degrees[:n] + delta)
-        return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        return int(np.searchsorted(cum, draw() * cum[-1], side="right"))
 
     while n < params.n_target:
-        u = rng.random()
+        u = draw()
         if u < params.alpha:
             source, target = n, pick(kin, params.delta_in)
             n += 1

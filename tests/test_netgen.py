@@ -1,4 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +183,29 @@ class TestLinkArray:
             assert not g.links.flags.writeable
 
 
+# One SHA-256 over the links of the graphs that test_pinned_graph_digest
+# grows. A faster sampler keeps it; a sampler that changes the law or the
+# random stream changes every graph, and must update it and say why.
+PINNED_GRAPHS_SHA256 = "79063eca0fdeb9cf88f39d27b1514accad0fe906b528bfcff93ecfeb5e5a9fd0"
+
+
+def test_pinned_graph_digest():
+    cases = [
+        GenParams(*TYPE_PARAMS[key], n_target=1000, seed=seed)
+        for key in sorted(TYPE_PARAMS)
+        for seed in (0, 1, 5)
+    ]
+    cases += [
+        params_from_delta_in(delta_in).with_size(3000, seed)
+        for delta_in in (0.1, 0.5, 1.3, 2.7)
+        for seed in (0, 1, 2)
+    ]
+    digest = hashlib.sha256()
+    for params in cases:
+        digest.update(generate(params).links.astype("<i8").tobytes())
+    assert digest.hexdigest() == PINNED_GRAPHS_SHA256
+
+
 class TestAgainstCumsumOracle:
     """The frontier-tree sampler and block draws reproduce the scalar code."""
 
@@ -242,12 +270,9 @@ class TestAgainstCumsumOracle:
         for lender in (True, False):
             row = (1.0, 0.0, 0.0) if lender else (0.0, 0.0, 1.0)
             params = GenParams(*row, 1.3, 1.3, n_target, 0)
-            stream = iter([0.5, below_one] * (n_target - 2))
-            monkeypatch.setattr(netgen, "_uniforms", lambda rng: stream)
-            graph = generate(params)
-            assert next(stream, None) is None
+            links = generate_scripted(monkeypatch, params, [0.5, below_one] * (n_target - 2))
             chain = [[k, k - 1] if lender else [k - 1, k] for k in range(2, n_target)]
-            assert graph.links.tolist() == sorted([[0, 1], [1, 0]] + chain)
+            assert links == sorted([[0, 1], [1, 0]] + chain)
         weight = 1 + Fraction(1.3)
         reached = [
             n
@@ -255,6 +280,61 @@ class TestAgainstCumsumOracle:
             if below_one * (n + n * 1.3) >= float(n * weight)
         ]
         assert reached[:3] == [9, 18, 23]
+
+    @pytest.mark.parametrize("lender", [True, False], ids=["target", "source"])
+    def test_clamped_pick_bumps_the_last_node(self, monkeypatch, lender):
+        # The chain above up to its first clamp: at n = 9 the pick is clamped
+        # to node 8, whose new link must land in its one grown slot. Then
+        # x = 21.2 lies half a unit below the weight sum 21.7 of nodes 0..8
+        # (degrees 1, 2, 1, ..., 1 plus 9 * 1.3) in a scale of 10 + 10 * 1.3:
+        # it picks node 8, or node 9 if node 8's slot missed the link.
+        row = (1.0, 0.0, 0.0) if lender else (0.0, 0.0, 1.0)
+        params = GenParams(*row, 1.3, 1.3, 11, 0)
+        below_one = float(np.nextafter(1.0, 0.0))
+        script = [0.5, below_one] * 8 + [0.5, 21.2 / 23.0]
+        chain = [[k, k - 1] for k in range(2, 10)] + [[10, 8]]
+        if not lender:
+            chain = [[t, s] for s, t in chain]
+        expected = sorted([[0, 1], [1, 0]] + chain)
+        assert generate_scripted(monkeypatch, params, script) == expected
+        assert cumsum_generate_links(params, iter(script)) == expected
+
+    def test_self_link_retry_takes_its_draw_back(self, monkeypatch):
+        # delta = 1: every scaled uniform is a prefix sum or half a unit
+        # from the nearest one.
+        params = GenParams(0.25, 0.5, 0.25, 1.0, 1.0, 4, 0)
+        script = [
+            0.1, 0.75,  # new node 2 -> 1 (x = 3 of 4)
+            0.5, 0.125, 0.125,  # source 0, target 0: a self-link, redrawn
+            # in-weights 2, 3, 1: x = 5.5 picks node 2, but node 1 if the
+            # self-link draw's 1 stayed on node 0 (the link 0 -> 1 exists).
+            5.5 / 6.0,
+            0.1, 0.5,  # new node 3 -> 1 (x = 3.5 of 7)
+        ]
+        expected = [[0, 1], [0, 2], [1, 0], [2, 1], [3, 1]]
+        assert generate_scripted(monkeypatch, params, script) == expected
+        assert cumsum_generate_links(params, iter(script)) == expected
+
+    @pytest.mark.parametrize("discarded", ["parallel", "self-link"])
+    def test_discarded_step_takes_both_draws_back(self, monkeypatch, discarded):
+        # delta = 1: every scaled uniform is exact.
+        params = GenParams(0.25, 0.5, 0.25, 1.0, 1.0, 5, 0)
+        grow = [0.9, 0.75]  # node 1 -> new node 2 (x = 3 of 4)
+        # Source node 0 (x = 0.75 of 6), then target node 1 (x = 3): the
+        # link 0 -> 1 exists; or target node 0 on all 17 draws.
+        step = [0.5, 0.125] + ([0.5] if discarded == "parallel" else [0.125] * 17)
+        probe = [
+            # in-weights 2, 2, 2: x = 4.5 picks node 2, but node 1 or 0
+            # if the discarded target's 1 stayed.
+            0.1, 0.75,
+            # out-weights 2, 3, 1, 2: x = 2.5 picks node 1, but node 0 if
+            # the discarded source's 1 stayed.
+            0.9, 0.3125,
+        ]
+        script = grow + step + probe
+        expected = [[0, 1], [1, 0], [1, 2], [1, 4], [3, 2]]
+        assert generate_scripted(monkeypatch, params, script) == expected
+        assert cumsum_generate_links(params, iter(script)) == expected
 
     def test_augment_sparse(self):
         base = generate(GD0.with_size(400, 9))
@@ -289,6 +369,15 @@ class TestAgainstCumsumOracle:
             links, fallback = scalar_augment_links(base, target, seed)
             assert fallback > 0
             assert augment_random_links(base, target, seed).links.tolist() == links
+
+
+def generate_scripted(monkeypatch, params, script):
+    """Links of ``generate(params)`` drawing ``script`` as its uniforms, all of them."""
+    stream = iter(script)
+    monkeypatch.setattr(netgen, "_uniforms", lambda rng: stream)
+    links = generate(params).links.tolist()
+    assert next(stream, None) is None
+    return links
 
 
 def descend_scripted(monkeypatch, offsets, seed, n_target=70):
@@ -336,11 +425,8 @@ def descend_scripted(monkeypatch, offsets, seed, n_target=70):
         links.append([source, target])
         kout[source] += 1.0
         kin[target] += 1.0
-    stream = iter(script)
-    monkeypatch.setattr(netgen, "_uniforms", lambda rng: stream)
-    graph = generate(GenParams(0.5, 0.0, 0.5, d_in, d_out, n_target, 0))
-    assert next(stream, None) is None
-    assert graph.links.tolist() == sorted(links)
+    params = GenParams(0.5, 0.0, 0.5, d_in, d_out, n_target, 0)
+    assert generate_scripted(monkeypatch, params, script) == sorted(links)
     return on_sum
 
 
@@ -397,6 +483,27 @@ class TestEdgeListRoundTrip:
         path = tmp_path / "edges.csv"
         write_edge_list(g, path, seed=17)
         assert path.read_bytes() == b"# nodes=12 seed=17\n0,3\n2,0\n2,11\n10,2\n"
+
+    def test_read_loads_no_masked_arrays(self, tmp_path):
+        # np.unique would import numpy.ma; the sort-based unique does not.
+        path = tmp_path / "edges.csv"
+        path.write_text("# nodes=4 seed=0\n3,1\n0,2\n3,1\n0,1\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "from contagion.netgen import read_edge_list\n"
+            f"print(read_edge_list({str(path)!r}).links.tolist())\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=os.environ | {"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[[0, 1], [0, 2], [3, 1]]\n[]\n"
 
     def test_rejects_self_link(self):
         with pytest.raises(ValueError, match="self-link"):

@@ -170,3 +170,34 @@ def test_default_set_never_shrinks_as_estates_are_fenced(
     more = clear(exposures, sheets, ShockScenario(s, recovery, fenced))
     fewer = clear(exposures, sheets, ShockScenario(s, recovery, pooled))
     assert fewer.defaulted <= more.defaulted
+
+
+@PROPERTY_SETTINGS
+@given(
+    systems(),
+    st.floats(0.01, 0.2),
+    st.floats(0.01, 0.2),
+    st.floats(1.5, 3.0),
+    st.integers(0, 2**31 - 1),
+    recoveries,
+    defaulted_recoveries,
+)
+def test_impacts_never_rise_with_the_capital_floor(
+    system, l1, l2, xi, seed, recovery, defaulted_recovery
+):
+    # One seed draws the same standard normals at every floor, and a ratio
+    # at or below the floor is redrawn whatever the floor, so raising the
+    # floor raises every bank's capital ratio by the same amount. With
+    # xi >= 1.5 nonbank liabilities stay feasible up to ratios of 1/3.
+    exposures = system[0]
+    low, high = (
+        clear_all(
+            exposures,
+            build_balance_sheets(exposures, BalanceConfig(lam, 0.01, xi, seed)),
+            recovery,
+            defaulted_recovery,
+        )
+        for lam in sorted((l1, l2))
+    )
+    assert (high.di <= low.di + 1e-12).all()
+    assert (high.dc <= low.dc).all()
