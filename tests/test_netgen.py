@@ -300,8 +300,8 @@ class TestAgainstCumsumOracle:
         assert cumsum_generate_links(params, iter(script)) == expected
 
     def test_self_link_retry_takes_its_draw_back(self, monkeypatch):
-        # delta = 1: every scaled uniform is a prefix sum or half a unit
-        # from the nearest one.
+        # delta = 1: every scaled uniform lies at least half a unit from
+        # every prefix sum.
         params = GenParams(0.25, 0.5, 0.25, 1.0, 1.0, 4, 0)
         script = [
             0.1, 0.75,  # new node 2 -> 1 (x = 3 of 4)
