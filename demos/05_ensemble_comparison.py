@@ -13,8 +13,7 @@ Scaled down for a quick run; raise N_NODES/REPS to approach the reference
 ensemble statistics (n=1000, 20 replications).
 """
 
-from contagion import ExperimentSpec, capital_sweep, run_experiment
-from contagion.metrics import ranking_statistics
+from contagion import ExperimentSpec, run_experiment, sweep
 
 N_NODES = 400
 REPS = 5
@@ -46,7 +45,7 @@ print("value impact (DI) moves far less, ordered the same way.\n")
 report = run_experiment(
     ExperimentSpec("GD", 0, N_NODES, REPS, master_seed=SEED), workers=1
 )
-stats = ranking_statistics([r.summary for r in report.records], "di")
+stats = report.ranking_di
 print("GD0 impact-ranking curve (top positions, mean +/- std across reps)")
 for pos in range(5):
     print(
@@ -58,15 +57,22 @@ for pos in range(5):
 # Capital sweep: same topologies, fatter equity buffers.
 # ---------------------------------------------------------------------
 print("\ncapital sweep on GD0 (identical networks across floors)")
-sweep = capital_sweep(
+reports = sweep(
     ExperimentSpec("GD", 0, N_NODES, REPS, master_seed=SEED),
-    lambdas=(0.01, 0.05, 0.10),
+    "lambda_min",
+    (0.01, 0.05, 0.10),
     workers=1,
 )
 print(f"{'lambda':>7} {'DI':>7} {'DC':>7}")
-for row in sweep.rows:
-    print(f"{row.value:7.2f} {row.di_mean:7.3f} {row.dc_mean:7.3f}")
+for point in reports:
+    m = point.means
+    print(
+        f"{point.spec.lambda_min:7.2f} {m['di_aggregate']:7.3f} "
+        f"{m['dc_aggregate']:7.3f}"
+    )
+low, high = reports[0].means, reports[-1].means
 print(
-    f"relative drop 0.01 -> 0.10: DI {sweep.relative_drop_di:.0%}, "
-    f"DC {sweep.relative_drop_dc:.0%}"
+    f"relative drop 0.01 -> 0.10: "
+    f"DI {1 - high['di_aggregate'] / low['di_aggregate']:.0%}, "
+    f"DC {1 - high['dc_aggregate'] / low['dc_aggregate']:.0%}"
 )

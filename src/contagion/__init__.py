@@ -17,7 +17,6 @@ Modules:
 
 from .balance import (
     BalanceConfig,
-    BalanceSheet,
     BalanceSheetSet,
     ExposureMatrix,
     build_balance_sheets,
@@ -39,9 +38,8 @@ from .clearing import (
 from .harness import (
     ExperimentReport,
     ExperimentSpec,
-    capital_sweep,
     run_experiment,
-    size_sweep,
+    sweep,
     write_run_directory,
 )
 from .metrics import (
@@ -49,10 +47,8 @@ from .metrics import (
     NetworkRiskSummary,
     TopoIndices,
     compute_topo_indices,
-    counterparty_susceptibility,
     gini,
     index_impact_correlation,
-    local_network_frailty,
     ranking_statistics,
     summarize,
 )
@@ -74,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllBanksClearing",
     "BalanceConfig",
-    "BalanceSheet",
     "BalanceSheetSet",
     "CascadeResult",
     "ClearingError",
@@ -95,26 +90,23 @@ __all__ = [
     "augment_random_links",
     "build_balance_sheets",
     "build_exposures",
-    "capital_sweep",
     "cascade_metrics",
     "clear",
     "clear_all",
     "compute_topo_indices",
     "constraint_curve",
-    "counterparty_susceptibility",
     "fit_discrete",
     "generate",
     "gini",
     "gross_system_volume",
     "index_impact_correlation",
     "limit_exponents",
-    "local_network_frailty",
     "nonbank_ratios",
     "params_from_delta_in",
     "ranking_statistics",
     "run_experiment",
-    "size_sweep",
     "summarize",
+    "sweep",
     "total_initial_assets",
     "write_run_directory",
 ]

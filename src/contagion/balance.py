@@ -17,7 +17,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,13 +24,11 @@ from .netgen import DirectedGraph
 
 __all__ = [
     "ExposureMatrix",
-    "BalanceSheet",
     "BalanceSheetSet",
     "BalanceConfig",
     "build_exposures",
     "build_balance_sheets",
     "nonbank_ratios",
-    "export_exposures_csv",
     "export_balances_csv",
 ]
 
@@ -136,11 +133,6 @@ class ExposureMatrix:
         k = lo + int(np.searchsorted(self._indices[lo:hi], j))
         return float(self._data[k]) if k < hi and self._indices[k] == j else 0.0
 
-    def entries(self) -> Iterator[tuple[int, int, float]]:
-        """Iterate (debtor, creditor, weight) sorted by (debtor, creditor)."""
-        rows = np.repeat(np.arange(self.n), np.diff(self._indptr))
-        yield from zip(rows.tolist(), self._indices.tolist(), self._data.tolist())
-
 
 def build_exposures(graph: DirectedGraph) -> ExposureMatrix:
     """Assign link weights from endpoint degrees.
@@ -160,28 +152,12 @@ def build_exposures(graph: DirectedGraph) -> ExposureMatrix:
     return ExposureMatrix(graph.n, src, dst, weights)
 
 
-@dataclass(frozen=True)
-class BalanceSheet:
-    """One bank's balance sheet entries and capital ratio."""
+class BalanceSheetSet:
+    """Immutable per-bank balance sheets, one column array per entry.
 
-    ba: float
-    bl: float
-    nba: float
-    nbl: float
-    e: float
-    lambda_i: float
-
-    @property
-    def total_assets(self) -> float:
-        return self.ba + self.nba
-
-
-class BalanceSheetSet(Sequence[BalanceSheet]):
-    """Immutable per-bank balance sheets, column-backed for vector math.
-
-    Indexing yields a :class:`BalanceSheet`; the column arrays ``ba``,
-    ``bl``, ``nba``, ``nbl``, ``e`` and ``lam`` are read-only views shared
-    with the cascade engine. NaN or infinite entries are rejected.
+    The columns ``ba``, ``bl``, ``nba``, ``nbl``, ``e`` and ``lam`` are
+    read-only arrays indexed by bank and shared with the cascade engine;
+    ``len()`` is the number of banks. NaN or infinite entries are rejected.
     """
 
     def __init__(
@@ -210,16 +186,6 @@ class BalanceSheetSet(Sequence[BalanceSheet]):
 
     def __len__(self) -> int:
         return self.ba.size
-
-    def __getitem__(self, i: int) -> "BalanceSheet":
-        return BalanceSheet(
-            ba=float(self.ba[i]),
-            bl=float(self.bl[i]),
-            nba=float(self.nba[i]),
-            nbl=float(self.nbl[i]),
-            e=float(self.e[i]),
-            lambda_i=float(self.lam[i]),
-        )
 
     @property
     def total_assets(self) -> np.ndarray:
@@ -326,14 +292,6 @@ def nonbank_ratios(
         raise ValueError("ratios undefined for a bank with no interbank activity")
     nba, nbl = _nonbank_sides(ba, bl, lambda_i, xi)
     return nba / (ba + nba), nbl / (bl + nbl)
-
-
-def export_exposures_csv(exposures: ExposureMatrix, path: str | Path) -> None:
-    """Write the exposure entries as ``i,j,w`` rows (12 significant digits)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("i,j,w\n")
-        for i, j, w in exposures.entries():
-            fh.write(f"{i},{j},{w:.12g}\n")
 
 
 def export_balances_csv(sheets: BalanceSheetSet, path: str | Path) -> None:

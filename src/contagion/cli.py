@@ -3,8 +3,8 @@
 Four subcommands: ``generate`` writes a network edge list, ``fit``
 estimates a discrete power-law tail from a degree file, ``shock`` clears a
 single-bank default on a stored network, and ``sweep`` runs an experiment
-(or size/capital sweeps) from a JSON spec file. Progress goes to stderr;
-results go to files or to stdout as single JSON records, so output can be
+(or size/capital sweeps) from a JSON spec file. Progress goes to stderr
+through the ``contagion`` logger; results go to files or to stdout as single JSON records, so output can be
 piped. Bad input (an unreadable or malformed file, a bank id out of
 range) exits with status 1 and a one-line message on stderr. The
 ``CONTAGION_WORKERS`` environment variable overrides the worker count used
@@ -22,6 +22,10 @@ from pathlib import Path
 from . import balance, clearing, harness, netgen, powerlaw
 
 __all__ = ["main", "build_parser"]
+
+# The package logger, named rather than ``__name__`` so that progress still
+# reaches the handler ``main`` attaches when this module runs as __main__.
+logger = logging.getLogger("contagion")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,10 +101,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
     graph = netgen.generate(params)
     netgen.write_edge_list(graph, args.out, args.seed)
-    print(
-        f"[contagion] wrote {graph.link_count} links over {graph.n} nodes "
-        f"to {args.out}",
-        file=sys.stderr,
+    logger.info(
+        "[contagion] wrote %d links over %d nodes to %s",
+        graph.link_count, graph.n, args.out,
     )
     return 0
 
@@ -174,15 +177,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = harness.ExperimentSpec.from_json(args.spec)
     report = harness.run_experiment(spec, workers=args.workers)
     harness.write_run_directory(report, args.out)
-    print(f"[contagion] run directory: {args.out}", file=sys.stderr)
-    if args.sizes:
-        result = harness.size_sweep(spec, args.sizes, workers=args.workers)
-        harness.write_sweep_csv(result, Path(args.out) / "size_sweep.csv")
-        print("[contagion] size sweep done", file=sys.stderr)
-    if args.lambdas:
-        result = harness.capital_sweep(spec, args.lambdas, workers=args.workers)
-        harness.write_sweep_csv(result, Path(args.out) / "capital_sweep.csv")
-        print("[contagion] capital sweep done", file=sys.stderr)
+    logger.info("[contagion] run directory: %s", args.out)
+    for name, parameter, values in (
+        ("size", "n_nodes", args.sizes),
+        ("capital", "lambda_min", args.lambdas),
+    ):
+        if values:
+            reports = harness.sweep(spec, parameter, values, workers=args.workers)
+            harness.write_sweep_csv(
+                reports, parameter, Path(args.out) / f"{name}_sweep.csv"
+            )
+            logger.info("[contagion] %s sweep done", name)
     return 0
 
 
@@ -197,10 +202,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # The library logs progress at INFO without a handler of its own.
-    log = logging.getLogger("contagion")
     handler = logging.StreamHandler(sys.stderr)
-    log.addHandler(handler)
-    log.setLevel(logging.INFO)
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     try:
         return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
@@ -209,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"contagion {args.command}: error: {exc}", file=sys.stderr)
         return 1
     finally:
-        log.removeHandler(handler)
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

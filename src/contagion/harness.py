@@ -24,7 +24,7 @@ import logging
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -59,11 +59,8 @@ __all__ = [
     "ExperimentSpec",
     "ReplicationRecord",
     "ExperimentReport",
-    "SweepRow",
-    "SweepResult",
     "run_experiment",
-    "size_sweep",
-    "capital_sweep",
+    "sweep",
     "write_run_directory",
     "write_sweep_csv",
     "replication_seeds",
@@ -144,11 +141,15 @@ class ExperimentSpec:
         """Load a spec from a JSON file whose keys match the field names.
 
         Raises:
-            ValueError: naming the file, when it holds no JSON object, or an
-                object with unknown keys or without a required one.
+            ValueError: naming the file, when it is not JSON, holds no JSON
+                object, or an object with unknown keys or without a required
+                one.
         """
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: spec must be a JSON object")
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
@@ -254,9 +255,14 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
         return explicit
     env = os.environ.get("CONTAGION_WORKERS")
     if env:
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0  # reported below, like a count < 1
         if value < 1:
-            raise ValueError(f"CONTAGION_WORKERS must be >= 1, got {env}")
+            raise ValueError(
+                f"CONTAGION_WORKERS must be an integer >= 1, got {env!r}"
+            )
         return value
     return os.cpu_count() or 1
 
@@ -416,110 +422,23 @@ def run_experiment(
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep point: the varied value plus headline aggregates."""
-
-    value: float
-    di_mean: float
-    di_std: float
-    dc_mean: float
-    dc_std: float
-    di_max_mean: float
-    dc_max_mean: float
-    flag: str = ""
-
-
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Sweep table plus the underlying full reports, keyed by value."""
-
-    parameter: str
-    rows: list[SweepRow]
-    reports: dict[float, ExperimentReport]
-    monotone_di: Optional[bool] = None
-    monotone_dc: Optional[bool] = None
-    relative_drop_di: Optional[float] = None
-    relative_drop_dc: Optional[float] = None
-
-
-def _sweep_row(value: float, report: ExperimentReport, flag: str = "") -> SweepRow:
-    return SweepRow(
-        value=value,
-        di_mean=report.means["di_aggregate"],
-        di_std=report.stds["di_aggregate"],
-        dc_mean=report.means["dc_aggregate"],
-        dc_std=report.stds["dc_aggregate"],
-        di_max_mean=report.means["di_max"],
-        dc_max_mean=report.means["dc_max"],
-        flag=flag,
-    )
-
-
-def size_sweep(
+def sweep(
     spec: ExperimentSpec,
-    sizes: Sequence[int],
+    parameter: str,
+    values: Sequence,
     workers: Optional[int] = None,
-    replications_by_size: Optional[dict[int, int]] = None,
-) -> SweepResult:
-    """Run the experiment at several network sizes.
+) -> list[ExperimentReport]:
+    """Run the experiment once per value of one spec field, in order.
 
-    Reports aggregates plus the mean first-ranking-position impacts
-    (``di_max_mean``/``dc_max_mean``), the quantities that shrink as
-    networks grow. ``replications_by_size`` optionally overrides the
-    replication count per size (large sizes are expensive).
+    Point k is ``run_experiment(replace(spec, **{parameter: values[k]}))``.
+    The master seed fixes the topologies, so a sweep of a balance-sheet
+    field (``lambda_min``, ``sigma``, ``xi``) clears the same networks at
+    every point, isolating that field's effect.
     """
-    rows: list[SweepRow] = []
-    reports: dict[float, ExperimentReport] = {}
-    for n in sizes:
-        reps = (replications_by_size or {}).get(n, spec.replications)
-        sub = replace(spec, n_nodes=n, replications=reps)
-        report = run_experiment(sub, workers=workers)
-        flag = "below_min_meaningful_size" if n < MIN_MEANINGFUL_SIZE else ""
-        rows.append(_sweep_row(float(n), report, flag))
-        reports[float(n)] = report
-    return SweepResult(parameter="n_nodes", rows=rows, reports=reports)
-
-
-def capital_sweep(
-    spec: ExperimentSpec,
-    lambdas: Sequence[float],
-    workers: Optional[int] = None,
-) -> SweepResult:
-    """Run the experiment at several capital floors.
-
-    Lambdas are evaluated in the given order; monotonicity flags compare
-    consecutive points sorted ascending and the relative drops compare the
-    lowest against the highest floor. Network topologies are identical
-    across floors (the master seed fixes them), isolating the capital
-    effect.
-    """
-    rows: list[SweepRow] = []
-    reports: dict[float, ExperimentReport] = {}
-    for lam in lambdas:
-        report = run_experiment(replace(spec, lambda_min=lam), workers=workers)
-        rows.append(_sweep_row(lam, report, ""))
-        reports[float(lam)] = report
-
-    monotone_di = monotone_dc = None
-    drop_di = drop_dc = None
-    if len(rows) > 1:
-        ordered = sorted(rows, key=lambda r: r.value)
-        di = [r.di_mean for r in ordered]
-        dc = [r.dc_mean for r in ordered]
-        monotone_di = all(a > b for a, b in zip(di, di[1:]))
-        monotone_dc = all(a > b for a, b in zip(dc, dc[1:]))
-        drop_di = (di[0] - di[-1]) / di[0] if di[0] > 0 else None
-        drop_dc = (dc[0] - dc[-1]) / dc[0] if dc[0] > 0 else None
-    return SweepResult(
-        parameter="lambda_min",
-        rows=rows,
-        reports=reports,
-        monotone_di=monotone_di,
-        monotone_dc=monotone_dc,
-        relative_drop_di=drop_di,
-        relative_drop_dc=drop_dc,
-    )
+    return [
+        run_experiment(replace(spec, **{parameter: value}), workers=workers)
+        for value in values
+    ]
 
 
 def _fmt(x: float) -> str:
@@ -585,13 +504,32 @@ def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:
     return out
 
 
-def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
-    """Write a sweep table: the varied parameter, then the row aggregates."""
+def write_sweep_csv(
+    reports: Sequence[ExperimentReport], parameter: str, path: str | Path
+) -> None:
+    """Write a sweep table, one row per report.
+
+    Columns: the value of ``parameter`` in the report's spec, the means and
+    stds of the DI and DC aggregates, the mean first-ranking-position
+    impacts (``di_max_mean``/``dc_max_mean``, which shrink as networks
+    grow), and ``below_min_meaningful_size`` for a spec below
+    ``MIN_MEANINGFUL_SIZE`` nodes.
+    """
     with open(path, "w", encoding="ascii") as fh:
         fh.write(
-            f"{result.parameter},di_mean,di_std,dc_mean,dc_std,"
+            f"{parameter},di_mean,di_std,dc_mean,dc_std,"
             "di_max_mean,dc_max_mean,flag\n"
         )
-        for row in result.rows:
-            *values, flag = astuple(row)
+        for report in reports:
+            values = (
+                getattr(report.spec, parameter),
+                report.means["di_aggregate"],
+                report.stds["di_aggregate"],
+                report.means["dc_aggregate"],
+                report.stds["dc_aggregate"],
+                report.means["di_max"],
+                report.means["dc_max"],
+            )
+            small = report.spec.n_nodes < MIN_MEANINGFUL_SIZE
+            flag = "below_min_meaningful_size" if small else ""
             fh.write(",".join(map(_fmt, values)) + f",{flag}\n")

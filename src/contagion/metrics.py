@@ -26,8 +26,6 @@ __all__ = [
     "RankingStatistics",
     "IndexImpactCorrelation",
     "gini",
-    "counterparty_susceptibility",
-    "local_network_frailty",
     "compute_topo_indices",
     "summarize",
     "ranking_statistics",
@@ -93,35 +91,17 @@ def _debtor_max(n: int, row: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def counterparty_susceptibility(
-    exposures: ExposureMatrix, sheets: BalanceSheetSet
-) -> np.ndarray:
-    """Maximal relative exposure of each bank's creditors to that bank.
-
-    For bank i this is ``max_j w_ij / E_j`` over creditors j, with ``E_j``
-    the creditor's equity. Banks with no creditors score 0.
-    """
-    row, _, ratio = _creditor_ratios(exposures, sheets)
-    return _debtor_max(exposures.n, row, ratio)
-
-
-def local_network_frailty(
-    exposures: ExposureMatrix, sheets: BalanceSheetSet
-) -> np.ndarray:
-    """Creditor vulnerability weighted by the creditor's interbank debt.
-
-    For bank i this is ``max_j (w_ij / E_j) * BL_j`` over creditors j; the
-    ``BL_j`` factor proxies how hard creditor j's own failure would hit its
-    lenders. Banks with no creditors score 0.
-    """
-    row, col, ratio = _creditor_ratios(exposures, sheets)
-    return _debtor_max(exposures.n, row, ratio * sheets.bl[col])
-
-
 def compute_topo_indices(
     exposures: ExposureMatrix, sheets: BalanceSheetSet
 ) -> TopoIndices:
-    """Both local indices of every bank, from one pass over the links."""
+    """Both local indices of every bank, from one pass over the links.
+
+    For bank i, counterparty susceptibility is ``max_j w_ij / E_j`` and
+    local network frailty ``max_j (w_ij / E_j) * BL_j``, both over the
+    creditors j of i, with ``E_j`` the creditor's equity and ``BL_j`` its
+    interbank liabilities, which proxy how hard the creditor's own failure
+    would hit its lenders. Banks with no creditors score 0 on both.
+    """
     row, col, ratio = _creditor_ratios(exposures, sheets)
     return TopoIndices(
         cs=_debtor_max(exposures.n, row, ratio),

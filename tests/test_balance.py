@@ -9,7 +9,6 @@ from contagion.balance import (
     build_balance_sheets,
     build_exposures,
     export_balances_csv,
-    export_exposures_csv,
     nonbank_ratios,
 )
 from contagion.netgen import DirectedGraph, generate, params_from_delta_in
@@ -215,17 +214,10 @@ class TestBuildBalanceSheets:
         g = DirectedGraph.from_links(3, [(1, 2)])
         x = build_exposures(g)
         sheets = build_balance_sheets(x, BalanceConfig(0.05, 0.01, 2.0, 1))
-        bank0 = sheets[0]
-        assert (bank0.ba, bank0.bl, bank0.nba, bank0.nbl, bank0.e) == (
-            0.0, 0.0, 0.0, 0.0, 0.0,
-        )
-
-    def test_sequence_protocol(self):
-        _, _, sheets = _sheets(n=100)
-        assert len(sheets) == 100
-        sheet = sheets[7]
-        assert sheet.total_assets == pytest.approx(sheet.ba + sheet.nba)
-        assert len(list(iter(sheets))) == 100
+        assert len(sheets) == 3
+        for column in (sheets.ba, sheets.bl, sheets.nba, sheets.nbl, sheets.e):
+            assert column[0] == 0.0
+        assert np.array_equal(sheets.total_assets, sheets.ba + sheets.nba)
 
     def test_non_finite_entries_rejected(self):
         _, _, sheets = _sheets(n=20)
@@ -284,16 +276,6 @@ class TestConfigValidation:
 
 
 class TestExports:
-    def test_exposure_csv_format(self, tmp_path):
-        g = DirectedGraph.from_links(3, [(0, 1), (1, 2), (0, 2)])
-        x = build_exposures(g)
-        path = tmp_path / "exposures.csv"
-        export_exposures_csv(x, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "i,j,w"
-        assert lines[1] == "0,1,0.5"
-        assert len(lines) == 1 + x.nnz
-
     def test_balance_csv_format(self, tmp_path):
         _, _, sheets = _sheets(n=50)
         path = tmp_path / "balances.csv"

@@ -306,14 +306,20 @@ class TestConsoleScript:
                 "missing spec keys ['replications']",
             ),
             (["GC", 0, 60, 1], "spec must be a JSON object"),
+            (
+                "{network_family: 'GC'}",
+                "not valid JSON: Expecting property name enclosed in double "
+                "quotes: line 1 column 2 (char 1)",
+            ),
         ],
-        ids=["unknown-key", "missing-key", "not-an-object"],
+        ids=["unknown-key", "missing-key", "not-an-object", "not-json"],
     )
     def test_malformed_spec_is_a_one_line_error(
         self, tmp_path, capsys, payload, message
     ):
+        # A string payload is written as it stands, not JSON-encoded.
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(payload))
+        spec_path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r"),
                    "--workers", "1"])
         assert rc == 1

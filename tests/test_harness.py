@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,12 +15,12 @@ from contagion.harness import (
     TYPE3_TARGET_MEAN_DEGREE,
     TYPE_PARAMS,
     ExperimentSpec,
-    capital_sweep,
     replication_seeds,
     resolve_workers,
     run_experiment,
-    size_sweep,
+    sweep,
     write_run_directory,
+    write_sweep_csv,
 )
 
 from conftest import WORKER_MODES, fail_replication_one
@@ -245,34 +246,55 @@ class TestRunDirectory:
         assert "pearson_f_dc" in payload["correlation_means"]
 
 
+def _sweep_rows(reports, parameter, path):
+    write_sweep_csv(reports, parameter, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == (
+        f"{parameter},di_mean,di_std,dc_mean,dc_std,di_max_mean,dc_max_mean,flag"
+    )
+    return [line.split(",") for line in lines[1:]]
+
+
 class TestSweeps:
-    def test_size_sweep_rows_and_flags(self):
+    def test_size_sweep_rows_and_flags(self, tmp_path):
         spec = ExperimentSpec("S", 0, 100, 1, master_seed=9)
-        result = size_sweep(spec, [2, 100], workers=1)
-        assert [row.value for row in result.rows] == [2.0, 100.0]
-        assert result.rows[0].flag == "below_min_meaningful_size"
-        assert result.rows[1].flag == ""
+        reports = sweep(spec, "n_nodes", [2, 100], workers=1)
+        assert [r.spec.n_nodes for r in reports] == [2, 100]
+        rows = _sweep_rows(reports, "n_nodes", tmp_path / "sizes.csv")
+        assert [(row[0], row[-1]) for row in rows] == [
+            ("2", "below_min_meaningful_size"), ("100", ""),
+        ]
 
-    def test_size_sweep_replication_override(self):
-        spec = ExperimentSpec("S", 0, 100, 2, master_seed=9)
-        result = size_sweep(
-            spec, [100, 120], workers=1, replications_by_size={120: 1}
-        )
-        assert len(result.reports[100.0].records) == 2
-        assert len(result.reports[120.0].records) == 1
+    @pytest.mark.parametrize(
+        "n, flag", [(99, "below_min_meaningful_size"), (100, "")]
+    )
+    def test_capital_sweep_flags_small_networks(self, tmp_path, n, flag):
+        spec = ExperimentSpec("S", 0, n, 1, master_seed=9)
+        reports = sweep(spec, "lambda_min", [0.05, 0.10], workers=1)
+        rows = _sweep_rows(reports, "lambda_min", tmp_path / "lambdas.csv")
+        assert [(row[0], row[-1]) for row in rows] == [("0.05", flag), ("0.1", flag)]
 
-    def test_capital_sweep_single_point_has_no_monotonicity(self):
+    def test_single_point_sweep_is_the_experiment(self):
         spec = ExperimentSpec("S", 0, 100, 1, master_seed=9)
-        result = capital_sweep(spec, [0.05], workers=1)
-        assert result.monotone_di is None
-        assert result.relative_drop_dc is None
+        [report] = sweep(spec, "lambda_min", [0.05], workers=1)
+        assert report.spec == spec
+        assert report.means == run_experiment(spec, workers=1).means
 
     def test_capital_sweep_two_points(self):
         spec = ExperimentSpec("GD", 0, 200, 2, master_seed=9)
-        result = capital_sweep(spec, [0.01, 0.10], workers=1)
-        assert result.monotone_di is not None
-        ordered = sorted(result.rows, key=lambda r: r.value)
-        assert ordered[0].dc_mean > ordered[1].dc_mean
+        low, high = sweep(spec, "lambda_min", [0.01, 0.10], workers=1)
+        assert [low.spec.lambda_min, high.spec.lambda_min] == [0.01, 0.10]
+        assert low.means["dc_aggregate"] > high.means["dc_aggregate"]
+
+    def test_capital_sweep_clears_the_same_networks(self):
+        # Variant 3 also densifies, so the augmentation stream is covered.
+        spec = ExperimentSpec("GD", 3, 120, 2, master_seed=9)
+        reports = sweep(spec, "lambda_min", [0.01, 0.05, 0.10], workers=1)
+        first = reports[0].records
+        for report in reports[1:]:
+            for a, b in zip(first, report.records, strict=True):
+                assert np.array_equal(a.graph.links, b.graph.links)
+                assert not np.array_equal(a.sheets.lam, b.sheets.lam)
 
 
 class TestWorkerResolution:
@@ -285,9 +307,11 @@ class TestWorkerResolution:
         assert resolve_workers() == 5
 
     def test_invalid_env(self, monkeypatch):
-        monkeypatch.setenv("CONTAGION_WORKERS", "0")
-        with pytest.raises(ValueError, match="CONTAGION_WORKERS"):
-            resolve_workers()
+        for value in ("0", "x", "2.5"):
+            monkeypatch.setenv("CONTAGION_WORKERS", value)
+            message = f"CONTAGION_WORKERS must be an integer >= 1, got '{value}'"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                resolve_workers()
 
     def test_default_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv("CONTAGION_WORKERS", raising=False)

@@ -26,10 +26,8 @@ from contagion.metrics import (
     TopoIndices,
     compute_topo_indices,
     correlate_indices,
-    counterparty_susceptibility,
     gini,
     index_impact_correlation,
-    local_network_frailty,
     ranking_statistics,
     summarize,
 )
@@ -86,8 +84,8 @@ def _hand_system():
 class TestLocalIndices:
     def test_hand_values(self):
         exposures, sheets = _hand_system()
-        cs = counterparty_susceptibility(exposures, sheets)
-        f = local_network_frailty(exposures, sheets)
+        indices = compute_topo_indices(exposures, sheets)
+        cs, f = indices.cs, indices.frailty
         assert cs[0] == pytest.approx(0.4 / 0.2)
         assert cs[1] == 0.0  # no creditors
         assert f[0] == pytest.approx((0.4 / 0.2) * 0.0)  # creditor 1 owes no banks
@@ -108,15 +106,15 @@ class TestLocalIndices:
             e=np.array([0.04, 0.2, 0.45]),
             lam=np.array([0.04, 0.027, 0.05]),
         )
-        f = local_network_frailty(exposures, sheets)
+        f = compute_topo_indices(exposures, sheets).frailty
         assert f[0] == pytest.approx((0.4 / 0.2) * 3.0)
 
     def test_frailty_dominates_cs_times_min_bl(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             exposures, sheets = random_small_system(rng)
-            cs = counterparty_susceptibility(exposures, sheets)
-            f = local_network_frailty(exposures, sheets)
+            indices = compute_topo_indices(exposures, sheets)
+            cs, f = indices.cs, indices.frailty
             indptr, indices, _ = exposures.row_arrays()
             for i in range(exposures.n):
                 creditors = indices[indptr[i]:indptr[i + 1]]
@@ -133,9 +131,11 @@ class TestLocalIndices:
             if checked >= 20:
                 break
             exposures, sheets = random_small_system(rng)
-            cs = counterparty_susceptibility(exposures, sheets)
-            in_deg = np.bincount(exposures.row_arrays()[1], minlength=exposures.n)
-            for i, j, w in exposures.entries():
+            cs = compute_topo_indices(exposures, sheets).cs
+            indptr, creditors, weights = exposures.row_arrays()
+            in_deg = np.bincount(creditors, minlength=exposures.n)
+            debtors = np.repeat(np.arange(exposures.n), np.diff(indptr))
+            for i, j, w in zip(debtors, creditors, weights):
                 shocked_pays_nothing = in_deg[i] == 0
                 if in_deg[j] == 1 and w > sheets.e[j] and shocked_pays_nothing:
                     sol = clear(exposures, sheets, ShockScenario(int(i)))
@@ -143,16 +143,6 @@ class TestLocalIndices:
                     assert cs[int(i)] > 1.0
                     checked += 1
         assert checked >= 20
-
-    def test_compute_topo_indices_equals_the_index_functions(self):
-        rng = np.random.default_rng(31)
-        systems = [random_small_system(rng) for _ in range(20)]
-        exposures = build_exposures(generate(params_from_delta_in(3.0).with_size(500, 2)))
-        sheets = build_balance_sheets(exposures, BalanceConfig(0.05, 0.01, 2.0, 2))
-        for exposures, sheets in systems + [(exposures, sheets)]:
-            both = compute_topo_indices(exposures, sheets)
-            assert np.array_equal(both.cs, counterparty_susceptibility(exposures, sheets))
-            assert np.array_equal(both.frailty, local_network_frailty(exposures, sheets))
 
     def test_scaling_invariance(self):
         # Scaling every exposure, equity and liability by c leaves CS
@@ -168,12 +158,10 @@ class TestLocalIndices:
             e=sheets.e * c,
             lam=sheets.lam.copy(),
         )
-        cs = counterparty_susceptibility(exposures, sheets)
-        cs_scaled = counterparty_susceptibility(scaled_x, scaled_sheets)
-        assert np.allclose(cs, cs_scaled, atol=1e-12)
-        f = local_network_frailty(exposures, sheets)
-        f_scaled = local_network_frailty(scaled_x, scaled_sheets)
-        assert np.allclose(f * c, f_scaled, rtol=1e-12)
+        indices = compute_topo_indices(exposures, sheets)
+        scaled = compute_topo_indices(scaled_x, scaled_sheets)
+        assert np.allclose(indices.cs, scaled.cs, atol=1e-12)
+        assert np.allclose(indices.frailty * c, scaled.frailty, rtol=1e-12)
 
 
 def _full_run(n=120, seed=5, lam=0.05):
