@@ -4,11 +4,11 @@ Four subcommands: ``generate`` writes a network edge list, ``fit``
 estimates a discrete power-law tail from a degree file, ``shock`` clears a
 single-bank default on a stored network, and ``sweep`` runs an experiment
 (or size/capital sweeps) from a JSON spec file. Progress goes to stderr
-through the ``contagion`` logger; results go to files or to stdout as single JSON records, so output can be
-piped. Bad input (an unreadable or malformed file, a bank id out of
-range) exits with status 1 and a one-line message on stderr. The
-``CONTAGION_WORKERS`` environment variable overrides the worker count used
-by ``sweep``.
+through the ``contagion`` logger; results go to files or to stdout as
+single JSON records, so output can be piped. Bad input (an unreadable or
+malformed file, a bank id out of range) exits with status 1 and a
+one-line message on stderr. The ``CONTAGION_WORKERS`` environment
+variable overrides the worker count used by ``sweep``.
 """
 
 from __future__ import annotations

@@ -318,8 +318,9 @@ class TestConsoleScript:
         self, tmp_path, capsys, payload, message
     ):
         # A string payload is written as it stands, not JSON-encoded.
+        text = payload if isinstance(payload, str) else json.dumps(payload)
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        spec_path.write_text(text)
         rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r"),
                    "--workers", "1"])
         assert rc == 1

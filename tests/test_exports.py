@@ -13,7 +13,7 @@ MODULES = ["contagion"] + [
 
 
 def test_modules_are_found():
-    assert {"contagion.balance", "contagion.harness", "contagion.metrics"} <= set(MODULES)
+    assert {"contagion.harness", "contagion.metrics"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)

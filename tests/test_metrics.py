@@ -113,8 +113,8 @@ class TestLocalIndices:
         rng = np.random.default_rng(23)
         for _ in range(30):
             exposures, sheets = random_small_system(rng)
-            indices = compute_topo_indices(exposures, sheets)
-            cs, f = indices.cs, indices.frailty
+            topo = compute_topo_indices(exposures, sheets)
+            cs, f = topo.cs, topo.frailty
             indptr, indices, _ = exposures.row_arrays()
             for i in range(exposures.n):
                 creditors = indices[indptr[i]:indptr[i + 1]]
