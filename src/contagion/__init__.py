@@ -10,7 +10,7 @@ Modules:
     powerlaw  -- discrete power-law tail fitting by maximum likelihood
     balance   -- exposure matrices and balance-sheet construction
     clearing  -- shock scenarios, clearing fixed point, impact metrics
-    metrics   -- Gini, rankings, local vulnerability indices, correlations
+    metrics   -- Gini, ranking curves, local vulnerability indices, correlations
     harness   -- ensemble experiments, sweeps, artifact persistence
     cli       -- the ``contagion`` command-line tool
 """

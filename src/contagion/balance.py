@@ -14,6 +14,7 @@ unit; only ratios matter downstream.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,10 +211,9 @@ class BalanceConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.lambda_min < 1.0:
             raise ValueError("lambda_min must lie in (0, 1)")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if self.xi <= 0.0:
-            raise ValueError("xi must be positive")
+        for name in ("sigma", "xi"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
 
 
 def _sample_capital_ratios(

@@ -334,8 +334,8 @@ def clear(
     """Settle all obligations after one bank's nonbank assets are shocked.
 
     Runs the round structure of the module docstring as a batch of one
-    shock. Terminates in at most n rounds because the default set only
-    grows.
+    shock. Terminates in at most n + 1 rounds: the default set only grows,
+    and the round after the last new default finds none.
 
     Args:
         exposures: interbank obligation matrix.
@@ -412,11 +412,11 @@ def clear_all(
     ShockScenario(0, recovery_on_nonbank, defaulted_nonbank_recovery)  # validates
     v0 = _gross_volume(total_initial_assets(sheets), sheets)
     pbar = sheets.bl + sheets.nbl
+    writeoff = (1.0 - recovery_on_nonbank) * sheets.nba
 
     links = np.diff(exposures.row_arrays()[0]) + 1
     cuts = np.flatnonzero(np.diff((np.cumsum(links) - links) // _BATCH_LINKS)) + 1
-    unpaid = np.zeros(n)
-    others = np.zeros(n, dtype=np.int64)
+    scores = []
     iterations = max_cascade = 0
     for shocks in np.split(np.arange(n), cuts):
         defaulted, ratio, sweeps = _settle(
@@ -424,24 +424,14 @@ def clear_all(
         )
         j, bank = np.divmod(defaulted, n)
         owes = pbar[bank]
-        # Each shock's unpaid total, summed over its defaulted banks in
-        # bank order as cascade_metrics sums it.
-        b = shocks.size
-        unpaid[shocks] = np.bincount(j, weights=owes - ratio * owes, minlength=b)
-        others[shocks] = np.bincount(j[bank != shocks[j]], minlength=b)
-        iterations += int(sweeps.sum())
-        max_cascade = max(max_cascade, int(np.bincount(j, minlength=b).max()))
-    writeoff = (1.0 - recovery_on_nonbank) * sheets.nba
-    di, ti, dc = _impacts(unpaid, writeoff, others, n, v0)
-    # CascadeResult's invariants, checked for every bank at once.
-    ok = (0.0 <= di) & (di <= ti) & (ti <= 1.0 + 1e-12) & (0.0 <= dc) & (dc <= 1.0)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise ValueError(
-            f"bank {k}: need 0 <= di <= ti <= 1 and 0 <= dc <= 1, "
-            f"got ({di[k]}, {ti[k]}, {dc[k]})"
+        scores.append(
+            _score(shocks, j, bank, owes - ratio * owes, writeoff[shocks], n, v0)
         )
-    screened = int((others == 0).sum())
+        iterations += int(sweeps.sum())
+        max_cascade = max(max_cascade, int(np.bincount(j, minlength=shocks.size).max()))
+    # The batches are consecutive banks, so their scores join in bank order.
+    di, ti, dc = map(np.concatenate, zip(*scores))
+    screened = int((dc == 0.0).sum())
     return AllBanksClearing(
         di=di,
         ti=ti,
@@ -476,10 +466,26 @@ def _gross_volume(a0: float, sheets: BalanceSheetSet) -> float:
     return a0 + float(sheets.nbl.sum())
 
 
-def _impacts(unpaid, writeoff, other_defaults, n: int, v0: float):
-    """``(di, ti, dc)`` of one shock, or elementwise of arrays of shocks."""
-    di = unpaid / v0
-    return di, writeoff / v0 + di, other_defaults / n
+def _score(shocks, j, bank, unpaid, writeoff, n: int, v0: float):
+    """``(di, ti, dc)`` arrays of a batch of shocks with write-offs ``writeoff``.
+
+    Defaulted bank ``bank[m]`` of shock ``shocks[j[m]]`` leaves ``unpaid[m]``
+    unpaid; entries come sorted by shock, then bank, and are summed in that
+    order. Raises ``ValueError`` naming the first shocked bank whose impacts
+    break the :class:`CascadeResult` invariants.
+    """
+    b = shocks.size
+    di = np.bincount(j, weights=unpaid, minlength=b) / v0
+    ti = writeoff / v0 + di
+    dc = np.bincount(j[bank != shocks[j]], minlength=b) / n
+    ok = (0.0 <= di) & (di <= ti) & (ti <= 1.0 + 1e-12) & (0.0 <= dc) & (dc <= 1.0)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(
+            f"bank {shocks[k]}: need 0 <= di <= ti <= 1 and 0 <= dc <= 1, "
+            f"got ({di[k]}, {ti[k]}, {dc[k]})"
+        )
+    return di, ti, dc
 
 
 def cascade_metrics(
@@ -515,12 +521,8 @@ def cascade_metrics(
         )
     defaulted = np.array(sorted(solution.defaulted), dtype=np.int64)
     unpaid = (solution.obligations - solution.payments)[defaulted]
-    di, ti, dc = _impacts(
-        # Summed over the defaulted banks in bank order, as clear_all sums.
-        float(np.bincount(np.zeros_like(defaulted), unpaid, minlength=1)[0]),
-        solution.initial_writeoff,
-        len(solution.defaulted - {shocked_bank}),
-        len(sheets),
-        v0,
-    )
+    di, ti, dc = (float(v[0]) for v in _score(
+        np.array([shocked_bank]), np.zeros_like(defaulted), defaulted, unpaid,
+        solution.initial_writeoff, len(sheets), v0,
+    ))
     return CascadeResult(shocked_bank, di, ti, dc, defaulted=solution.defaulted)

@@ -17,6 +17,8 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
+from functools import cache, partial
 from pathlib import Path
 
 from . import balance, clearing, harness, netgen, powerlaw
@@ -175,15 +177,16 @@ def _cmd_shock(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = harness.ExperimentSpec.from_json(args.spec)
-    report = harness.run_experiment(spec, workers=args.workers)
-    harness.write_run_directory(report, args.out)
+    # Runs are seeded, so a repeated spec reuses its report instead of rerunning.
+    run = cache(partial(harness.run_experiment, workers=args.workers))
+    harness.write_run_directory(run(spec), args.out)
     logger.info("[contagion] run directory: %s", args.out)
     for name, parameter, values in (
         ("size", "n_nodes", args.sizes),
         ("capital", "lambda_min", args.lambdas),
     ):
         if values:
-            reports = harness.sweep(spec, parameter, values, workers=args.workers)
+            reports = [run(replace(spec, **{parameter: v})) for v in values]
             harness.write_sweep_csv(
                 reports, parameter, Path(args.out) / f"{name}_sweep.csv"
             )

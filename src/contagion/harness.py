@@ -373,9 +373,8 @@ def run_experiment(
         means[key] = float(values.mean())
         stds[key] = float(values.std(ddof=1)) if len(values) > 1 else float("nan")
 
-    summaries = [r.summary for r in records]
-    rank_di = ranking_statistics(summaries, "di") if len(records) > 1 else None
-    rank_dc = ranking_statistics(summaries, "dc") if len(records) > 1 else None
+    rank_di = ranking_statistics([r.di for r in records]) if len(records) > 1 else None
+    rank_dc = ranking_statistics([r.dc for r in records]) if len(records) > 1 else None
 
     corr_pooled = asdict(
         correlate_indices(

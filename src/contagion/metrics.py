@@ -1,8 +1,8 @@
 """Aggregate and topological systemic-risk measures.
 
 Covers concentration (Gini coefficients of degree and asset distributions),
-network-level aggregates and rankings of per-bank impact measures, two
-local vulnerability indices read off the exposure matrix (counterparty
+network-level aggregates of per-bank impact measures, two local
+vulnerability indices read off the exposure matrix (counterparty
 susceptibility and local network frailty), ranking-curve statistics across
 replications, and correlations between the local indices and realized
 impacts. The Pearson and Spearman correlations are a few lines of numpy
@@ -111,39 +111,21 @@ def compute_topo_indices(
 
 @dataclass(frozen=True, eq=False)
 class NetworkRiskSummary:
-    """Network-level aggregates for one simulated system.
+    """Network-level scalars for one simulated system.
 
-    ``ranking_di``/``ranking_dc`` are bank ids sorted by descending impact
-    (ties broken by ascending id); ``di_curve``/``dc_curve`` are the impact
-    values in that order. Aggregates are plain sums over banks.
+    Aggregates are plain sums over banks and ``di_max``/``dc_max`` the
+    largest single-bank impacts; the per-bank impacts stay with the caller.
     """
 
-    n: int
     di_aggregate: float
     dc_aggregate: float
-    ranking_di: np.ndarray
-    ranking_dc: np.ndarray
-    di_curve: np.ndarray
-    dc_curve: np.ndarray
+    di_max: float
+    dc_max: float
     mean_degree: float
     gini_total: float
     gini_in: float
     gini_out: float
     gini_assets: float
-
-    @property
-    def di_max(self) -> float:
-        return float(self.di_curve[0])
-
-    @property
-    def dc_max(self) -> float:
-        return float(self.dc_curve[0])
-
-
-def _descending_ranking(values: np.ndarray) -> np.ndarray:
-    """Bank ids by descending value, ties broken by ascending id."""
-    ids = np.arange(values.size)
-    return np.lexsort((ids, -values))
 
 
 def _impact_vectors(n: int, di, dc) -> tuple[np.ndarray, np.ndarray]:
@@ -168,25 +150,19 @@ def summarize(
 
     ``di[k]`` and ``dc[k]`` are the impacts of shocking bank k, one finite
     value per bank (as :func:`contagion.clearing.clear_all` returns them).
-    Builds impact rankings and curves, sums the aggregates, and attaches
-    the topology-side concentration measures (mean degree; Gini of
+    Sums the aggregates, takes the largest impacts, and attaches the
+    topology-side concentration measures (mean degree; Gini of
     total/in/out degree and of total assets).
     """
     n = graph.n
     if n < 2:
         raise ValueError("summaries need at least 2 banks")
     di, dc = _impact_vectors(n, di, dc)
-
-    rank_di = _descending_ranking(di)
-    rank_dc = _descending_ranking(dc)
     return NetworkRiskSummary(
-        n=n,
         di_aggregate=float(di.sum()),
         dc_aggregate=float(dc.sum()),
-        ranking_di=rank_di,
-        ranking_dc=rank_dc,
-        di_curve=di[rank_di],
-        dc_curve=dc[rank_dc],
+        di_max=float(di.max()),
+        dc_max=float(dc.max()),
         mean_degree=graph.mean_degree,
         gini_total=gini(graph.in_degree + graph.out_degree),
         gini_in=gini(graph.in_degree),
@@ -204,25 +180,18 @@ class RankingStatistics:
     cv: np.ndarray
 
 
-def ranking_statistics(
-    ensemble: Sequence[NetworkRiskSummary], metric: str = "di"
-) -> RankingStatistics:
+def ranking_statistics(impacts: Sequence[np.ndarray]) -> RankingStatistics:
     """Mean, sample std and coefficient of variation per ranking position.
 
-    The position-wise means define the ensemble ranking curve; ``cv`` is
-    ``std / mean`` with positions of zero spread reported as 0.
-
-    Args:
-        ensemble: at least two replications of the same network size.
-        metric: ``"di"`` or ``"dc"``.
+    ``impacts`` holds at least two replications' per-bank DI (or DC)
+    arrays, all of one network size; each is sorted into its descending
+    ranking curve, position 1 being the largest impact. The position-wise
+    means define the ensemble ranking curve; ``cv`` is ``std / mean`` with
+    positions of zero spread reported as 0.
     """
-    if len(ensemble) < 2:
+    if len(impacts) < 2:
         raise ValueError("ranking statistics need at least 2 replications")
-    if metric not in ("di", "dc"):
-        raise ValueError(f"metric must be 'di' or 'dc', got {metric!r}")
-    curves = np.vstack(
-        [s.di_curve if metric == "di" else s.dc_curve for s in ensemble]
-    )
+    curves = -np.sort(-np.vstack(impacts), axis=1)
     mean = curves.mean(axis=0)
     std = curves.std(axis=0, ddof=1)
     cv = np.divide(std, mean, out=np.zeros_like(std), where=std > 0.0)

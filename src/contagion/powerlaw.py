@@ -197,16 +197,20 @@ def fit_discrete(
         The selected :class:`PowerLawFit`.
 
     Raises:
-        ValueError: on too-few samples or non-positive values.
+        ValueError: on too-few samples or non-positive or non-integer
+            values.
         DegenerateSequenceError: when all samples are equal or no cutoff
             leaves a fittable tail.
     """
-    x = np.asarray(samples, dtype=np.int64)
+    raw = np.asarray(samples)
+    with np.errstate(invalid="ignore"):
+        x = raw.astype(np.int64)
     if x.size < _MIN_SAMPLES:
         raise ValueError(
             f"need at least {_MIN_SAMPLES} samples, got {x.size}"
         )
-    if x.min() < 1:
+    # The cast would truncate a fraction (and garble NaN or inf) silently.
+    if x.min() < 1 or (x != raw).any():
         raise ValueError("samples must be positive integers")
     # Sort-based distinct values: np.unique's hash path imports numpy.ma.
     xs = np.sort(x)

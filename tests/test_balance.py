@@ -266,6 +266,10 @@ class TestConfigValidation:
             {"lambda_min": 1.0},
             {"sigma": 0.0},
             {"xi": 0.0},
+            {"sigma": float("nan")},
+            {"sigma": float("inf")},
+            {"xi": float("nan")},
+            {"xi": float("inf")},
         ],
     )
     def test_bad_configs(self, kwargs):

@@ -194,6 +194,34 @@ class TestSweepCommand:
         lam_lines = (out / "capital_sweep.csv").read_text().splitlines()
         assert lam_lines[0].startswith("lambda_min,di_mean")
 
+    def test_each_distinct_experiment_runs_once(self, tmp_path, monkeypatch):
+        calls = []
+        run_experiment = harness.run_experiment
+
+        def counting(spec, workers=None):
+            calls.append(spec)
+            return run_experiment(spec, workers=workers)
+
+        monkeypatch.setattr(harness, "run_experiment", counting)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "network_family": "GC", "type_variant": 0, "n_nodes": 60,
+            "replications": 1, "lambda_min": 0.05, "master_seed": 1,
+        }))
+        out = tmp_path / "r"
+        rc = main(["sweep", "--spec", str(spec_path), "--out", str(out),
+                   "--workers", "1", "--sizes", "60", "90", "90",
+                   "--lambdas", "0.05", "0.10"])
+        assert rc == 0
+        # The base spec, n_nodes 90 and lambda_min 0.10: three of six points.
+        assert [(s.n_nodes, s.lambda_min) for s in calls] == [
+            (60, 0.05), (90, 0.05), (60, 0.10),
+        ]
+        size_rows = (out / "size_sweep.csv").read_text().splitlines()[1:]
+        assert len(size_rows) == 3 and size_rows[1] == size_rows[2]
+        lam_rows = (out / "capital_sweep.csv").read_text().splitlines()[1:]
+        assert lam_rows[0].split(",")[1:] == size_rows[0].split(",")[1:]
+
     def test_stdout_stays_clean(self, tmp_path, capsys):
         spec = {
             "network_family": "GC", "type_variant": 0, "n_nodes": 60,
@@ -214,6 +242,8 @@ class TestSweepCommand:
             ("n_nodes", 60.5, "n_nodes must be an integer, got 60.5"),
             ("replications", True, "replications must be an integer, got True"),
             ("xi", "2", "xi must be a number, got '2'"),
+            # json writes and reads a NaN float as the bare token NaN.
+            ("sigma", float("nan"), "sigma must be finite and positive"),
         ],
     )
     def test_wrong_typed_spec_value_is_one_error_line(

@@ -25,7 +25,7 @@ class TestTypeZeroAnchors:
         # across replications.
         for family in ("GC", "S", "GD"):
             report = ensembles(family, 0)
-            stats = ranking_statistics([r.summary for r in report.records], "di")
+            stats = ranking_statistics([r.di for r in report.records])
             assert 0.15 <= stats.cv[0] <= 0.75, (family, stats.cv[0])
 
     def test_table1_concentration_values(self, ensembles):

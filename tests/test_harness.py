@@ -133,7 +133,7 @@ class TestRunExperiment:
             ExperimentSpec("S", 0, 120, 2, master_seed=5), workers=1
         )
         assert len(report.records) == 2
-        assert report.records[0].summary.n == 120
+        assert report.records[0].di.shape == (120,)
         assert report.ranking_di is not None
         assert set(report.means) == set(report.stds)
         assert report.means["dc_aggregate"] >= 0.0

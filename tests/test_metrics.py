@@ -189,22 +189,11 @@ class TestSummarize:
             np.mean(di), abs=1e-12
         )
 
-    def test_rankings_are_permutations_and_sorted(self):
+    def test_largest_impacts(self):
         graph, _, sheets, di, dc = _full_run()
         summary = summarize(di, dc, graph, sheets)
-        assert sorted(summary.ranking_di.tolist()) == list(range(graph.n))
-        assert sorted(summary.ranking_dc.tolist()) == list(range(graph.n))
-        assert (np.diff(summary.di_curve) <= 1e-15).all()
-        assert (np.diff(summary.dc_curve) <= 1e-15).all()
-        assert summary.di_max == summary.di_curve[0]
-
-    def test_ties_broken_by_ascending_id(self):
-        graph = DirectedGraph.from_links(3, [(0, 1), (1, 2), (2, 0)])
-        sheets = build_balance_sheets(
-            build_exposures(graph), BalanceConfig(0.05, 0.01, 2.0, 1)
-        )
-        summary = summarize(np.full(3, 0.1), np.zeros(3), graph, sheets)
-        assert summary.ranking_di.tolist() == [0, 1, 2]
+        assert summary.di_max == di.max()
+        assert summary.dc_max == dc.max()
 
     def test_permutation_stability(self):
         graph, _, sheets, di, dc = _full_run(n=60, seed=9)
@@ -228,8 +217,10 @@ class TestSummarize:
         di_p[perm] = di
         dc_p[perm] = dc
         summary_p = summarize(di_p, dc_p, relabeled, sheets_p)
-        assert np.allclose(summary.di_curve, summary_p.di_curve, atol=1e-15)
-        assert np.allclose(summary.dc_curve, summary_p.dc_curve, atol=1e-15)
+        for name in ("di_aggregate", "dc_aggregate", "di_max", "dc_max"):
+            assert getattr(summary_p, name) == pytest.approx(
+                getattr(summary, name), abs=1e-12
+            ), name
         assert summary.gini_total == pytest.approx(summary_p.gini_total, abs=1e-12)
 
     def test_missing_and_duplicate_results_rejected(self):
@@ -256,34 +247,24 @@ class TestSummarize:
 
 
 class TestRankingStatistics:
-    def _summary_with_curve(self, curve):
-        values = np.asarray(curve, dtype=np.float64)
-        return type("S", (), {"di_curve": values, "dc_curve": values})()
-
     def test_hand_computed_example(self):
-        a = self._summary_with_curve([0.2, 0.1])
-        b = self._summary_with_curve([0.4, 0.1])
-        stats = ranking_statistics([a, b], "di")
+        # Each replication's impacts are sorted into a descending curve.
+        stats = ranking_statistics([np.array([0.1, 0.2]), np.array([0.4, 0.1])])
         assert stats.mean[0] == pytest.approx(0.3)
         assert stats.std[0] == pytest.approx(np.sqrt(0.02), abs=1e-12)
         assert stats.cv[0] == pytest.approx(np.sqrt(0.02) / 0.3, abs=1e-12)
+        assert stats.mean[1] == pytest.approx(0.1)
+        assert stats.cv[1] == 0.0
 
     def test_identical_replications_have_zero_cv(self):
-        a = self._summary_with_curve([0.5, 0.25, 0.0])
-        b = self._summary_with_curve([0.5, 0.25, 0.0])
-        stats = ranking_statistics([a, b], "dc")
+        a = np.array([0.25, 0.0, 0.5])
+        stats = ranking_statistics([a, a[::-1]])
+        assert np.allclose(stats.mean, [0.5, 0.25, 0.0])
         assert np.allclose(stats.cv, 0.0)
 
     def test_single_replication_rejected(self):
-        a = self._summary_with_curve([0.5])
         with pytest.raises(ValueError, match="at least 2"):
-            ranking_statistics([a], "di")
-
-    def test_unknown_metric_rejected(self):
-        a = self._summary_with_curve([0.5])
-        b = self._summary_with_curve([0.5])
-        with pytest.raises(ValueError, match="metric"):
-            ranking_statistics([a, b], "ti")
+            ranking_statistics([np.array([0.5])])
 
 
 class TestIndexImpactCorrelation:

@@ -52,6 +52,12 @@ class TestFitDiscrete:
     def test_non_positive_samples_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             fit_discrete([0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+        # A fraction would be truncated into a sample; integral floats pass.
+        with pytest.raises(ValueError, match="positive integers"):
+            fit_discrete(np.arange(1, 11) + 0.5)
+        with pytest.raises(ValueError, match="positive integers"):
+            fit_discrete([np.nan] + list(range(1, 10)))
+        assert fit_discrete(np.arange(1.0, 21.0)) == fit_discrete(np.arange(1, 21))
 
     def test_tail_scale_free(self, synthetic_draws):
         # Dropping sub-cutoff samples and refitting at the same cutoff must
