@@ -48,12 +48,14 @@ for line in trace.getvalue().splitlines():
     print(f"  round {record['round']}: {len(fresh):3d} new defaults "
           f"(max payment change {record['max_delta']:.3e})")
 
-ratios = solution.payment_ratios
+# Every bank owes its interbank plus its nonbank liabilities.
+obligations = sheets.bl + sheets.nbl
 defaulted = sorted(solution.defaulted)
 print(f"\n{len(defaulted)} banks insolvent; payment ratios of the first few:")
 for bank in defaulted[:8]:
-    print(f"  bank {bank:4d}: pays fraction {ratios[bank]:.3f} of its "
-          f"obligations ({solution.obligations[bank]:.3f})")
+    ratio = solution.payments[bank] / obligations[bank]
+    print(f"  bank {bank:4d}: pays fraction {ratio:.3f} of its "
+          f"obligations ({obligations[bank]:.3f})")
 
 result = cascade_metrics(solution, sheets, shocked, a0)
 print(f"\nimpact: DI = {result.di:.4f}  TI = {result.ti:.4f}  "
@@ -67,4 +69,4 @@ print(f"local network frailty        f({shocked}) = {indices.frailty[shocked]:.2
 # A solvent benchmark: full recovery on the nonbank book means no shock.
 benign = clear(exposures, sheets, ShockScenario(shocked, recovery_on_nonbank=1.0))
 print(f"\nwith full nonbank recovery: {len(benign.defaulted)} defaults, "
-      f"all obligations paid: {np.allclose(benign.payments, benign.obligations)}")
+      f"all obligations paid: {np.allclose(benign.payments, obligations)}")

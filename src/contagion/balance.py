@@ -126,14 +126,6 @@ class ExposureMatrix:
         """Read-only CSR arrays (indptr, indices, data) for row traversal."""
         return self._indptr, self._indices, self._data
 
-    def weight(self, i: int, j: int) -> float:
-        """Obligation of bank i to bank j; 0.0 when i owes j nothing."""
-        if not (0 <= i < self._n and 0 <= j < self._n):
-            raise IndexError(f"bank pair ({i}, {j}) outside bank range [0, {self._n})")
-        lo, hi = self._indptr[i], self._indptr[i + 1]
-        k = lo + int(np.searchsorted(self._indices[lo:hi], j))
-        return float(self._data[k]) if k < hi and self._indices[k] == j else 0.0
-
 
 def build_exposures(graph: DirectedGraph) -> ExposureMatrix:
     """Assign link weights from endpoint degrees.

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
@@ -100,29 +100,18 @@ class ShockScenario:
 class ClearingSolution:
     """Settled payments and the induced default set for one shock.
 
-    ``payments[i]`` is what bank i actually pays on total obligations
-    ``obligations[i]``; ``received[i]`` its realized interbank receipts;
-    ``losses[i]`` the write-down on its interbank assets. ``defaulted``
-    holds every insolvent bank, including the shocked one when the shock
-    sinks it. ``iterations`` counts inner fixed-point sweeps.
+    ``payments[i]`` is what bank i actually pays on its total obligations
+    ``sheets.bl[i] + sheets.nbl[i]``; only banks in ``defaulted`` pay less.
+    ``defaulted`` holds every insolvent bank, including the shocked one when
+    the shock sinks it. ``iterations`` counts inner fixed-point sweeps and
+    ``initial_writeoff`` is the shocked bank's written-off nonbank assets.
     """
 
     payments: np.ndarray
-    obligations: np.ndarray
-    received: np.ndarray
-    losses: np.ndarray
     defaulted: frozenset[int]
     iterations: int
     shocked_bank: int
     initial_writeoff: float
-
-    @property
-    def payment_ratios(self) -> np.ndarray:
-        """Per-bank payment fraction; banks owing nothing pay ratio 1."""
-        out = np.ones_like(self.payments)
-        owes = self.obligations > 0.0
-        out[owes] = self.payments[owes] / self.obligations[owes]
-        return out
 
 
 @dataclass(frozen=True)
@@ -139,7 +128,6 @@ class CascadeResult:
     di: float
     ti: float
     dc: float
-    defaulted: frozenset[int] = field(repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.di <= self.ti <= 1.0 + 1e-12:
@@ -347,8 +335,11 @@ def clear(
             change.
 
     Returns:
-        The clearing solution; recomputing the payment map at the solution
-        moves no entry by more than 1e-10.
+        The payments and the default set. The rest follows from them and
+        the sheets: bank i owes ``bl[i] + nbl[i]`` and receives the sum of
+        its debtors' payment ratios times their obligations to it.
+        Recomputing the payment map at the solution moves no entry by more
+        than 1e-10.
     """
     n = exposures.n
     if len(sheets) != n:
@@ -365,20 +356,11 @@ def clear(
         exposures, sheets, np.array([s]), recovery,
         scenario.defaulted_nonbank_recovery, trace,
     )
-    pbar = sheets.bl + sheets.nbl
     # Solvent banks pay in full.
-    payments = pbar.copy()
+    payments = sheets.bl + sheets.nbl
     payments[defaulted] *= ratio
-    # Only defaulted banks pay short, so their rows carry every loss.
-    indptr, indices, data = exposures.row_arrays()
-    edge, row_len = _row_edges(indptr, defaulted)
-    shortfall = np.repeat(1.0 - ratio, row_len) * data[edge]
-    losses = np.bincount(indices[edge], shortfall, minlength=n)
     return ClearingSolution(
         payments=payments,
-        obligations=pbar,
-        received=sheets.ba - losses,
-        losses=losses,
         defaulted=frozenset(defaulted.tolist()),
         iterations=int(iterations[0]),
         shocked_bank=s,
@@ -520,9 +502,9 @@ def cascade_metrics(
             f"not {shocked_bank}"
         )
     defaulted = np.array(sorted(solution.defaulted), dtype=np.int64)
-    unpaid = (solution.obligations - solution.payments)[defaulted]
+    unpaid = (sheets.bl + sheets.nbl - solution.payments)[defaulted]
     di, ti, dc = (float(v[0]) for v in _score(
         np.array([shocked_bank]), np.zeros_like(defaulted), defaulted, unpaid,
         solution.initial_writeoff, len(sheets), v0,
     ))
-    return CascadeResult(shocked_bank, di, ti, dc, defaulted=solution.defaulted)
+    return CascadeResult(shocked_bank, di, ti, dc)

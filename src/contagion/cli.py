@@ -167,7 +167,7 @@ def _cmd_shock(args: argparse.Namespace) -> int:
                 "di": result.di,
                 "ti": result.ti,
                 "dc": result.dc,
-                "defaulted": sorted(result.defaulted),
+                "defaulted": sorted(solution.defaulted),
                 "iterations": solution.iterations,
             }
         )

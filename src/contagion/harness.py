@@ -226,17 +226,8 @@ class ExperimentReport:
         return [_scalar_row(rec) for rec in self.records]
 
 
-_SCALAR_KEYS = (
-    "di_aggregate",
-    "dc_aggregate",
-    "mean_degree",
-    "gini_total",
-    "gini_in",
-    "gini_out",
-    "gini_assets",
-    "di_max",
-    "dc_max",
-)
+# The summary's fields, in the column order of summary.csv and report.json.
+_SCALAR_KEYS = tuple(f.name for f in fields(NetworkRiskSummary))
 
 
 # Stages of a replication, timed in ReplicationRecord.stage_seconds.
@@ -244,7 +235,7 @@ _STAGES = ("generate", "build", "clear", "metrics")
 
 
 def _scalar_row(rec: ReplicationRecord) -> dict[str, float]:
-    return {"rep": rec.rep} | {k: getattr(rec.summary, k) for k in _SCALAR_KEYS}
+    return {"rep": rec.rep} | asdict(rec.summary)
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:

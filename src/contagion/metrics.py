@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 
+def _require_finite(v: np.ndarray, message: str) -> None:
+    """Raise ``ValueError`` ending ``message`` with the first non-finite index."""
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"{message} {int(bad[0])}")
+
+
 def gini(values: Sequence[float]) -> float:
     """Gini coefficient of a non-negative distribution, in [0, 1].
 
@@ -42,11 +49,12 @@ def gini(values: Sequence[float]) -> float:
     with the pairwise mean-absolute-difference definition
     ``sum_ij |x_i - x_j| / (2 n^2 mean)``.
 
-    Requires at least two values, none negative, not all zero.
+    Requires at least two finite values, none negative, not all zero.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.size < 2:
         raise ValueError("Gini needs at least 2 values")
+    _require_finite(x, "Gini value is not finite at index")
     if (x < 0.0).any():
         raise ValueError("Gini requires non-negative values")
     total = x.sum()
@@ -115,17 +123,18 @@ class NetworkRiskSummary:
 
     Aggregates are plain sums over banks and ``di_max``/``dc_max`` the
     largest single-bank impacts; the per-bank impacts stay with the caller.
+    The field order is the column order of a run directory's summary.csv.
     """
 
     di_aggregate: float
     dc_aggregate: float
-    di_max: float
-    dc_max: float
     mean_degree: float
     gini_total: float
     gini_in: float
     gini_out: float
     gini_assets: float
+    di_max: float
+    dc_max: float
 
 
 def _impact_vectors(n: int, di, dc) -> tuple[np.ndarray, np.ndarray]:
@@ -134,9 +143,7 @@ def _impact_vectors(n: int, di, dc) -> tuple[np.ndarray, np.ndarray]:
     for name, v in (("di", di), ("dc", dc)):
         if v.shape != (n,):
             raise ValueError(f"expected {n} {name} values, got shape {v.shape}")
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise ValueError(f"{name} is not finite at bank {int(bad[0])}")
+        _require_finite(v, f"{name} is not finite at bank")
     return di, dc
 
 
@@ -161,13 +168,13 @@ def summarize(
     return NetworkRiskSummary(
         di_aggregate=float(di.sum()),
         dc_aggregate=float(dc.sum()),
-        di_max=float(di.max()),
-        dc_max=float(dc.max()),
         mean_degree=graph.mean_degree,
         gini_total=gini(graph.in_degree + graph.out_degree),
         gini_in=gini(graph.in_degree),
         gini_out=gini(graph.out_degree),
         gini_assets=gini(sheets.total_assets),
+        di_max=float(di.max()),
+        dc_max=float(dc.max()),
     )
 
 
@@ -184,13 +191,20 @@ def ranking_statistics(impacts: Sequence[np.ndarray]) -> RankingStatistics:
     """Mean, sample std and coefficient of variation per ranking position.
 
     ``impacts`` holds at least two replications' per-bank DI (or DC)
-    arrays, all of one network size; each is sorted into its descending
-    ranking curve, position 1 being the largest impact. The position-wise
-    means define the ensemble ranking curve; ``cv`` is ``std / mean`` with
-    positions of zero spread reported as 0.
+    arrays of finite values, all of one network size; each is sorted into
+    its descending ranking curve, position 1 being the largest impact. The
+    position-wise means define the ensemble ranking curve; ``cv`` is
+    ``std / mean`` with positions of zero spread reported as 0.
     """
     if len(impacts) < 2:
         raise ValueError("ranking statistics need at least 2 replications")
+    impacts = [np.asarray(v) for v in impacts]
+    for k, v in enumerate(impacts):
+        if v.shape != impacts[0].shape:
+            raise ValueError(
+                f"replication {k} has shape {v.shape}, replication 0 {impacts[0].shape}"
+            )
+        _require_finite(v, f"replication {k} is not finite at bank")
     curves = -np.sort(-np.vstack(impacts), axis=1)
     mean = curves.mean(axis=0)
     std = curves.std(axis=0, ddof=1)

@@ -442,6 +442,8 @@ def augment_random_links(
     """
     n = graph.n
     current = graph.mean_degree
+    if not math.isfinite(target_mean_degree):
+        raise ValueError(f"target mean degree {target_mean_degree} is not finite")
     if target_mean_degree < current - 1e-9:
         raise ValueError(
             f"target mean degree {target_mean_degree} below current {current}"

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "PowerLawFit",
     "fit_discrete",
-    "tail_log_likelihood",
     "DegenerateSequenceError",
 ]
 
@@ -162,23 +161,7 @@ def _ks_distance(tail: np.ndarray, x_min: int, exponent: float) -> float:
     return float(np.abs(np.concatenate((empirical, below_cdf)) - fitted).max())
 
 
-def tail_log_likelihood(
-    samples: Sequence[int], exponent: float, x_min: int
-) -> float:
-    """Discrete power-law log-likelihood of the tail at or above ``x_min``."""
-    tail = np.asarray(samples, dtype=np.int64)
-    tail = tail[tail >= x_min]
-    if tail.size == 0:
-        raise ValueError(f"no samples at or above x_min={x_min}")
-    return float(
-        -tail.size * np.log(_hurwitz_zeta(exponent, x_min))
-        - exponent * np.log(tail).sum()
-    )
-
-
-def fit_discrete(
-    samples: Sequence[int], x_min: Optional[int] = None
-) -> PowerLawFit:
+def fit_discrete(samples: Sequence[int]) -> PowerLawFit:
     """Fit a discrete power law with automatic tail-cutoff selection.
 
     Candidate cutoffs are the distinct sample values up to the 90th
@@ -186,12 +169,10 @@ def fit_discrete(
     candidate whose tail holds two distinct values the exponent is fitted
     by golden-section maximization of the discrete log-likelihood over
     (1.01, 6.0], all candidates' searches in lock-step; the cutoff with the
-    smallest Kolmogorov-Smirnov distance wins, the first on a tie. Passing
-    ``x_min`` skips the cutoff search and fits that tail directly.
+    smallest Kolmogorov-Smirnov distance wins, the first on a tie.
 
     Args:
         samples: positive integers, at least 10 of them, not all equal.
-        x_min: optional forced tail cutoff.
 
     Returns:
         The selected :class:`PowerLawFit`.
@@ -199,8 +180,7 @@ def fit_discrete(
     Raises:
         ValueError: on too-few samples or non-positive or non-integer
             values.
-        DegenerateSequenceError: when all samples are equal or no cutoff
-            leaves a fittable tail.
+        DegenerateSequenceError: when all samples are equal.
     """
     raw = np.asarray(samples)
     with np.errstate(invalid="ignore"):
@@ -220,19 +200,11 @@ def fit_discrete(
             "degenerate sequence: all samples equal"
         )
 
-    if x_min is not None:
-        candidates = np.asarray([x_min], dtype=np.int64)
-    else:
-        candidates = values[values <= _upper_decile(xs)]
     # A tail is fittable when it holds two distinct values, that is, when
-    # its cutoff lies below the largest sample.
+    # its cutoff lies below the largest sample; the smallest sample always
+    # does, so some candidate is fittable.
+    candidates = values[(values <= _upper_decile(xs)) & (values < xs[-1])]
     starts = xs.searchsorted(candidates)
-    fittable = xs[np.minimum(starts, xs.size - 1)] < xs[-1]
-    candidates, starts = candidates[fittable], starts[fittable]
-    if candidates.size == 0:
-        raise DegenerateSequenceError(
-            "degenerate sequence: no cutoff leaves a fittable tail"
-        )
     # Log sums in sample order, as a tail's own sum adds them.
     log_sums = [float(np.log(x[x >= cutoff]).sum()) for cutoff in candidates.tolist()]
     exponents = _mle_exponents(xs.size - starts, candidates, np.array(log_sums))

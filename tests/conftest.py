@@ -199,7 +199,7 @@ def scalar_augment_links(
     return sorted(map(list, link_set)), fallback
 
 
-def sequential_fit_discrete(samples, x_min=None) -> PowerLawFit:
+def sequential_fit_discrete(samples) -> PowerLawFit:
     """``powerlaw.fit_discrete`` with one golden-section search per cutoff.
 
     Candidates come from ``np.unique`` and ``np.quantile``, and each
@@ -214,10 +214,7 @@ def sequential_fit_discrete(samples, x_min=None) -> PowerLawFit:
     values = np.unique(x)
     if values.size < 2:
         raise DegenerateSequenceError("degenerate sequence: all samples equal")
-    if x_min is not None:
-        candidates = np.asarray([x_min], dtype=np.int64)
-    else:
-        candidates = values[values <= np.quantile(x, 0.9)]
+    candidates = values[values <= np.quantile(x, 0.9)]
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     best = None
@@ -333,6 +330,17 @@ def dense_exposures(exposures: ExposureMatrix) -> np.ndarray:
     dense = np.zeros((exposures.n, exposures.n))
     dense[np.repeat(np.arange(exposures.n), np.diff(indptr)), indices] = data
     return dense
+
+
+def payment_ratios(sheets: BalanceSheetSet, payments: np.ndarray) -> np.ndarray:
+    """Each bank's paid fraction of ``bl + nbl``; 1 for a bank owing nothing."""
+    pbar = sheets.bl + sheets.nbl
+    return np.divide(payments, pbar, out=np.ones(pbar.size), where=pbar > 0.0)
+
+
+def receipts(exposures: ExposureMatrix, sheets: BalanceSheetSet, payments) -> np.ndarray:
+    """Each bank's interbank receipts: every debtor pays its creditors pro rata."""
+    return payment_ratios(sheets, payments) @ dense_exposures(exposures)
 
 
 # --------------------------------------------------------- failing runs

@@ -30,6 +30,7 @@ from conftest import (
     ACCEPT_SEED,
     dense_exposures,
     pairwise_gini,
+    payment_ratios,
     picard_clearing,
     random_small_system,
     sample_discrete_power_law,
@@ -208,20 +209,21 @@ def test_criterion_8_clearing_properties():
         n = exposures.n
         shocked = int(rng.integers(n))
         solution = clear(exposures, sheets, ShockScenario(shocked))
-        pbar = solution.obligations
+        pbar = sheets.bl + sheets.nbl
         external = sheets.nba.copy()
         external[shocked] = 0.0
+        dense = dense_exposures(exposures)
+        ratio = payment_ratios(sheets, solution.payments)
+        received = ratio @ dense
 
         # Limited liability and pro-rata sharing.
         assert (solution.payments <= pbar + 1e-12).all()
         assert (solution.payments >= -1e-12).all()
-        assert (solution.payments <= external + solution.received + 1e-9).all()
+        assert (solution.payments <= external + received + 1e-9).all()
         solvent = np.setdiff1d(np.arange(n), list(solution.defaulted))
         assert np.allclose(solution.payments[solvent], pbar[solvent])
 
-        dense = dense_exposures(exposures)
-        ratio = np.divide(solution.payments, pbar, out=np.ones(n), where=pbar > 0)
-        remapped = np.minimum(pbar, external + ratio @ dense)
+        remapped = np.minimum(pbar, external + received)
         worst_residual = max(
             worst_residual, float(np.abs(remapped - solution.payments).max())
         )
@@ -235,7 +237,7 @@ def test_criterion_8_clearing_properties():
         vt = (
             sheets.nba.sum()
             - solution.initial_writeoff
-            + solution.received.sum()
+            + received.sum()
             + (ratio * sheets.nbl).sum()
         )
         gap = (v0 - vt) - (

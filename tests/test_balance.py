@@ -13,7 +13,7 @@ from contagion.balance import (
 )
 from contagion.netgen import DirectedGraph, generate, params_from_delta_in
 
-from conftest import exposures_from_dense
+from conftest import dense_exposures, exposures_from_dense
 
 
 def _sheets(graph_seed=0, n=300, lambda_min=0.05, xi=2.0, sheet_seed=1):
@@ -28,11 +28,11 @@ def _sheets(graph_seed=0, n=300, lambda_min=0.05, xi=2.0, sheet_seed=1):
 class TestBuildExposures:
     def test_hand_computed_three_node(self):
         g = DirectedGraph.from_links(3, [(0, 1), (1, 2), (0, 2)])
-        x = build_exposures(g)
+        w = dense_exposures(build_exposures(g))
         # k_out = (2, 1, 0), k_in = (0, 1, 2); scale = 2 * 2.
-        assert x.weight(0, 1) == pytest.approx(0.5)
-        assert x.weight(1, 2) == pytest.approx(0.5)
-        assert x.weight(0, 2) == pytest.approx(1.0)
+        assert w[0, 1] == pytest.approx(0.5)
+        assert w[1, 2] == pytest.approx(0.5)
+        assert w[0, 2] == pytest.approx(1.0)
 
     def test_max_degree_link_has_unit_weight(self):
         g = generate(params_from_delta_in(3.0).with_size(300, 2))
@@ -41,7 +41,7 @@ class TestBuildExposures:
         ii_max = np.argmax(g.in_degree)
         assert x.row_arrays()[2].max() <= 1.0 + 1e-15
         if [int(io_max), int(ii_max)] in g.links.tolist():
-            assert x.weight(int(io_max), int(ii_max)) == pytest.approx(1.0)
+            assert dense_exposures(x)[io_max, ii_max] == pytest.approx(1.0)
 
     def test_linkless_graph_rejected(self):
         lonely = DirectedGraph.from_links(3, [])
@@ -76,9 +76,10 @@ class TestBuildExposures:
         x = build_exposures(g)
         indptr, indices, _ = x.row_arrays()
         debtors = np.repeat(np.arange(x.n), np.diff(indptr))
+        dense = dense_exposures(x)
         for j in np.unique(indices)[:50]:
             rows = debtors[indices == j]
-            weights = np.array([x.weight(int(i), int(j)) for i in rows])
+            weights = dense[rows, j]
             order = np.argsort(g.out_degree[rows], kind="stable")
             assert (np.diff(weights[order]) >= -1e-15).all()
 
@@ -130,17 +131,6 @@ class TestExposureMatrix:
         x = exposures_from_dense([[0.0, 0.4], [0.3, 0.0]])
         for a in (*x.row_arrays(), x.bank_assets, x.bank_liabilities):
             assert not a.flags.writeable
-
-    def test_weight_of_present_absent_and_out_of_range_pairs(self):
-        x = exposures_from_dense([[0.0, 0.4, 0.0], [0.0, 0.0, 0.0], [0.7, 0.2, 0.0]])
-        assert x.weight(0, 1) == 0.4
-        assert x.weight(2, 0) == 0.7
-        assert x.weight(2, 1) == 0.2
-        for i, j in ((0, 0), (0, 2), (1, 0), (1, 2), (2, 2)):
-            assert x.weight(i, j) == 0.0
-        for i, j in ((-1, 0), (0, -1), (3, 0), (0, 3)):
-            with pytest.raises(IndexError, match="outside bank range"):
-                x.weight(i, j)
 
     @pytest.mark.parametrize(
         "n, debtors, creditors, weights, message",

@@ -30,9 +30,11 @@ from conftest import (
     assert_matches_per_bank_loop,
     dense_exposures,
     exposures_from_dense,
+    payment_ratios,
     per_bank_loop,
     picard_clearing,
     random_small_system,
+    receipts,
 )
 
 
@@ -61,14 +63,15 @@ class TestTwoBankHandCase:
         exposures, sheets = _two_bank_system()
         sol = clear(exposures, sheets, ShockScenario(0))
         assert sol.payments == pytest.approx([0.0, 2.0], abs=1e-9)
-        assert sol.obligations == pytest.approx([1.9, 2.85], abs=1e-12)
+        assert sheets.bl + sheets.nbl == pytest.approx([1.9, 2.85], abs=1e-12)
         assert sol.defaulted == {0, 1}
 
     def test_creditor_loss_is_unpaid_fraction_of_weight(self):
         exposures, sheets = _two_bank_system()
         sol = clear(exposures, sheets, ShockScenario(0))
-        ratio0 = sol.payments[0] / sol.obligations[0]
-        assert sol.losses[1] == pytest.approx(1.0 * (1.0 - ratio0), abs=1e-9)
+        ratio0 = sol.payments[0] / (sheets.bl[0] + sheets.nbl[0])
+        losses = sheets.ba - receipts(exposures, sheets, sol.payments)
+        assert losses[1] == pytest.approx(1.0 * (1.0 - ratio0), abs=1e-9)
 
     def test_impact_fractions(self):
         exposures, sheets = _two_bank_system()
@@ -87,7 +90,7 @@ class TestTrivialScenarios:
         exposures, sheets = _two_bank_system()
         sol = clear(exposures, sheets, ShockScenario(0, recovery_on_nonbank=1.0))
         assert sol.defaulted == frozenset()
-        assert sol.payments == pytest.approx(sol.obligations)
+        assert sol.payments == pytest.approx(sheets.bl + sheets.nbl)
         res = cascade_metrics(sol, sheets, 0, total_initial_assets(sheets))
         assert res.di == 0.0 and res.ti == 0.0 and res.dc == 0.0
 
@@ -98,8 +101,9 @@ class TestTrivialScenarios:
         sheets = _model_sheets(exposures)
         sol = clear(exposures, sheets, ShockScenario(0))
         assert sol.defaulted == {0}
-        assert sol.losses[1] == pytest.approx(0.0, abs=1e-15)
-        assert sol.losses[2] == pytest.approx(0.0, abs=1e-15)
+        losses = sheets.ba - receipts(exposures, sheets, sol.payments)
+        assert losses[1] == pytest.approx(0.0, abs=1e-15)
+        assert losses[2] == pytest.approx(0.0, abs=1e-15)
         res = cascade_metrics(sol, sheets, 0, total_initial_assets(sheets))
         assert res.dc == 0.0
         assert res.di > 0.0  # its own nonbank creditors go unpaid
@@ -126,7 +130,7 @@ class TestTrivialScenarios:
         )
         sol = clear(exposures, sheets, ShockScenario(0))
         assert sol.defaulted == {0}
-        assert sol.payments[1] == sol.obligations[1]
+        assert sol.payments[1] == sheets.bl[1] + sheets.nbl[1]
 
 
 class TestFixedPointProperties:
@@ -151,15 +155,14 @@ class TestFixedPointProperties:
             exposures, sheets = random_small_system(rng)
             s = int(rng.integers(exposures.n))
             sol = clear(exposures, sheets, ShockScenario(s))
-            pbar = sol.obligations
+            pbar = sheets.bl + sheets.nbl
             assert (sol.payments <= pbar + 1e-12).all()
             assert (sol.payments >= -1e-12).all()
             external = sheets.nba.copy()
             external[s] = 0.0
             # Nobody pays more than their resources.
-            assert (
-                sol.payments <= external + sol.received + 1e-9
-            ).all()
+            received = receipts(exposures, sheets, sol.payments)
+            assert (sol.payments <= external + received + 1e-9).all()
             solvent = np.ones(exposures.n, dtype=bool)
             for b in sol.defaulted:
                 solvent[b] = False
@@ -171,13 +174,10 @@ class TestFixedPointProperties:
             exposures, sheets = random_small_system(rng)
             s = int(rng.integers(exposures.n))
             sol = clear(exposures, sheets, ShockScenario(s))
-            pbar = sol.obligations
-            ratio = np.divide(
-                sol.payments, pbar, out=np.ones(exposures.n), where=pbar > 0
-            )
+            pbar = sheets.bl + sheets.nbl
             external = sheets.nba.copy()
             external[s] = 0.0
-            recv = ratio @ dense_exposures(exposures)
+            recv = receipts(exposures, sheets, sol.payments)
             remapped = np.minimum(pbar, external + recv)
             assert np.abs(remapped - sol.payments).max() < 1e-10
 
@@ -190,23 +190,21 @@ class TestFixedPointProperties:
             # Asset side: initial assets minus marked assets equals the
             # write-off plus interbank shortfalls.
             a0 = total_initial_assets(sheets)
-            at_assets = sheets.nba.sum() - sol.initial_writeoff + sol.received.sum()
+            received = receipts(exposures, sheets, sol.payments)
+            at_assets = sheets.nba.sum() - sol.initial_writeoff + received.sum()
             assert a0 - at_assets == pytest.approx(
-                sol.initial_writeoff + sol.losses.sum(), abs=1e-8
+                sol.initial_writeoff + (sheets.ba - received).sum(), abs=1e-8
             )
             # Gross side: volume reduction equals write-off plus the sum of
             # unpaid obligations over all creditors, marking every claim to
             # its realized payment.
             v0 = gross_system_volume(sheets)
-            pbar = sol.obligations
-            ratio = np.divide(
-                sol.payments, pbar, out=np.ones(exposures.n), where=pbar > 0
-            )
+            pbar = sheets.bl + sheets.nbl
             vt = (
                 sheets.nba.sum()
                 - sol.initial_writeoff
-                + sol.received.sum()
-                + (ratio * sheets.nbl).sum()
+                + received.sum()
+                + (payment_ratios(sheets, sol.payments) * sheets.nbl).sum()
             )
             assert v0 - vt == pytest.approx(
                 sol.initial_writeoff + (pbar - sol.payments).sum(), abs=1e-8
@@ -247,9 +245,7 @@ class TestFixedPointProperties:
         oracle = picard_clearing(dense, external, pbar)
         assert np.abs(sol.payments - oracle).max() < 1e-10
 
-        ratio = np.divide(oracle, pbar, out=np.ones(exposures.n), where=pbar > 0)
-        assert np.abs(sol.received - ratio @ dense).max() < 1e-10
-        loss = sheets.ba - ratio @ dense
+        loss = sheets.ba - receipts(exposures, sheets, oracle)
         loss[shocked] += sheets.nba[shocked]
         assert sol.defaulted == set(np.flatnonzero(loss > sheets.e).tolist())
 
@@ -307,7 +303,7 @@ class TestClearAll:
             out = clear_all(exposures, sheets, recovery, defaulted_recovery)
             assert_matches_per_bank_loop(out, solutions, expected)
             # Screened: the shocks that fail no second bank.
-            alone = sum(len(r.defaulted - {r.shocked_bank}) == 0 for r in expected)
+            alone = sum(len(sol.defaulted - {sol.shocked_bank}) == 0 for sol in solutions)
             assert out.shocks_screened == alone
             assert out.shocks_screened + out.shocks_solved == exposures.n
             # Batch boundaries change nothing: a batch per shock (bound 1),
@@ -430,6 +426,6 @@ class TestValidation:
 
     def test_result_invariants_enforced(self):
         with pytest.raises(ValueError, match="di <= ti"):
-            CascadeResult(0, di=0.5, ti=0.4, dc=0.0, defaulted=frozenset())
+            CascadeResult(0, di=0.5, ti=0.4, dc=0.0)
         with pytest.raises(ValueError, match="dc"):
-            CascadeResult(0, di=0.0, ti=0.0, dc=1.5, defaulted=frozenset())
+            CascadeResult(0, di=0.0, ti=0.0, dc=1.5)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from contagion import harness
+from contagion.balance import BalanceConfig, build_balance_sheets, build_exposures
 from contagion.cli import main
+from contagion.clearing import clear_all
 from contagion.netgen import read_edge_list
 
 from conftest import WORKER_MODES, fail_replication_one
@@ -141,6 +143,34 @@ class TestShockCommand:
         # Fencing off defaulted banks' nonbank assets can only deepen losses.
         assert set(pooled["defaulted"]) <= set(fenced["defaulted"])
         assert fenced["di"] > pooled["di"]
+
+    @pytest.mark.parametrize("defaulted_recovery", ["1", "0"])
+    def test_record_agrees_with_clear_all_and_its_trace(
+        self, tmp_path, capsys, defaulted_recovery
+    ):
+        net = self._network(tmp_path)
+        capsys.readouterr()
+        # The sheets the command builds from --seed 2 --lambda-min 0.01.
+        exposures = build_exposures(read_edge_list(net))
+        sheets = build_balance_sheets(exposures, BalanceConfig(0.01, 0.01, 2.0, seed=2))
+        every = clear_all(exposures, sheets, 0.0, float(defaulted_recovery))
+        bank = int(np.argmax(every.dc))
+        assert every.dc[bank] > 0.0
+        trace = tmp_path / "trace.jsonl"
+        rc = main([
+            "shock", "--edges", str(net), "--bank", str(bank), "--seed", "2",
+            "--lambda-min", "0.01", "--defaulted-recovery", defaulted_recovery,
+            "--trace", str(trace),
+        ])
+        assert rc == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["bank"] == bank
+        for name in ("di", "ti", "dc"):
+            assert record[name] == getattr(every, name)[bank], name
+        rounds = [json.loads(line) for line in trace.read_text().splitlines()]
+        fresh = [b for r in rounds for b in r["new_defaults"]]
+        assert record["defaulted"] == sorted(fresh)
+        assert len(fresh) == len(set(fresh)) > 1
 
     def test_malformed_edge_line_is_a_one_line_error(self, tmp_path, capsys):
         net = tmp_path / "net.csv"

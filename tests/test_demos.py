@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script runs to completion against the package in ``src``.
+
+Each demo runs with ``-W error::RuntimeWarning``, the warning filter the
+test suite itself runs under, which a subprocess does not inherit.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ def test_demos_are_found():
 def test_demo_runs(demo, tmp_path):
     env = os.environ | {"PYTHONPATH": str(REPO / "src")}
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -66,6 +66,11 @@ class TestGini:
         with pytest.raises(ValueError, match="non-negative"):
             gini([1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="^Gini value is not finite at index 2$"):
+            gini([1.0, 2.0, bad, bad])
+
 
 def _hand_system():
     """Two banks, single obligation 0 -> 1 of 0.4; creditor equity 0.2."""
@@ -265,6 +270,19 @@ class TestRankingStatistics:
     def test_single_replication_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             ranking_statistics([np.array([0.5])])
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ([0.1, np.nan, 0.3], r"^replication 1 is not finite at bank 1$"),
+            ([0.1, 0.2, np.inf], r"^replication 1 is not finite at bank 2$"),
+            ([0.1, 0.2], r"^replication 1 has shape \(2,\), replication 0 \(3,\)$"),
+        ],
+        ids=["nan", "inf", "ragged"],
+    )
+    def test_malformed_replication_rejected(self, second, message):
+        with pytest.raises(ValueError, match=message):
+            ranking_statistics([np.array([0.5, 0.2, 0.1]), np.array(second)])
 
 
 class TestIndexImpactCorrelation:

@@ -452,6 +452,11 @@ class TestAugmentRandomLinks:
         with pytest.raises(ValueError, match="unreachable"):
             augment_random_links(self._tiny(), 4.5, seed=0)
 
+    @pytest.mark.parametrize("target", [float("inf"), float("nan")])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValueError, match=f"^target mean degree {target} is not finite$"):
+            augment_random_links(self._tiny(), target, seed=0)
+
     def test_reaches_target_within_one_link(self):
         base = generate(GD0.with_size(400, 9))
         g = augment_random_links(base, 7.8, seed=10)

@@ -19,8 +19,10 @@ from conftest import (
     dense_exposures,
     exposures_from_dense,
     lp_clearing,
+    payment_ratios,
     per_bank_loop,
     picard_clearing,
+    receipts,
 )
 from contagion.balance import BalanceConfig, build_balance_sheets
 from contagion.clearing import (
@@ -83,21 +85,22 @@ def test_payments_and_receipts_are_conserved(system, recovery, defaulted_recover
     exposures, sheets = system
     s = _shocked(system, data)
     sol = clear(exposures, sheets, ShockScenario(s, recovery, defaulted_recovery))
-    ratio = sol.payment_ratios
+    ratio = payment_ratios(sheets, sol.payments)
+    received = receipts(exposures, sheets, sol.payments)
     writeoff = sol.initial_writeoff
     # What debtors pay on interbank claims is what creditors receive.
-    assert abs((ratio * sheets.bl).sum() - sol.received.sum()) <= 1e-10
+    assert abs((ratio * sheets.bl).sum() - received.sum()) <= 1e-10
     # Asset side: initial assets minus marked assets equals the write-off
     # plus interbank shortfalls.
-    marked = sheets.nba.sum() - writeoff + sol.received.sum()
+    marked = sheets.nba.sum() - writeoff + received.sum()
     assert total_initial_assets(sheets) - marked == pytest.approx(
-        writeoff + sol.losses.sum(), abs=1e-8
+        writeoff + (sheets.ba - received).sum(), abs=1e-8
     )
     # Gross side: the volume falls by the write-off plus every unpaid
     # obligation, interbank and nonbank, with claims marked to payments.
     marked += (ratio * sheets.nbl).sum()
     assert gross_system_volume(sheets) - marked == pytest.approx(
-        writeoff + (sol.obligations - sol.payments).sum(), abs=1e-8
+        writeoff + (sheets.bl + sheets.nbl - sol.payments).sum(), abs=1e-8
     )
 
 
@@ -120,7 +123,7 @@ def test_limited_liability_and_pro_rata(system, recovery, defaulted_recovery, da
     exposures, sheets = system
     s = _shocked(system, data)
     sol = clear(exposures, sheets, ShockScenario(s, recovery, defaulted_recovery))
-    pbar = sol.obligations
+    pbar = sheets.bl + sheets.nbl
     p = sol.payments
     # Nobody pays more than it owes, or less than nothing.
     assert (p >= 0.0).all() and (p <= pbar).all()
@@ -128,14 +131,12 @@ def test_limited_liability_and_pro_rata(system, recovery, defaulted_recovery, da
     solvent = np.ones(exposures.n, dtype=bool)
     solvent[list(sol.defaulted)] = False
     assert np.array_equal(p[solvent], pbar[solvent])
-    # Every creditor of a bank receives the same fraction of its claim.
-    ratio = np.divide(p, pbar, out=np.ones(exposures.n), where=pbar > 0.0)
-    assert np.allclose(sol.received, ratio @ dense_exposures(exposures), atol=1e-12)
     # A defaulted bank pays all it can reach: its recoverable nonbank
-    # assets plus its receipts, capped at what it owes.
+    # assets plus its receipts, every creditor of a bank receiving the same
+    # fraction of its claim, capped at what it owes.
     reach = defaulted_recovery * sheets.nba
     reach[s] = recovery * sheets.nba[s]
-    owed = np.clip(reach + sol.received, 0.0, pbar)
+    owed = np.clip(reach + receipts(exposures, sheets, p), 0.0, pbar)
     defaulted = ~solvent
     assert np.abs(p[defaulted] - owed[defaulted]).max(initial=0.0) <= 1e-10
 
