@@ -47,10 +47,7 @@ class ExposureMatrix:
     names the first offending triple in input order. The triples are sorted
     by the codes ``debtor * n + creditor`` into ``indptr``, ``indices`` and
     ``data``, so rows are in bank order and creditors ascend within a row.
-    The margins are summed in the same order as ``scipy.sparse`` sums a
-    canonical CSR matrix, so they match it bit for bit: each row with one
-    ``np.add.reduceat`` segment, each column by ``np.bincount`` in CSR
-    order.
+    Its row and column sums are left to :func:`build_balance_sheets`.
     """
 
     def __init__(self, n: int, debtors, creditors, weights):
@@ -93,16 +90,10 @@ class ExposureMatrix:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(debtors, minlength=n), out=indptr[1:])
         indices, data = creditors[order], weights[order]
-        # Row sums: interbank liabilities; column sums: interbank assets.
-        rows = np.flatnonzero(np.diff(indptr))
-        bl = np.zeros(n)
-        bl[rows] = np.add.reduceat(data, indptr[rows])
-        ba = np.bincount(indices, weights=data, minlength=n)
-        for a in (indptr, indices, data, bl, ba):
+        for a in (indptr, indices, data):
             a.setflags(write=False)
         self._n = n
         self._indptr, self._indices, self._data = indptr, indices, data
-        self._bl, self._ba = bl, ba
 
     @property
     def n(self) -> int:
@@ -111,16 +102,6 @@ class ExposureMatrix:
     @property
     def nnz(self) -> int:
         return self._data.size
-
-    @property
-    def bank_assets(self) -> np.ndarray:
-        """Per-bank interbank assets (column sums)."""
-        return self._ba
-
-    @property
-    def bank_liabilities(self) -> np.ndarray:
-        """Per-bank interbank liabilities (row sums)."""
-        return self._bl
 
     def row_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only CSR arrays (indptr, indices, data) for row traversal."""
@@ -185,6 +166,14 @@ class BalanceSheetSet:
         return self.ba + self.nba
 
 
+def _bank_count(exposures: ExposureMatrix, sheets: BalanceSheetSet) -> int:
+    """The number of banks, once the matrix and the sheets agree on it."""
+    n = exposures.n
+    if len(sheets) != n:
+        raise ValueError(f"exposures cover {n} banks but sheets cover {len(sheets)}")
+    return n
+
+
 @dataclass(frozen=True)
 class BalanceConfig:
     """Balance-sheet construction parameters.
@@ -201,6 +190,8 @@ class BalanceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 < self.lambda_min < 1.0:
             raise ValueError("lambda_min must lie in (0, 1)")
         for name in ("sigma", "xi"):
@@ -239,8 +230,11 @@ def build_balance_sheets(
 ) -> BalanceSheetSet:
     """Derive every bank's balance sheet from the exposure matrix.
 
-    Interbank assets/liabilities come from the matrix margins, capital
-    ratios are sampled above the floor, nonbank assets are
+    Interbank liabilities are the matrix's row sums and interbank assets
+    its column sums, summed in the same order as ``scipy.sparse`` sums a
+    canonical CSR matrix, so they match it bit for bit: each row with one
+    ``np.add.reduceat`` segment, each column by ``np.bincount`` in CSR
+    order. Capital ratios are sampled above the floor, nonbank assets are
     ``xi * (BA + BL)``, equity is ``lambda_i`` times total assets, and
     nonbank liabilities close the accounting identity:
     ``NBL = (1 - lambda_i)(1 + xi) BA + [(1 - lambda_i) xi - 1] BL``.
@@ -252,12 +246,14 @@ def build_balance_sheets(
         ValueError: when a bank's implied nonbank liabilities are negative,
             which a larger ``xi`` would avoid.
     """
-    ba = exposures.bank_assets.copy()
-    bl = exposures.bank_liabilities.copy()
+    n = exposures.n
+    indptr, indices, data = exposures.row_arrays()
+    rows = np.flatnonzero(np.diff(indptr))
+    bl = np.zeros(n)
+    bl[rows] = np.add.reduceat(data, indptr[rows])
+    ba = np.bincount(indices, weights=data, minlength=n)
     rng = np.random.default_rng(config.seed)
-    lam = _sample_capital_ratios(
-        rng, exposures.n, config.lambda_min, config.sigma
-    )
+    lam = _sample_capital_ratios(rng, n, config.lambda_min, config.sigma)
     nba, nbl = _nonbank_sides(ba, bl, lam, config.xi)
     e = lam * (ba + nba)
     negative = np.flatnonzero(nbl < 0.0)

@@ -38,7 +38,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .balance import BalanceSheetSet, ExposureMatrix
+from .balance import BalanceSheetSet, ExposureMatrix, _bank_count
 
 __all__ = [
     "ShockScenario",
@@ -327,7 +327,8 @@ def clear(
 
     Args:
         exposures: interbank obligation matrix.
-        sheets: matching balance sheets.
+        sheets: balance sheets of the same banks; a ``ValueError`` names
+            both counts when they differ.
         scenario: which bank is shocked and how much of its nonbank assets
             survive.
         trace: optional text sink receiving one JSON line per round with
@@ -341,11 +342,7 @@ def clear(
         Recomputing the payment map at the solution moves no entry by more
         than 1e-10.
     """
-    n = exposures.n
-    if len(sheets) != n:
-        raise ValueError(
-            f"exposures cover {n} banks but sheets cover {len(sheets)}"
-        )
+    n = _bank_count(exposures, sheets)
     s = scenario.shocked_bank
     if s >= n:
         raise ValueError(f"shocked bank {s} outside [0, {n})")
@@ -386,11 +383,7 @@ def clear_all(
     ``ValueError`` naming the first bank whose impacts break the
     :class:`CascadeResult` invariants.
     """
-    n = exposures.n
-    if len(sheets) != n:
-        raise ValueError(
-            f"exposures cover {n} banks but sheets cover {len(sheets)}"
-        )
+    n = _bank_count(exposures, sheets)
     ShockScenario(0, recovery_on_nonbank, defaulted_nonbank_recovery)  # validates
     v0 = _gross_volume(total_initial_assets(sheets), sheets)
     pbar = sheets.bl + sheets.nbl

@@ -210,9 +210,9 @@ def main(argv: list[str] | None = None) -> int:
     logger.setLevel(logging.INFO)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:
-        # Bad input (unreadable or malformed files, ids out of range): one
-        # line on stderr instead of a traceback.
+    except (OSError, ValueError, MemoryError) as exc:
+        # Bad input (unreadable or malformed files, ids out of range, node
+        # counts too large to allocate): one line on stderr, no traceback.
         print(f"contagion {args.command}: error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -134,6 +134,10 @@ class ExperimentSpec:
             raise ValueError("n_nodes must be >= 2")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(
+                f"master_seed must be a non-negative integer, got {self.master_seed}"
+            )
         BalanceConfig(self.lambda_min, self.sigma, self.xi, 0)  # validates
 
     @classmethod
@@ -163,9 +167,6 @@ class ExperimentSpec:
             raise ValueError(f"{path}: missing spec keys {missing}")
         return cls(**payload)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def replication_seeds(master_seed: int, rep: int) -> tuple[int, int, int]:
     """Derive (generation, augmentation, balance) seeds for one replication.
@@ -191,7 +192,6 @@ class ReplicationRecord:
     """
 
     rep: int
-    graph_seed: int
     summary: NetworkRiskSummary
     correlations: IndexImpactCorrelation
     graph: DirectedGraph
@@ -286,7 +286,6 @@ def _run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
     clock.append(time.perf_counter())
     return ReplicationRecord(
         rep=rep,
-        graph_seed=g_seed,
         summary=summary,
         correlations=correlations,
         graph=graph,
@@ -467,11 +466,12 @@ def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:
                     )
 
     for rec in report.records:
-        write_edge_list(rec.graph, out / f"edges_{rec.rep}.csv", rec.graph_seed)
+        g_seed = replication_seeds(report.spec.master_seed, rec.rep)[0]
+        write_edge_list(rec.graph, out / f"edges_{rec.rep}.csv", g_seed)
         export_balances_csv(rec.sheets, out / f"balances_{rec.rep}.csv")
 
     payload = {
-        "spec": report.spec.to_dict(),
+        "spec": asdict(report.spec),
         "replications": report.scalar_rows(),
         "means": report.means,
         "stds": report.stds,

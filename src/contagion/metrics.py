@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .balance import BalanceSheetSet, ExposureMatrix
+from .balance import BalanceSheetSet, ExposureMatrix, _bank_count
 from .netgen import DirectedGraph
 
 __all__ = [
@@ -80,18 +80,6 @@ class TopoIndices:
     frailty: np.ndarray
 
 
-def _creditor_ratios(
-    exposures: ExposureMatrix, sheets: BalanceSheetSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-link (debtor, creditor, weight/creditor equity) arrays."""
-    indptr, col, data = exposures.row_arrays()
-    row = np.repeat(np.arange(exposures.n), np.diff(indptr))
-    denom = sheets.e[col]
-    with np.errstate(divide="ignore"):
-        ratio = np.where(denom > 0.0, data / np.where(denom > 0, denom, 1.0), np.inf)
-    return row, col, ratio
-
-
 def _debtor_max(n: int, row: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Largest of each debtor's link values; 0 for a bank that owes nothing."""
     out = np.zeros(n)
@@ -109,11 +97,18 @@ def compute_topo_indices(
     creditors j of i, with ``E_j`` the creditor's equity and ``BL_j`` its
     interbank liabilities, which proxy how hard the creditor's own failure
     would hit its lenders. Banks with no creditors score 0 on both.
+    Raises ``ValueError`` when the sheets cover other banks than the matrix.
     """
-    row, col, ratio = _creditor_ratios(exposures, sheets)
+    n = _bank_count(exposures, sheets)
+    # Per link: debtor, creditor, and weight over the creditor's equity.
+    indptr, col, data = exposures.row_arrays()
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    denom = sheets.e[col]
+    with np.errstate(divide="ignore"):
+        ratio = np.where(denom > 0.0, data / np.where(denom > 0, denom, 1.0), np.inf)
     return TopoIndices(
-        cs=_debtor_max(exposures.n, row, ratio),
-        frailty=_debtor_max(exposures.n, row, ratio * sheets.bl[col]),
+        cs=_debtor_max(n, row, ratio),
+        frailty=_debtor_max(n, row, ratio * sheets.bl[col]),
     )
 
 
@@ -159,11 +154,14 @@ def summarize(
     value per bank (as :func:`contagion.clearing.clear_all` returns them).
     Sums the aggregates, takes the largest impacts, and attaches the
     topology-side concentration measures (mean degree; Gini of
-    total/in/out degree and of total assets).
+    total/in/out degree and of total assets). Raises ``ValueError`` when
+    ``graph`` and ``sheets`` cover different banks.
     """
     n = graph.n
     if n < 2:
         raise ValueError("summaries need at least 2 banks")
+    if len(sheets) != n:
+        raise ValueError(f"graph covers {n} banks but sheets cover {len(sheets)}")
     di, dc = _impact_vectors(n, di, dc)
     return NetworkRiskSummary(
         di_aggregate=float(di.sum()),

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -105,6 +105,8 @@ class GenParams:
             raise ValueError("delta_in and delta_out must be finite and non-negative")
         if self.n_target < 2:
             raise ValueError(f"n_target must be >= 2, got {self.n_target}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -123,15 +125,7 @@ class CurvePoint:
 
     def with_size(self, n_target: int, seed: int) -> GenParams:
         """Attach a target size and seed, yielding full generation params."""
-        return GenParams(
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            delta_in=self.delta_in,
-            delta_out=self.delta_out,
-            n_target=n_target,
-            seed=seed,
-        )
+        return GenParams(**asdict(self), n_target=n_target, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -533,7 +527,8 @@ def read_edge_list(path: str | Path) -> DirectedGraph:
 
     Raises:
         ValueError: naming the file and line of the first line that is
-            neither a header nor a ``source,target`` pair of integers.
+            neither a header nor a ``source,target`` pair of integers, or
+            the file and its invalid node count or first invalid link.
     """
     n_header: Optional[int] = None
     ids: list[int] = []
@@ -557,4 +552,7 @@ def read_edge_list(path: str | Path) -> DirectedGraph:
     links = np.array(ids, dtype=np.int64).reshape(-1, 2)
     if n_header is None:
         n_header = 1 + (int(links.max()) if ids else 0)
-    return DirectedGraph.from_links(n_header, links)
+    try:
+        return DirectedGraph.from_links(n_header, links)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -67,7 +67,8 @@ class TestBuildExposures:
             ba = np.zeros(n)
             for s, t in g.links.tolist():
                 ba[t] += kout[s] * kin[t] / scale
-            assert np.allclose(ba, x.bank_assets, atol=1e-12)
+            sheets = build_balance_sheets(x, BalanceConfig(0.05))
+            assert np.allclose(ba, sheets.ba, atol=1e-12)
 
     def test_weight_monotone_in_debtor_degree(self):
         # For links pointing at one creditor, the weight grows with the
@@ -89,14 +90,15 @@ class TestBuildExposures:
 
 
 def assert_matches_scipy_csr(x, n, debtors, creditors, weights):
-    """CSR arrays and margins equal scipy's for the same triples, bit for bit."""
+    """CSR arrays and the sheets' margins equal scipy's, bit for bit."""
     m = sp.csr_matrix((weights, (debtors, creditors)), shape=(n, n))
     indptr, indices, data = x.row_arrays()
     assert np.array_equal(indptr, m.indptr)
     assert np.array_equal(indices, m.indices)
     assert np.array_equal(data, m.data)
-    assert np.array_equal(x.bank_liabilities, np.asarray(m.sum(axis=1)).ravel())
-    assert np.array_equal(x.bank_assets, np.asarray(m.sum(axis=0)).ravel())
+    sheets = build_balance_sheets(x, BalanceConfig(0.05))
+    assert np.array_equal(sheets.bl, np.asarray(m.sum(axis=1)).ravel())
+    assert np.array_equal(sheets.ba, np.asarray(m.sum(axis=0)).ravel())
     assert x.nnz == m.nnz
 
 
@@ -129,7 +131,7 @@ class TestExposureMatrix:
 
     def test_arrays_are_read_only(self):
         x = exposures_from_dense([[0.0, 0.4], [0.3, 0.0]])
-        for a in (*x.row_arrays(), x.bank_assets, x.bank_liabilities):
+        for a in x.row_arrays():
             assert not a.flags.writeable
 
     @pytest.mark.parametrize(
@@ -157,7 +159,7 @@ class TestExposureMatrix:
             ExposureMatrix(n, debtors, creditors, weights)
 
     def test_non_finite_dense_cell_rejected(self):
-        # A NaN or inf cell used to reach the margins: bank_assets [0.5, nan].
+        # A NaN or inf cell used to reach the margins: assets [0.5, nan].
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=r"exposure \(0, 1\) has non-finite"):
                 exposures_from_dense([[0.0, bad], [0.5, 0.0]])
@@ -260,12 +262,14 @@ class TestConfigValidation:
             {"sigma": float("inf")},
             {"xi": float("nan")},
             {"xi": float("inf")},
+            {"seed": -1},
         ],
     )
     def test_bad_configs(self, kwargs):
         base = {"lambda_min": 0.05, "sigma": 0.01, "xi": 2.0, "seed": 0}
         base.update(kwargs)
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must "):
             BalanceConfig(**base)
 
 

@@ -18,6 +18,7 @@ from contagion.clearing import (
     total_initial_assets,
 )
 from contagion.harness import TYPE3_TARGET_MEAN_DEGREE, TYPE_PARAMS, replication_seeds
+from contagion.metrics import compute_topo_indices
 from contagion.netgen import (
     DirectedGraph,
     GenParams,
@@ -40,8 +41,8 @@ from conftest import (
 
 def _model_sheets(exposures, lam=0.05, xi=2.0):
     """Sheets satisfying the identities with a capital ratio of exactly lam."""
-    ba = exposures.bank_assets.copy()
-    bl = exposures.bank_liabilities.copy()
+    dense = dense_exposures(exposures)
+    ba, bl = dense.sum(axis=0), dense.sum(axis=1)
     lam_vec = np.full(exposures.n, lam)
     nba = xi * (ba + bl)
     e = lam_vec * (ba + nba)
@@ -231,7 +232,7 @@ class TestFixedPointProperties:
         g = generate(params_from_delta_in(3.0).with_size(1000, 8))
         exposures = build_exposures(g)
         sheets = build_balance_sheets(exposures, BalanceConfig(0.01, 0.01, 2.0, 8))
-        shocked = int(np.argmax(exposures.bank_liabilities))
+        shocked = int(np.argmax(sheets.bl))
         sink = io.StringIO()
         sol = clear(exposures, sheets, ShockScenario(shocked), trace=sink)
         rounds = sink.getvalue().splitlines()
@@ -392,12 +393,23 @@ class TestClearingErrors:
 
 
 class TestValidation:
-    def test_mismatched_sizes(self):
-        exposures, _ = _two_bank_system()
-        g3 = DirectedGraph.from_links(3, [(0, 1), (1, 2), (2, 0)])
-        sheets3 = _model_sheets(build_exposures(g3))
-        with pytest.raises(ValueError, match="banks"):
-            clear(exposures, sheets3, ShockScenario(0))
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda exposures, sheets: clear(exposures, sheets, ShockScenario(0)),
+            clear_all,
+            compute_topo_indices,
+        ],
+        ids=["clear", "clear_all", "compute_topo_indices"],
+    )
+    def test_mismatched_sizes(self, check):
+        two, sheets2 = _two_bank_system()
+        three = build_exposures(DirectedGraph.from_links(3, [(0, 1), (1, 2), (2, 0)]))
+        sheets3 = _model_sheets(three)
+        with pytest.raises(ValueError, match="^exposures cover 2 banks but sheets cover 3$"):
+            check(two, sheets3)
+        with pytest.raises(ValueError, match="^exposures cover 3 banks but sheets cover 2$"):
+            check(three, sheets2)
 
     def test_shocked_bank_out_of_range(self):
         exposures, sheets = _two_bank_system()

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from contagion import harness
+from contagion import harness, netgen
 from contagion.balance import BalanceConfig, build_balance_sheets, build_exposures
 from contagion.cli import main
 from contagion.clearing import clear_all
@@ -172,17 +172,41 @@ class TestShockCommand:
         assert record["defaulted"] == sorted(fresh)
         assert len(fresh) == len(set(fresh)) > 1
 
-    def test_malformed_edge_line_is_a_one_line_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# nodes=3 seed=0\n0,1\n1;2\n", ":3: malformed edge-list line '1;2'"),
+            ("# nodes=2\n0,1\n1,5\n", ": link (1, 5) outside node range [0, 2)"),
+            ("# nodes=3\n0,1\n1,1\n", ": self-link at node 1"),
+            ("# nodes=-4\n0,1\n", ": graph needs at least one node"),
+        ],
+        ids=["syntax", "out-of-range", "self-link", "negative-nodes"],
+    )
+    def test_malformed_edge_line_is_a_one_line_error(
+        self, tmp_path, capsys, text, message
+    ):
         net = tmp_path / "net.csv"
-        net.write_text("# nodes=3 seed=0\n0,1\n1;2\n")
+        net.write_text(text)
         capsys.readouterr()
         rc = main(["shock", "--edges", str(net), "--bank", "0"])
         assert rc != 0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert f"{net}:3" in captured.err and "1;2" in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err == f"contagion shock: error: {net}{message}\n"
+
+    def test_unallocatable_network_is_a_one_line_error(self, monkeypatch, capsys):
+        # A huge ``nodes=`` header fails to allocate; simulated, not allocated.
+        def huge(path):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(netgen, "read_edge_list", huge)
+        rc = main(["shock", "--edges", "net.csv", "--bank", "0"])
+        assert rc != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "contagion shock: error: Unable to allocate 745. GiB for an array\n"
+        )
 
     def test_bank_out_of_range_is_a_one_line_error(self, tmp_path, capsys):
         net = self._network(tmp_path)

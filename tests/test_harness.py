@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,7 @@ class TestSpecValidation:
     def test_json_round_trip(self, tmp_path):
         spec = ExperimentSpec("GD", 1, 500, 4, 0.05, 0.01, 2.0, 123)
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_dict()))
+        path.write_text(json.dumps(asdict(spec)))
         assert ExperimentSpec.from_json(path) == spec
 
     @pytest.mark.parametrize(
@@ -72,6 +73,7 @@ class TestSpecValidation:
             ({"n_nodes": 1}, "n_nodes"),
             ({"replications": 0}, "replications"),
             ({"lambda_min": 0.0}, "lambda_min"),
+            ({"master_seed": -1}, "^master_seed must be a non-negative integer, got -1$"),
         ],
     )
     def test_invalid_specs(self, kwargs, match):

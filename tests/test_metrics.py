@@ -241,6 +241,15 @@ class TestSummarize:
         with pytest.raises(ValueError, match="dc is not finite at bank 7"):
             summarize(di, broken, graph, sheets)
 
+    @pytest.mark.parametrize("banks", [40, 80])
+    def test_sheets_of_other_banks_rejected(self, banks):
+        graph, _, _, di, dc = _full_run(n=60, seed=9)
+        other = generate(params_from_delta_in(3.0).with_size(banks, 9))
+        sheets = build_balance_sheets(build_exposures(other), BalanceConfig(0.05))
+        message = f"^graph covers 60 banks but sheets cover {banks}$"
+        with pytest.raises(ValueError, match=message):
+            summarize(di, dc, graph, sheets)
+
     def test_single_bank_network_rejected(self):
         g = DirectedGraph.from_links(1, [])
         sheets = BalanceSheetSet(

@@ -52,6 +52,10 @@ class TestGenParams:
         with pytest.raises(ValueError, match="n_target"):
             GenParams(0.25, 0.5, 0.25, 1.0, 1.0, 1, 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            GenParams(0.25, 0.5, 0.25, 1.0, 1.0, 10, -1)
+
 
 class TestParamsFromDeltaIn:
     @pytest.mark.parametrize(
