@@ -392,24 +392,28 @@ class TestClearingErrors:
             clear_all(exposures, sheets)
 
 
+def _assert_pairing_checked(check):
+    """``check(exposures, sheets)`` refuses parts that cover different banks."""
+    two, sheets2 = _two_bank_system()
+    three = build_exposures(DirectedGraph.from_links(3, [(0, 1), (1, 2), (2, 0)]))
+    sheets3 = _model_sheets(three)
+    with pytest.raises(ValueError, match="^exposures cover 2 banks but sheets cover 3$"):
+        check(two, sheets3)
+    with pytest.raises(ValueError, match="^exposures cover 3 banks but sheets cover 2$"):
+        check(three, sheets2)
+
+
 class TestValidation:
+    def test_mismatched_sizes(self):
+        _assert_pairing_checked(
+            lambda exposures, sheets: clear(exposures, sheets, ShockScenario(0))
+        )
+
     @pytest.mark.parametrize(
-        "check",
-        [
-            lambda exposures, sheets: clear(exposures, sheets, ShockScenario(0)),
-            clear_all,
-            compute_topo_indices,
-        ],
-        ids=["clear", "clear_all", "compute_topo_indices"],
+        "check", [clear_all, compute_topo_indices], ids=["clear_all", "compute_topo_indices"]
     )
-    def test_mismatched_sizes(self, check):
-        two, sheets2 = _two_bank_system()
-        three = build_exposures(DirectedGraph.from_links(3, [(0, 1), (1, 2), (2, 0)]))
-        sheets3 = _model_sheets(three)
-        with pytest.raises(ValueError, match="^exposures cover 2 banks but sheets cover 3$"):
-            check(two, sheets3)
-        with pytest.raises(ValueError, match="^exposures cover 3 banks but sheets cover 2$"):
-            check(three, sheets2)
+    def test_mismatched_sizes_in_other_readers(self, check):
+        _assert_pairing_checked(check)
 
     def test_shocked_bank_out_of_range(self):
         exposures, sheets = _two_bank_system()

@@ -172,19 +172,7 @@ class TestShockCommand:
         assert record["defaulted"] == sorted(fresh)
         assert len(fresh) == len(set(fresh)) > 1
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("# nodes=3 seed=0\n0,1\n1;2\n", ":3: malformed edge-list line '1;2'"),
-            ("# nodes=2\n0,1\n1,5\n", ": link (1, 5) outside node range [0, 2)"),
-            ("# nodes=3\n0,1\n1,1\n", ": self-link at node 1"),
-            ("# nodes=-4\n0,1\n", ": graph needs at least one node"),
-        ],
-        ids=["syntax", "out-of-range", "self-link", "negative-nodes"],
-    )
-    def test_malformed_edge_line_is_a_one_line_error(
-        self, tmp_path, capsys, text, message
-    ):
+    def _assert_edge_file_error(self, tmp_path, capsys, text, message):
         net = tmp_path / "net.csv"
         net.write_text(text)
         capsys.readouterr()
@@ -193,6 +181,26 @@ class TestShockCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"contagion shock: error: {net}{message}\n"
+
+    def test_malformed_edge_line_is_a_one_line_error(self, tmp_path, capsys):
+        self._assert_edge_file_error(
+            tmp_path, capsys, "# nodes=3 seed=0\n0,1\n1;2\n",
+            ":3: malformed edge-list line '1;2'",
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# nodes=2\n0,1\n1,5\n", ": link (1, 5) outside node range [0, 2)"),
+            ("# nodes=3\n0,1\n1,1\n", ": self-link at node 1"),
+            ("# nodes=-4\n0,1\n", ": graph needs at least one node"),
+        ],
+        ids=["out-of-range", "self-link", "negative-nodes"],
+    )
+    def test_invalid_edge_file_is_a_one_line_error_naming_it(
+        self, tmp_path, capsys, text, message
+    ):
+        self._assert_edge_file_error(tmp_path, capsys, text, message)
 
     def test_unallocatable_network_is_a_one_line_error(self, monkeypatch, capsys):
         # A huge ``nodes=`` header fails to allocate; simulated, not allocated.
