@@ -2,26 +2,25 @@
 
 Each directed link i -> j carries an obligation of bank i to bank j whose
 weight grows with the degrees of both endpoints, so better-connected banks
-hold larger positions. The exposure matrix is kept as plain numpy CSR
-arrays, which the cascade engine walks row by row; its row sums are a
-bank's interbank liabilities, its column sums its interbank assets. The
-remaining balance-sheet entries follow from three identities: total assets
-equal total liabilities plus equity, equity is a (sampled) fraction
-``lambda_i`` of total assets, and nonbank assets are a fixed multiple ``xi``
-of interbank activity. All quantities share one dimensionless monetary
-unit; only ratios matter downstream.
+hold larger positions. The exposure matrix, the graph's links with one
+weight each, is kept as plain numpy CSR arrays that the cascade engine
+walks row by row; its row sums are a bank's interbank liabilities, its
+column sums its interbank assets. The remaining balance-sheet entries
+follow from three identities: total assets equal total liabilities plus
+equity, equity is a (sampled) fraction ``lambda_i`` of total assets, and
+nonbank assets are a fixed multiple ``xi`` of interbank activity. All
+quantities share one dimensionless monetary unit; only ratios matter.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .netgen import DirectedGraph
+from .netgen import DirectedGraph, _require_ints
 
 __all__ = [
     "ExposureMatrix",
@@ -38,58 +37,38 @@ _LAMBDA_RETRY_CAP = 1000
 
 
 class ExposureMatrix:
-    """Interbank obligations as canonical CSR arrays.
+    """Interbank obligations: a graph's links, one weight on each.
 
     Entry (i, j) is the obligation of bank i to bank j, equivalently the
-    exposure of j to i. Built from one ``(debtor, creditor, weight)`` triple
-    per directed link: weights must be finite and positive, ids in
-    ``[0, n)``, no bank may owe itself and no pair may repeat. The error
-    names the first offending triple in input order. The triples are sorted
-    by the codes ``debtor * n + creditor`` into ``indptr``, ``indices`` and
-    ``data``, so rows are in bank order and creditors ascend within a row.
-    Its row and column sums are left to :func:`build_balance_sheets`.
+    exposure of j to i. The graph owns the sparsity pattern and its rules
+    (links sorted by debtor, then creditor, unique, in range, no self-link),
+    so its creditor column is ``indices`` and its running out-degree sum is
+    ``indptr`` as they stand. ``weights`` gives one finite, positive weight
+    per link in ``graph.links`` order; the error names the first bad link.
+    The CSR arrays are read-only copies; row and column sums are left to
+    :func:`build_balance_sheets`.
     """
 
-    def __init__(self, n: int, debtors, creditors, weights):
-        n = operator.index(n)
-        if n < 1:
-            raise ValueError("exposure matrix needs at least one bank")
-        debtors = np.asarray(debtors, dtype=np.int64)
-        creditors = np.asarray(creditors, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        shapes = {a.shape for a in (debtors, creditors, weights)}
-        if len(shapes) != 1 or debtors.ndim != 1:
+    def __init__(self, graph: DirectedGraph, weights):
+        n, links = graph.n, graph.links
+        data = np.array(weights, dtype=np.float64)
+        if data.shape != (len(links),):
             raise ValueError(
-                "debtors, creditors and weights must be 1-D arrays of one "
-                f"length, got shapes {debtors.shape}, {creditors.shape} and "
-                f"{weights.shape}"
+                f"need one weight per link: {len(links)} links, "
+                f"weights of shape {data.shape}"
             )
-        if weights.size == 0:
+        if data.size == 0:
             raise ValueError("exposure matrix has no entries")
-        outside = (debtors < 0) | (debtors >= n) | (creditors < 0) | (creditors >= n)
-        self_owed = debtors == creditors
-        infinite = ~np.isfinite(weights)
-        bad = outside | self_owed | infinite | (weights <= 0.0)
+        infinite = ~np.isfinite(data)
+        bad = infinite | (data <= 0.0)
         if bad.any():
             k = int(np.argmax(bad))
-            i, j, w = int(debtors[k]), int(creditors[k]), float(weights[k])
-            if outside[k]:
-                raise ValueError(f"exposure ({i}, {j}) outside bank range [0, {n})")
-            if self_owed[k]:
-                raise ValueError(f"self-exposure of bank {i}")
+            i, j = links[k].tolist()
             kind = "non-finite" if infinite[k] else "non-positive"
-            raise ValueError(f"exposure ({i}, {j}) has {kind} weight {w}")
-        codes = debtors * n + creditors
-        order = np.argsort(codes, kind="stable")
-        repeat = np.flatnonzero(codes[order[1:]] == codes[order[:-1]])
-        if repeat.size:
-            k = int(order[repeat + 1].min())
-            raise ValueError(
-                f"duplicate exposure ({int(debtors[k])}, {int(creditors[k])})"
-            )
+            raise ValueError(f"exposure ({i}, {j}) has {kind} weight {data[k]}")
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(debtors, minlength=n), out=indptr[1:])
-        indices, data = creditors[order], weights[order]
+        np.cumsum(graph.out_degree, out=indptr[1:])
+        indices = np.ascontiguousarray(links[:, 1])
         for a in (indptr, indices, data):
             a.setflags(write=False)
         self._n = n
@@ -123,7 +102,7 @@ def build_exposures(graph: DirectedGraph) -> ExposureMatrix:
     kin = graph.in_degree.astype(np.float64)
     scale = kout.max() * kin.max()
     weights = kout[src] * kin[dst] / scale
-    return ExposureMatrix(graph.n, src, dst, weights)
+    return ExposureMatrix(graph, weights)
 
 
 class BalanceSheetSet:
@@ -190,6 +169,7 @@ class BalanceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_ints(self, "seed")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 < self.lambda_min < 1.0:

@@ -39,6 +39,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .balance import BalanceSheetSet, ExposureMatrix, _bank_count
+from .netgen import _require_ints
 
 __all__ = [
     "ShockScenario",
@@ -88,6 +89,7 @@ class ShockScenario:
     defaulted_nonbank_recovery: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_ints(self, "shocked_bank")
         if self.shocked_bank < 0:
             raise ValueError("shocked_bank must be a valid bank id")
         if not 0.0 <= self.recovery_on_nonbank <= 1.0:
@@ -494,7 +496,7 @@ def cascade_metrics(
             f"solution was computed for bank {solution.shocked_bank}, "
             f"not {shocked_bank}"
         )
-    defaulted = np.array(sorted(solution.defaulted), dtype=np.int64)
+    defaulted = np.sort(np.fromiter(solution.defaulted, np.int64, len(solution.defaulted)))
     unpaid = (sheets.bl + sheets.nbl - solution.payments)[defaulted]
     di, ti, dc = (float(v[0]) for v in _score(
         np.array([shocked_bank]), np.zeros_like(defaulted), defaulted, unpaid,

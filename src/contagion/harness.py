@@ -430,8 +430,8 @@ def sweep(
     ]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _fmt(x: float | str) -> str:
+    return x if isinstance(x, str) else f"{x:.12g}"
 
 
 def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:

@@ -224,15 +224,6 @@ class IndexImpactCorrelation:
     spearman_f_dc: Optional[float]
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson's r of two non-constant vectors, clipped to [-1, 1]."""
-    xm, ym = x - x.mean(), y - y.mean()
-    # Scaled to unit peaks, so that no square overflows or underflows.
-    xm, ym = xm / np.abs(xm).max(), ym / np.abs(ym).max()
-    r = (xm * ym).sum() / np.sqrt((xm * xm).sum() * (ym * ym).sum())
-    return float(np.clip(r, -1.0, 1.0))
-
-
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n of ``x``, each group of ties sharing its mean rank."""
     order = np.argsort(x, kind="stable")
@@ -246,14 +237,15 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
-def _safe_corr(x: np.ndarray, y: np.ndarray, method: str) -> Optional[float]:
-    """Pearson or Spearman correlation; ``None`` when an input is constant."""
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+def _safe_corr(x: np.ndarray, y: np.ndarray) -> Optional[float]:
+    """Pearson's r clipped to [-1, 1]; ``None`` when an input is constant."""
     if x.min() == x.max() or y.min() == y.max():
         return None
-    if method == "pearson":
-        return _pearson(x, y)
-    return _pearson(_average_ranks(x), _average_ranks(y))
+    xm, ym = x - x.mean(), y - y.mean()
+    # Scaled to unit peaks, so that no square overflows or underflows.
+    xm, ym = xm / np.abs(xm).max(), ym / np.abs(ym).max()
+    r = (xm * ym).sum() / np.sqrt((xm * xm).sum() * (ym * ym).sum())
+    return float(np.clip(r, -1.0, 1.0))
 
 
 def correlate_indices(
@@ -262,12 +254,15 @@ def correlate_indices(
     """Pearson and Spearman correlations of CS with DI and frailty with DC.
 
     The four vectors are aligned by bank (possibly pooled over replications).
+    Spearman's rho is Pearson's r of the average ranks, which are constant
+    exactly when the input is.
     """
+    cs, frailty, di, dc = (np.asarray(v, dtype=np.float64) for v in (cs, frailty, di, dc))
     return IndexImpactCorrelation(
-        pearson_cs_di=_safe_corr(cs, di, "pearson"),
-        pearson_f_dc=_safe_corr(frailty, dc, "pearson"),
-        spearman_cs_di=_safe_corr(cs, di, "spearman"),
-        spearman_f_dc=_safe_corr(frailty, dc, "spearman"),
+        pearson_cs_di=_safe_corr(cs, di),
+        pearson_f_dc=_safe_corr(frailty, dc),
+        spearman_cs_di=_safe_corr(_average_ranks(cs), _average_ranks(di)),
+        spearman_f_dc=_safe_corr(_average_ranks(frailty), _average_ranks(dc)),
     )
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -70,6 +71,14 @@ _SELF_LINK_RETRIES = 16
 _AUGMENT_BLOCK = 1 << 20
 
 
+def _require_ints(obj, *names: str) -> None:
+    """Refuse each named field unless it is a Python or numpy integer, not a bool."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Parameters of the directed preferential-attachment process.
@@ -91,6 +100,7 @@ class GenParams:
     seed: int
 
     def __post_init__(self) -> None:
+        _require_ints(self, "n_target", "seed")
         for name in ("alpha", "beta", "gamma"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -269,7 +279,7 @@ def generate(params: GenParams) -> DirectedGraph:
             f"can never reach n_target = {params.n_target}"
         )
     draw = _uniforms(np.random.default_rng(params.seed)).__next__
-    cap = params.n_target
+    cap = int(params.n_target)
     new_source, new_target = params.alpha, params.alpha + params.beta
     d_in, d_out = params.delta_in, params.delta_out
     # Slot i of a tree holds the weight sum of nodes [i - lowbit(i), i) once

@@ -321,8 +321,8 @@ def random_small_system(
 def exposures_from_dense(dense) -> ExposureMatrix:
     """The exposure matrix with one entry per nonzero cell of ``dense``."""
     dense = np.asarray(dense, dtype=np.float64)
-    debtors, creditors = np.nonzero(dense)
-    return ExposureMatrix(dense.shape[0], debtors, creditors, dense[debtors, creditors])
+    graph = DirectedGraph.from_links(dense.shape[0], np.argwhere(dense))
+    return ExposureMatrix(graph, dense[graph.links[:, 0], graph.links[:, 1]])
 
 
 def dense_exposures(exposures: ExposureMatrix) -> np.ndarray:

@@ -85,7 +85,7 @@ class TestBuildExposures:
             assert (np.diff(weights[order]) >= -1e-15).all()
 
     def test_self_exposure_rejected(self):
-        with pytest.raises(ValueError, match="self-exposure"):
+        with pytest.raises(ValueError, match="self-link at node 0"):
             exposures_from_dense(np.array([[0.5, 0.2], [0.0, 0.0]]))
 
 
@@ -104,8 +104,9 @@ def assert_matches_scipy_csr(x, n, debtors, creditors, weights):
 
 class TestExposureMatrix:
     def test_matches_scipy_csr_on_random_systems(self):
-        # Triples in random order, weights over 12 decades and rows long
-        # enough that summation order shows in the last bits.
+        # Pairs in random order (scipy gets them unsorted too), weights
+        # over 12 decades and rows long enough that summation order shows
+        # in the last bits. The matrix takes the weights in link order.
         rng = np.random.default_rng(17)
         for _ in range(40):
             n = int(rng.integers(2, 80))
@@ -117,7 +118,10 @@ class TestExposureMatrix:
             order = rng.permutation(debtors.size)
             debtors, creditors = debtors[order], creditors[order]
             weights = 10.0 ** rng.uniform(-6, 6, debtors.size)
-            x = ExposureMatrix(n, debtors, creditors, weights)
+            g = DirectedGraph.from_links(n, np.column_stack((debtors, creditors)))
+            dense = np.zeros((n, n))
+            dense[debtors, creditors] = weights
+            x = ExposureMatrix(g, dense[g.links[:, 0], g.links[:, 1]])
             assert_matches_scipy_csr(x, n, debtors, creditors, weights)
 
     def test_matches_scipy_csr_on_generated_exposures(self):
@@ -130,33 +134,37 @@ class TestExposureMatrix:
             assert_matches_scipy_csr(build_exposures(g), n, src, dst, weights)
 
     def test_arrays_are_read_only(self):
-        x = exposures_from_dense([[0.0, 0.4], [0.3, 0.0]])
+        weights = np.array([0.4, 0.3])
+        x = ExposureMatrix(DirectedGraph.from_links(2, [(0, 1), (1, 0)]), weights)
         for a in x.row_arrays():
             assert not a.flags.writeable
+        assert weights.flags.writeable  # the matrix keeps its own copy
 
     @pytest.mark.parametrize(
         "n, debtors, creditors, weights, message",
         [
-            (2, [1, 0], [0, 1], [0.5, np.nan], r"^exposure \(0, 1\) has non-finite weight nan$"),
+            # Weights follow graph.links, which sorts (1, 0) after (0, 1).
+            (2, [1, 0], [0, 1], [0.5, np.nan], r"^exposure \(1, 0\) has non-finite weight nan$"),
             (2, [0, 1], [1, 0], [np.inf, 0.5], r"^exposure \(0, 1\) has non-finite weight inf$"),
             (2, [0, 1], [1, 0], [0.5, -np.inf], r"^exposure \(1, 0\) has non-finite weight -inf$"),
             (2, [0, 1], [1, 0], [0.5, 0.0], r"^exposure \(1, 0\) has non-positive weight 0.0$"),
             (2, [0, 1], [1, 0], [-0.5, 0.5], r"^exposure \(0, 1\) has non-positive weight -0.5$"),
-            (3, [0, 1, 2], [1, 1, 2], [0.5, 0.5, np.nan], r"^self-exposure of bank 1$"),
-            (2, [0, 2], [1, 0], [0.5, 0.5], r"^exposure \(2, 0\) outside bank range \[0, 2\)$"),
-            (2, [0, 1], [-1, 0], [0.5, 0.5], r"^exposure \(0, -1\) outside bank range \[0, 2\)$"),
-            (3, [0, 1, 0, 1], [1, 2, 1, 2], [0.5, 0.2, 0.3, 0.1], r"^duplicate exposure \(0, 1\)$"),
-            (3, [0, 1], [1, 2], [0.5], r"1-D arrays of one length"),
-            (3, [[0, 1]], [[1, 2]], [[0.5, 0.5]], r"1-D arrays of one length"),
+            (3, [0, 1, 2], [1, 1, 2], [0.5, 0.5, np.nan], r"^self-link at node 1$"),
+            (2, [0, 2], [1, 0], [0.5, 0.5], r"^link \(2, 0\) outside node range \[0, 2\)$"),
+            (2, [0, 1], [-1, 0], [0.5, 0.5], r"^link \(0, -1\) outside node range \[0, 2\)$"),
+            # The graph keeps one (0, 1) and one (1, 2): two links, four weights.
+            (3, [0, 1, 0, 1], [1, 2, 1, 2], [0.5, 0.2, 0.3, 0.1], r"^need one weight per link: 2 links, weights of shape \(4,\)$"),
+            (3, [0, 1], [1, 2], [0.5], r"one weight per link"),
+            (3, [0, 1], [1, 2], [[0.5, 0.5]], r"one weight per link"),
             (3, [], [], [], r"no entries"),
-            (0, [], [], [], r"at least one bank"),
+            (0, [], [], [], r"at least one node"),
         ],
     )
     def test_malformed_triples_name_the_first_offender(
         self, n, debtors, creditors, weights, message
     ):
         with pytest.raises(ValueError, match=message):
-            ExposureMatrix(n, debtors, creditors, weights)
+            ExposureMatrix(DirectedGraph.from_links(n, list(zip(debtors, creditors))), weights)
 
     def test_non_finite_dense_cell_rejected(self):
         # A NaN or inf cell used to reach the margins: assets [0.5, nan].
@@ -263,6 +271,9 @@ class TestConfigValidation:
             {"xi": float("nan")},
             {"xi": float("inf")},
             {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
+            {"seed": "0"},
         ],
     )
     def test_bad_configs(self, kwargs):

@@ -427,6 +427,10 @@ class TestValidation:
             ShockScenario(0, recovery_on_nonbank=1.5)
         with pytest.raises(ValueError):
             ShockScenario(0, defaulted_nonbank_recovery=-0.1)
+        for bad in (1.5, True, "0"):
+            with pytest.raises(ValueError, match=f"^shocked_bank must be an integer, got {bad!r}$"):
+                ShockScenario(bad)
+        assert ShockScenario(np.int64(1)).shocked_bank == 1
 
     def test_metrics_require_positive_assets(self):
         exposures, sheets = _two_bank_system()

@@ -267,6 +267,14 @@ class TestSweeps:
             ("2", "below_min_meaningful_size"), ("100", ""),
         ]
 
+    def test_family_sweep_writes_the_names(self, tmp_path):
+        spec = ExperimentSpec("S", 0, 30, 1, master_seed=9)
+        reports = sweep(spec, "network_family", ["S", "GD"], workers=1)
+        rows = _sweep_rows(reports, "network_family", tmp_path / "families.csv")
+        assert [(row[0], row[-1]) for row in rows] == [
+            ("S", "below_min_meaningful_size"), ("GD", "below_min_meaningful_size"),
+        ]
+
     @pytest.mark.parametrize(
         "n, flag", [(99, "below_min_meaningful_size"), (100, "")]
     )

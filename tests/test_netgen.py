@@ -56,6 +56,29 @@ class TestGenParams:
         with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
             GenParams(0.25, 0.5, 0.25, 1.0, 1.0, 10, -1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_target", 100.0),
+            ("n_target", 100.5),
+            ("n_target", True),
+            ("n_target", "100"),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", "0"),
+        ],
+    )
+    def test_integer_fields_refuse_non_integers(self, field, value):
+        kwargs = {"n_target": 10, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            GenParams(0.25, 0.5, 0.25, 1.0, 1.0, **kwargs)
+
+    def test_numpy_integers_grow_the_same_graph(self):
+        plain = generate(GD0.with_size(100, 3))
+        numpy_ints = generate(GD0.with_size(np.int64(100), np.uint32(3)))
+        assert numpy_ints.n == 100
+        assert np.array_equal(plain.links, numpy_ints.links)
+
 
 class TestParamsFromDeltaIn:
     @pytest.mark.parametrize(
