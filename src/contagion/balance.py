@@ -15,12 +15,13 @@ quantities share one dimensionless monetary unit; only ratios matter.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .netgen import DirectedGraph, _require_ints
+from .netgen import DirectedGraph, _require
 
 __all__ = [
     "ExposureMatrix",
@@ -169,7 +170,8 @@ class BalanceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_ints(self, "seed")
+        _require(self, numbers.Integral, "seed")
+        _require(self, numbers.Real, "lambda_min", "sigma", "xi")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 < self.lambda_min < 1.0:

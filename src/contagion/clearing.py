@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
 
 from .balance import BalanceSheetSet, ExposureMatrix, _bank_count
-from .netgen import _require_ints
+from .netgen import _require
 
 __all__ = [
     "ShockScenario",
@@ -89,7 +90,8 @@ class ShockScenario:
     defaulted_nonbank_recovery: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_ints(self, "shocked_bank")
+        _require(self, numbers.Integral, "shocked_bank")
+        _require(self, numbers.Real, "recovery_on_nonbank", "defaulted_nonbank_recovery")
         if self.shocked_bank < 0:
             raise ValueError("shocked_bank must be a valid bank id")
         if not 0.0 <= self.recovery_on_nonbank <= 1.0:
@@ -123,19 +125,14 @@ class CascadeResult:
     ``di`` is the contagion-only reduction of gross system volume (initial
     write-off excluded) as a fraction of the pre-shock volume, ``ti`` adds
     the initial write-off back in, and ``dc`` is the fraction of banks
-    (excluding the shocked one) rendered insolvent.
+    (excluding the shocked one) rendered insolvent. :func:`cascade_metrics`
+    makes it and has checked ``0 <= di <= ti <= 1`` and ``0 <= dc <= 1``.
     """
 
     shocked_bank: int
     di: float
     ti: float
     dc: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.di <= self.ti <= 1.0 + 1e-12:
-            raise ValueError(f"need 0 <= di <= ti <= 1, got ({self.di}, {self.ti})")
-        if not 0.0 <= self.dc <= 1.0:
-            raise ValueError(f"dc out of range: {self.dc}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +261,6 @@ def _settle(
             recovery = np.where(shocked, recovery_on_nonbank, defaulted_nonbank_recovery)
             e_d = recovery * nba[bank]
             pbar_d = obligations[at]
-            # Payers come sorted by shock; heads start each shock's run.
-            heads = np.append(0, np.flatnonzero(block[1:] != block[:-1]) + 1)
             live = np.zeros(shocks.size, dtype=bool)
             live[block] = True
             p_prev = r * pbar_d
@@ -278,7 +273,7 @@ def _settle(
                 np.minimum(p, pbar_d, out=p)
                 np.maximum(p, 0.0, out=p)
                 delta = np.zeros(shocks.size)
-                delta[block[heads]] = np.maximum.reduceat(np.abs(p - p_prev), heads)
+                np.maximum.at(delta, block, np.abs(p - p_prev))
                 max_delta = max(max_delta, float(delta[live].max()))
                 p_prev = p
                 # A converged shock keeps its ratios, so it sweeps no more.
@@ -382,12 +377,12 @@ def clear_all(
     The shocks are settled in batches of consecutive banks by the same
     round loop as :func:`clear`; a batch closes once the shocked banks'
     out-degrees, plus one per shock, pass ``_BATCH_LINKS``. Raises
-    ``ValueError`` naming the first bank whose impacts break the
-    :class:`CascadeResult` invariants.
+    ``ValueError`` naming the first bank whose impacts break
+    ``0 <= di <= ti <= 1`` or ``0 <= dc <= 1``.
     """
     n = _bank_count(exposures, sheets)
     ShockScenario(0, recovery_on_nonbank, defaulted_nonbank_recovery)  # validates
-    v0 = _gross_volume(total_initial_assets(sheets), sheets)
+    v0 = gross_system_volume(sheets)
     pbar = sheets.bl + sheets.nbl
     writeoff = (1.0 - recovery_on_nonbank) * sheets.nba
 
@@ -449,7 +444,7 @@ def _score(shocks, j, bank, unpaid, writeoff, n: int, v0: float):
     Defaulted bank ``bank[m]`` of shock ``shocks[j[m]]`` leaves ``unpaid[m]``
     unpaid; entries come sorted by shock, then bank, and are summed in that
     order. Raises ``ValueError`` naming the first shocked bank whose impacts
-    break the :class:`CascadeResult` invariants.
+    break ``0 <= di <= ti <= 1`` or ``0 <= dc <= 1``.
     """
     b = shocks.size
     di = np.bincount(j, weights=unpaid, minlength=b) / v0

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import os
 import time
 from contextlib import nullcontext
@@ -50,7 +51,9 @@ from .metrics import (
     ranking_statistics,
     summarize,
 )
-from .netgen import DirectedGraph, GenParams, augment_random_links, generate, write_edge_list
+from .netgen import (
+    DirectedGraph, GenParams, _require, augment_random_links, generate, write_edge_list,
+)
 
 __all__ = [
     "FAMILIES",
@@ -114,15 +117,10 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        # Spec files are JSON: refuse a string, bool or fraction where the
-        # field's annotation asks for an int, and anything but a number
-        # where it asks for a float.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kinds = {"int": int, "float": (int, float)}.get(f.type)
-            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-                want = "an integer" if f.type == "int" else "a number"
-                raise ValueError(f"{f.name} must be {want}, got {value!r}")
+        # Spec files are JSON: a string or a bool must not pass for a number.
+        integers = ("type_variant", "n_nodes", "replications", "master_seed")
+        _require(self, numbers.Integral, *integers)
+        _require(self, numbers.Real, "lambda_min", "sigma", "xi")
         if self.network_family not in FAMILIES:
             raise ValueError(
                 f"network_family must be one of {FAMILIES}, "
@@ -431,7 +429,7 @@ def sweep(
 
 
 def _fmt(x: float | str) -> str:
-    return x if isinstance(x, str) else f"{x:.12g}"
+    return x if isinstance(x, str) else f"{float(x):.12g}"
 
 
 def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:
@@ -489,7 +487,9 @@ def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:
         "notes": report.notes,
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        # A spec may hold numpy scalars (a sweep over np.arange) or fractions.
+        json.dump(payload, fh, indent=2, sort_keys=True,
+                  default=lambda x: int(x) if isinstance(x, numbers.Integral) else float(x))
         fh.write("\n")
     return out
 

@@ -226,7 +226,7 @@ class IndexImpactCorrelation:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n of ``x``, each group of ties sharing its mean rank."""
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)
     xs = x[order]
     head = np.concatenate(([True], xs[1:] != xs[:-1]))
     dense = np.empty(x.size, dtype=np.intp)

@@ -71,12 +71,13 @@ _SELF_LINK_RETRIES = 16
 _AUGMENT_BLOCK = 1 << 20
 
 
-def _require_ints(obj, *names: str) -> None:
-    """Refuse each named field unless it is a Python or numpy integer, not a bool."""
+def _require(obj, kind: type, *names: str) -> None:
+    """Refuse each named field that is a bool or no Python or numpy ``kind``."""
+    want = "an integer" if kind is numbers.Integral else "a number"
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ class GenParams:
     seed: int
 
     def __post_init__(self) -> None:
-        _require_ints(self, "n_target", "seed")
+        _require(self, numbers.Integral, "n_target", "seed")
+        _require(self, numbers.Real, "alpha", "beta", "gamma", "delta_in", "delta_out")
         for name in ("alpha", "beta", "gamma"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:

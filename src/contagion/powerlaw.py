@@ -57,23 +57,15 @@ class PowerLawFit:
     """Result of a discrete power-law tail fit.
 
     ``exponent`` is the maximum-likelihood estimate on the selected tail,
-    ``x_min`` the selected cutoff, ``ks_distance`` the sup-distance between
-    empirical and fitted tail CDFs, and ``n_tail`` the number of samples
-    in the tail.
+    within [1.01, 6.0], ``x_min`` the selected cutoff, ``ks_distance`` the
+    sup-distance between empirical and fitted tail CDFs, and ``n_tail`` the
+    number of samples in the tail, at least 2.
     """
 
     exponent: float
     x_min: int
     ks_distance: float
     n_tail: int
-
-    def __post_init__(self) -> None:
-        if self.exponent <= 1.0:
-            raise ValueError("exponent must exceed 1")
-        if self.n_tail < 2:
-            raise ValueError("tail must contain at least 2 samples")
-        if not 0.0 <= self.ks_distance <= 1.0:
-            raise ValueError("KS distance must lie in [0, 1]")
 
 
 def _hurwitz_zeta(s, q):

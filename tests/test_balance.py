@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from contagion import balance
 from contagion.balance import (
     BalanceConfig,
     BalanceSheetSet,
@@ -228,6 +229,24 @@ class TestBuildBalanceSheets:
             with pytest.raises(ValueError, match=f"{name} is not finite at bank 3"):
                 BalanceSheetSet(**columns)
 
+    def test_columns_of_unequal_length_rejected(self):
+        _, _, sheets = _sheets(n=20)
+        names = ("ba", "bl", "nba", "nbl", "e", "lam")
+        columns = {c: getattr(sheets, c) for c in names} | {"nbl": sheets.nbl[:-1]}
+        with pytest.raises(ValueError, match="^balance-sheet columns must share one length$"):
+            BalanceSheetSet(**columns)
+
+    def test_capital_ratio_sampling_gives_up_naming_the_floor(self, monkeypatch):
+        monkeypatch.setattr(balance, "_LAMBDA_RETRY_CAP", 0)
+        # About half of the first 20 draws fall below the floor.
+        chain = DirectedGraph.from_links(20, [(i, i + 1) for i in range(19)])
+        exposures = build_exposures(chain)
+        message = (
+            "^capital-ratio sampling failed to clear the floor 0.05 within 0 rounds$"
+        )
+        with pytest.raises(RuntimeError, match=message):
+            build_balance_sheets(exposures, BalanceConfig(0.05, 0.01, 2.0, 1))
+
     def test_nonbank_share_exceeds_half_at_xi_two(self):
         _, _, sheets = _sheets(n=1000)
         active = sheets.total_assets > 0
@@ -274,6 +293,9 @@ class TestConfigValidation:
             {"seed": 1.5},
             {"seed": True},
             {"seed": "0"},
+            {"lambda_min": "0.05"},
+            {"sigma": None},
+            {"xi": "2"},
         ],
     )
     def test_bad_configs(self, kwargs):

@@ -8,7 +8,6 @@ import pytest
 from contagion.balance import BalanceSheetSet, build_balance_sheets, BalanceConfig, build_exposures
 from contagion import clearing
 from contagion.clearing import (
-    CascadeResult,
     ClearingError,
     ShockScenario,
     cascade_metrics,
@@ -28,6 +27,7 @@ from contagion.netgen import (
 )
 
 from conftest import (
+    all_banks_picard,
     assert_matches_per_bank_loop,
     dense_exposures,
     exposures_from_dense,
@@ -276,6 +276,24 @@ def _replication_system(family, variant, n, lambda_min, xi):
     return exposures, build_balance_sheets(exposures, config)
 
 
+def _loss_within_the_margin_system():
+    """Shocking bank 0 costs bank 1 a loss 1e-13 above its equity.
+
+    That is inside the default margin, so bank 1 stays solvent.
+    """
+    exposures = exposures_from_dense([[0.0, 1.0], [0.0, 0.0]])
+    e1 = 1.0 - 1e-13
+    sheets = BalanceSheetSet(
+        ba=np.array([0.0, 1.0]),
+        bl=np.array([1.0, 0.0]),
+        nba=np.array([2.0, 2.0]),
+        nbl=np.array([1.0, 3.0 - e1]),
+        e=np.array([0.0, e1]),
+        lam=np.array([0.0, e1 / 3.0]),
+    )
+    return exposures, sheets
+
+
 class TestClearAll:
     # Fenced-off defaulted nonbank assets (defaulted recovery 0) make the
     # deep GC3/GD3 cascades about ten times as costly for the reference
@@ -314,6 +332,23 @@ class TestClearAll:
                 out = clear_all(exposures, sheets, recovery, defaulted_recovery)
                 assert_matches_per_bank_loop(out, solutions, expected)
                 monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            lambda: _replication_system("GD", 0, 1000, 0.05, 2.0),
+            lambda: _replication_system("GD", 3, 1000, 0.01, 1.1),
+            _loss_within_the_margin_system,
+        ],
+        ids=["GD0", "GD3-deep", "within-margin"],
+    )
+    def test_every_bank_matches_the_all_banks_picard_oracle(self, system):
+        exposures, sheets = system()
+        di, ti, dc = all_banks_picard(dense_exposures(exposures), sheets)
+        out = clear_all(exposures, sheets)
+        assert np.abs(out.di - di).max() <= 1e-12
+        assert np.abs(out.ti - ti).max() <= 1e-12
+        assert np.array_equal(out.dc, dc)
 
     def test_small_systems_under_every_recovery_setting(self):
         rng = np.random.default_rng(5)
@@ -432,6 +467,13 @@ class TestValidation:
                 ShockScenario(bad)
         assert ShockScenario(np.int64(1)).shocked_bank == 1
 
+    @pytest.mark.parametrize("name", ["recovery_on_nonbank", "defaulted_nonbank_recovery"])
+    @pytest.mark.parametrize("value", ["0", None, False])
+    def test_scenario_fractions_must_be_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+            ShockScenario(0, **{name: value})
+        assert getattr(ShockScenario(0, **{name: np.float32(0.5)}), name) == 0.5
+
     def test_metrics_require_positive_assets(self):
         exposures, sheets = _two_bank_system()
         sol = clear(exposures, sheets, ShockScenario(0))
@@ -443,9 +485,3 @@ class TestValidation:
         sol = clear(exposures, sheets, ShockScenario(0))
         with pytest.raises(ValueError, match="computed for bank"):
             cascade_metrics(sol, sheets, 1, total_initial_assets(sheets))
-
-    def test_result_invariants_enforced(self):
-        with pytest.raises(ValueError, match="di <= ti"):
-            CascadeResult(0, di=0.5, ti=0.4, dc=0.0)
-        with pytest.raises(ValueError, match="dc"):
-            CascadeResult(0, di=0.0, ti=0.0, dc=1.5)

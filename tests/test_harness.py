@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,7 @@ class TestSpecValidation:
             ({"lambda_min": "0.05"}, "lambda_min must be a number, got '0.05'"),
             ({"sigma": False}, "sigma must be a number, got False"),
             ({"xi": [2.0]}, "xi must be a number, got [2.0]"),
+            ({"n_nodes": np.True_}, "n_nodes must be an integer, got np.True_"),
         ],
     )
     def test_wrong_typed_values(self, kwargs, message):
@@ -110,6 +112,22 @@ class TestSpecValidation:
 
     def test_an_integer_is_a_number(self):
         assert ExperimentSpec("GC", 0, 100, 1, xi=2).xi == 2
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_nodes", np.int64(100)),
+            ("type_variant", np.int32(0)),
+            ("master_seed", np.uint32(3)),
+            ("xi", np.float32(2.0)),
+            ("lambda_min", np.float32(0.05)),
+            ("sigma", np.int64(1)),
+        ],
+    )
+    def test_numpy_numbers_are_accepted(self, name, value):
+        spec = ExperimentSpec(**{"network_family": "GC", "type_variant": 0,
+                                 "n_nodes": 100, "replications": 1, name: value})
+        assert getattr(spec, name) == value
 
 
 class TestSeedDerivation:
@@ -296,6 +314,32 @@ class TestSweeps:
         assert [low.spec.lambda_min, high.spec.lambda_min] == [0.01, 0.10]
         assert low.means["dc_aggregate"] > high.means["dc_aggregate"]
 
+    def test_numpy_sweep_writes_the_python_int_run_directory(self, tmp_path):
+        spec = ExperimentSpec("S", 0, 40, 1, master_seed=3)
+        first, second = sweep(spec, "n_nodes", np.array([40, 60]), workers=1)
+        assert second.spec.n_nodes == 60
+        dirs = [
+            write_run_directory(report, tmp_path / name)
+            for report, name in ((first, "numpy"), (run_experiment(spec, workers=1), "python"))
+        ]
+        for d in dirs:
+            report = json.loads((d / "report.json").read_text())
+            del report["runtime"]
+            (d / "report.json").write_text(json.dumps(report))
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir())
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+    def test_every_accepted_number_is_written(self, tmp_path):
+        spec = ExperimentSpec("S", 0, 40, 1, master_seed=3)
+        reports = sweep(spec, "xi", [Fraction(2), np.float32(2.5)], workers=1)
+        rows = _sweep_rows(reports, "xi", tmp_path / "xi.csv")
+        assert [row[0] for row in rows] == ["2", "2.5"]
+        for report, xi in zip(reports, (2.0, 2.5)):
+            out = write_run_directory(report, tmp_path / str(xi))
+            assert json.loads((out / "report.json").read_text())["spec"]["xi"] == xi
+
     def test_capital_sweep_clears_the_same_networks(self):
         # Variant 3 also densifies, so the augmentation stream is covered.
         spec = ExperimentSpec("GD", 3, 120, 2, master_seed=9)
@@ -322,6 +366,10 @@ class TestWorkerResolution:
             message = f"CONTAGION_WORKERS must be an integer >= 1, got '{value}'"
             with pytest.raises(ValueError, match=re.escape(message)):
                 resolve_workers()
+
+    def test_explicit_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^worker count must be >= 1$"):
+            resolve_workers(0)
 
     def test_default_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv("CONTAGION_WORKERS", raising=False)

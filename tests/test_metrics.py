@@ -24,6 +24,7 @@ from contagion.clearing import (
 )
 from contagion.metrics import (
     TopoIndices,
+    _average_ranks,
     compute_topo_indices,
     correlate_indices,
     gini,
@@ -378,6 +379,20 @@ class TestCorrelationsAgainstScipy:
         assert_matches_scipy([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
         assert_matches_scipy([1.0, 2.0, 3.0], [0.7] * 3)
         assert_matches_scipy(np.zeros(4), np.zeros(4))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_average_ranks_equal_rankdata(self, seed):
+        # The order among tied values never reaches the ranks, so an
+        # unstable sort gives scipy's ranks exactly.
+        rng = np.random.default_rng(seed)
+        inputs = [
+            rng.integers(0, 5, 5000).astype(np.float64),
+            np.round(rng.lognormal(size=20000), 1),
+            np.tile([0.0, -0.0, 1.5], 700),
+            np.full(3000, 0.25),
+        ]
+        for x in inputs:
+            assert np.array_equal(_average_ranks(x), stats.rankdata(x, "average"))
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(st.data())

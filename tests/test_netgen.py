@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -73,6 +74,25 @@ class TestGenParams:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             GenParams(0.25, 0.5, 0.25, 1.0, 1.0, **kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", "0.25"),
+            ("beta", None),
+            ("gamma", True),
+            ("delta_in", "1"),
+            ("delta_out", [1.0]),
+        ],
+    )
+    def test_float_fields_refuse_non_numbers(self, field, value):
+        kwargs = dict(alpha=0.25, beta=0.5, gamma=0.25, delta_in=1.0, delta_out=1.0)
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"):
+            GenParams(**(kwargs | {field: value}), n_target=10, seed=0)
+
+    def test_numpy_numbers_are_accepted(self):
+        p = GenParams(np.float32(0.25), np.float64(0.5), 0.25, np.float32(1.0), 1, 10, 0)
+        assert (p.alpha, p.delta_out) == (0.25, 1)
+
     def test_numpy_integers_grow_the_same_graph(self):
         plain = generate(GD0.with_size(100, 3))
         numpy_ints = generate(GD0.with_size(np.int64(100), np.uint32(3)))
@@ -123,6 +143,20 @@ class TestLimitExponents:
                 constraint_curve(pair.x_in), abs=1e-9
             )
         assert constraint_curve(5.0) == pytest.approx(5.0, abs=1e-12)
+
+    def test_constraint_curve_needs_x_in_above_one(self):
+        with pytest.raises(ValueError, match="^x_in must exceed 1$"):
+            constraint_curve(1.0)
+
+    @pytest.mark.parametrize(
+        "delta_out, message",
+        [(float("inf"), "^exponents must be finite$"), (-3.0, "^exponents must exceed 1$")],
+    )
+    def test_exponents_are_checked(self, delta_out, message):
+        # A CurvePoint is not validated, so its offsets reach ExponentPair.
+        point = CurvePoint(0.375, 0.25, 0.375, 2.0, delta_out)
+        with pytest.raises(ValueError, match=message):
+            limit_exponents(point)
 
     def test_degenerate_combinations_rejected(self):
         with pytest.raises(ValueError):
@@ -515,6 +549,13 @@ class TestEdgeListRoundTrip:
         path = tmp_path / "edges.csv"
         write_edge_list(g, path, seed=17)
         assert path.read_bytes() == b"# nodes=12 seed=17\n0,3\n2,0\n2,11\n10,2\n"
+
+    def test_read_without_header_takes_max_id_plus_one(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("0,3\n\n2,5\n   \n5,0\n")
+        g = read_edge_list(path)
+        assert g.n == 6
+        assert g.links.tolist() == [[0, 3], [2, 5], [5, 0]]
 
     def test_read_loads_no_masked_arrays(self, tmp_path):
         # np.unique would import numpy.ma; the sort-based unique does not.
