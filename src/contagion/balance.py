@@ -226,7 +226,8 @@ def build_balance_sheets(
 
     Raises:
         ValueError: when a bank's implied nonbank liabilities are negative,
-            which a larger ``xi`` would avoid.
+            advising a larger ``xi``, or a smaller ``lambda_min`` or
+            ``sigma`` when a capital ratio of 1 or more is to blame.
     """
     n = exposures.n
     indptr, indices, data = exposures.row_arrays()
@@ -240,11 +241,19 @@ def build_balance_sheets(
     e = lam * (ba + nba)
     negative = np.flatnonzero(nbl < 0.0)
     if negative.size:
-        bank = int(negative[0])
+        # With lambda >= 1 equity covers all assets, so no xi can help.
+        capped = negative[lam[negative] >= 1.0]
+        bank = int((capped if capped.size else negative)[0])
+        advice = (
+            f"capital ratio {lam[bank]:.6g} >= 1, which no xi can fix; lower "
+            f"lambda_min (currently {config.lambda_min}) "
+            f"or sigma (currently {config.sigma})"
+            if capped.size
+            else f"increase xi (currently {config.xi}) so nonbank funding can "
+            "close the balance-sheet identity"
+        )
         raise ValueError(
-            f"bank {bank} has negative nonbank liabilities "
-            f"({nbl[bank]:.6g}); increase xi (currently {config.xi}) so "
-            "nonbank funding can close the balance-sheet identity"
+            f"bank {bank} has negative nonbank liabilities ({nbl[bank]:.6g}); {advice}"
         )
     return BalanceSheetSet(ba=ba, bl=bl, nba=nba, nbl=nbl, e=e, lam=lam)
 

@@ -45,8 +45,8 @@ from .metrics import (
     IndexImpactCorrelation,
     NetworkRiskSummary,
     RankingStatistics,
+    TopoIndices,
     compute_topo_indices,
-    correlate_indices,
     index_impact_correlation,
     ranking_statistics,
     summarize,
@@ -277,10 +277,7 @@ def _run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
     clock.append(time.perf_counter())
     summary = summarize(cleared.di, cleared.dc, graph, sheets)
     indices = compute_topo_indices(exposures, sheets)
-    if graph.n >= 3:
-        correlations = index_impact_correlation(indices, cleared.di, cleared.dc)
-    else:
-        correlations = IndexImpactCorrelation(None, None, None, None)
+    correlations = index_impact_correlation(indices, cleared.di, cleared.dc)
     clock.append(time.perf_counter())
     return ReplicationRecord(
         rep=rep,
@@ -364,14 +361,11 @@ def run_experiment(
     rank_di = ranking_statistics([r.di for r in records]) if len(records) > 1 else None
     rank_dc = ranking_statistics([r.dc for r in records]) if len(records) > 1 else None
 
-    corr_pooled = asdict(
-        correlate_indices(
-            np.concatenate([r.cs for r in records]),
-            np.concatenate([r.frailty for r in records]),
-            np.concatenate([r.di for r in records]),
-            np.concatenate([r.dc for r in records]),
-        )
+    cs, frailty, di, dc = (
+        np.concatenate([getattr(r, name) for r in records])
+        for name in ("cs", "frailty", "di", "dc")
     )
+    corr_pooled = asdict(index_impact_correlation(TopoIndices(cs, frailty), di, dc))
     corr_means = {
         name: _mean_or_none([getattr(r.correlations, name) for r in records])
         for name in corr_pooled

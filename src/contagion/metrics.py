@@ -5,9 +5,12 @@ network-level aggregates of per-bank impact measures, two local
 vulnerability indices read off the exposure matrix (counterparty
 susceptibility and local network frailty), ranking-curve statistics across
 replications, and correlations between the local indices and realized
-impacts. The Pearson and Spearman correlations are a few lines of numpy
+impacts. One routine, :func:`index_impact_correlation`, correlates a single
+replication and a pooled ensemble alike, and reports ``None`` below three
+banks. The Pearson and Spearman correlations are a few lines of numpy
 rather than ``scipy.stats``, whose import would dominate the package's
-start-up.
+start-up. The Gini sum is an elementwise product rather than ``np.dot``, so
+no BLAS call (and no BLAS thread pool) runs in the package.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "summarize",
     "ranking_statistics",
     "index_impact_correlation",
-    "correlate_indices",
 ]
 
 
@@ -63,7 +65,7 @@ def gini(values: Sequence[float]) -> float:
     x = np.sort(x)
     n = x.size
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    return float(2.0 * np.dot(ranks, x) / (n * total) - (n + 1.0) / n)
+    return float(2.0 * (ranks * x).sum() / (n * total) - (n + 1.0) / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +216,8 @@ def ranking_statistics(impacts: Sequence[np.ndarray]) -> RankingStatistics:
 class IndexImpactCorrelation:
     """Correlations between local indices and realized impacts.
 
-    ``None`` marks an undefined correlation (a constant, zero-variance input),
-    deliberately distinct from a measured 0.
+    ``None`` marks an undefined correlation (a constant, zero-variance input,
+    or fewer than 3 banks), deliberately distinct from a measured 0.
     """
 
     pearson_cs_di: Optional[float]
@@ -248,34 +250,26 @@ def _safe_corr(x: np.ndarray, y: np.ndarray) -> Optional[float]:
     return float(np.clip(r, -1.0, 1.0))
 
 
-def correlate_indices(
-    cs: np.ndarray, frailty: np.ndarray, di: np.ndarray, dc: np.ndarray
+def index_impact_correlation(
+    indices: TopoIndices, di: np.ndarray, dc: np.ndarray
 ) -> IndexImpactCorrelation:
     """Pearson and Spearman correlations of CS with DI and frailty with DC.
 
-    The four vectors are aligned by bank (possibly pooled over replications).
-    Spearman's rho is Pearson's r of the average ranks, which are constant
-    exactly when the input is.
+    ``di`` and ``dc`` hold one finite value per bank, aligned with the
+    indices by bank id; the banks may be one replication's or an ensemble
+    pooled over replications. Spearman's rho is Pearson's r of the average
+    ranks, which are constant exactly when the input is. Below 3 banks
+    every correlation is ``None``: like a constant input's, a two-point
+    correlation is undefined (it is +-1 by construction).
     """
-    cs, frailty, di, dc = (np.asarray(v, dtype=np.float64) for v in (cs, frailty, di, dc))
+    n = indices.cs.size
+    di, dc = _impact_vectors(n, di, dc)
+    if n < 3:
+        return IndexImpactCorrelation(None, None, None, None)
+    cs, frailty = indices.cs, indices.frailty
     return IndexImpactCorrelation(
         pearson_cs_di=_safe_corr(cs, di),
         pearson_f_dc=_safe_corr(frailty, dc),
         spearman_cs_di=_safe_corr(_average_ranks(cs), _average_ranks(di)),
         spearman_f_dc=_safe_corr(_average_ranks(frailty), _average_ranks(dc)),
     )
-
-
-def index_impact_correlation(
-    indices: TopoIndices, di: np.ndarray, dc: np.ndarray
-) -> IndexImpactCorrelation:
-    """Correlate susceptibility with DI and frailty with DC, per bank.
-
-    ``di`` and ``dc`` hold one finite value per bank, aligned with the
-    indices by bank id. Needs at least 3 banks.
-    """
-    n = indices.cs.size
-    if n < 3:
-        raise ValueError("correlations need at least 3 banks")
-    di, dc = _impact_vectors(n, di, dc)
-    return correlate_indices(indices.cs, indices.frailty, di, dc)

@@ -73,13 +73,17 @@ def picard_clearing(
 
 
 def all_banks_picard(
-    dense_w: np.ndarray, sheets: BalanceSheetSet, max_iter: int = 10_000
+    dense_w: np.ndarray,
+    sheets: BalanceSheetSet,
+    recovery_on_nonbank: float = 0.0,
+    max_iter: int = 10_000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """DI, TI and DC of shocking every bank, by one dense batched Picard iteration.
 
     Row k of the payment matrix holds the payments when bank k's nonbank
-    assets are written off in full; every other bank's estate is pooled
-    (nonbank assets plus receipts). Each step computes
+    assets are written off but for the share ``recovery_on_nonbank``, which
+    its estate keeps; every other bank's estate is pooled (nonbank assets
+    plus receipts). Each step computes
     ``P <- min(pbar, ext + (P / pbar) @ W)`` from ``P = pbar``, which falls
     to each shock's greatest clearing vector. A bank defaults when its loss
     (write-off plus unpaid interbank claims) exceeds its equity by more than
@@ -92,8 +96,9 @@ def all_banks_picard(
     ba, nba, e = sheets.ba, sheets.nba, sheets.e
     pbar = sheets.bl + sheets.nbl
     owes = pbar > 0.0
+    writeoff = (1.0 - recovery_on_nonbank) * nba
     ext = np.tile(nba, (n, 1))
-    np.fill_diagonal(ext, 0.0)
+    np.fill_diagonal(ext, recovery_on_nonbank * nba)
     step = 1e-15 * max(1.0, float(pbar.max()))
     p = np.tile(pbar, (n, 1))
     for _ in range(max_iter):
@@ -109,12 +114,12 @@ def all_banks_picard(
     ratio = np.divide(p, pbar, out=np.ones_like(p), where=owes)
     loss = ba - ratio @ dense_w
     threshold = np.tile(e, (n, 1))
-    threshold[np.diag_indices(n)] -= nba
+    threshold[np.diag_indices(n)] -= writeoff
     defaulted = loss > threshold + 1e-12 * (1.0 + np.abs(threshold))
     v0 = float(nba.sum() + ba.sum() + sheets.nbl.sum())
     di = (pbar - p).sum(axis=1) / v0
     dc = (defaulted.sum(axis=1) - defaulted.diagonal()) / n
-    return di, nba / v0 + di, dc
+    return di, writeoff / v0 + di, dc
 
 
 def lp_clearing(

@@ -208,8 +208,21 @@ class TestBuildBalanceSheets:
         # must name the bank and point at xi.
         g = DirectedGraph.from_links(2, [(0, 1)])
         x = build_exposures(g)
-        with pytest.raises(ValueError, match="bank 0.*xi"):
+        with pytest.raises(ValueError, match=r"bank 0 .*increase xi \(currently 0.3\)"):
             build_balance_sheets(x, BalanceConfig(0.05, 0.01, 0.3, 1))
+
+    def test_capital_ratio_of_one_is_blamed_not_xi(self):
+        # A ratio lambda >= 1 leaves NBL negative for any xi: the error must
+        # name that bank and its ratio and point at lambda_min and sigma.
+        graph = generate(params_from_delta_in(2.0).with_size(50, seed=3))
+        config = BalanceConfig(0.99, 0.01, 1e9, seed=0)
+        with pytest.raises(ValueError) as info:
+            build_balance_sheets(build_exposures(graph), config)
+        message = str(info.value)
+        assert message.startswith("bank 4 has negative nonbank liabilities")
+        assert "(-8.20583e+06); capital ratio 1.00574 >= 1" in message
+        assert "lower lambda_min (currently 0.99) or sigma (currently 0.01)" in message
+        assert "increase xi" not in message
 
     def test_isolated_bank_all_zero(self):
         g = DirectedGraph.from_links(3, [(1, 2)])

@@ -1,9 +1,12 @@
 import io
 import itertools
 import json
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagion.balance import BalanceSheetSet, build_balance_sheets, BalanceConfig, build_exposures
 from contagion import clearing
@@ -336,16 +339,35 @@ class TestClearAll:
     @pytest.mark.parametrize(
         "system",
         [
-            lambda: _replication_system("GD", 0, 1000, 0.05, 2.0),
-            lambda: _replication_system("GD", 3, 1000, 0.01, 1.1),
+            partial(_replication_system, "GD", 0, 1000, 0.05, 2.0),
+            partial(_replication_system, "GD", 3, 1000, 0.01, 1.1),
             _loss_within_the_margin_system,
+            partial(_replication_system, "GC", 0, 1000, 0.05, 2.0),
+            partial(_replication_system, "S", 0, 1000, 0.05, 2.0),
+            partial(_replication_system, "GC", 1, 1000, 0.05, 2.0),
+            partial(_replication_system, "S", 1, 1000, 0.05, 2.0),
+            partial(_replication_system, "GD", 1, 1000, 0.05, 2.0),
+            partial(_replication_system, "GC", 3, 1000, 0.01, 1.1),
         ],
-        ids=["GD0", "GD3-deep", "within-margin"],
+        ids=[
+            "GD0", "GD3-deep", "within-margin",
+            "GC0", "S0", "GC1", "S1", "GD1", "GC3-deep",
+        ],
     )
     def test_every_bank_matches_the_all_banks_picard_oracle(self, system):
         exposures, sheets = system()
         di, ti, dc = all_banks_picard(dense_exposures(exposures), sheets)
         out = clear_all(exposures, sheets)
+        assert np.abs(out.di - di).max() <= 1e-12
+        assert np.abs(out.ti - ti).max() <= 1e-12
+        assert np.array_equal(out.dc, dc)
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_small_systems_match_the_all_banks_picard_oracle(self, seed, recovery):
+        exposures, sheets = random_small_system(np.random.default_rng(seed), max_n=8)
+        di, ti, dc = all_banks_picard(dense_exposures(exposures), sheets, recovery)
+        out = clear_all(exposures, sheets, recovery)
         assert np.abs(out.di - di).max() <= 1e-12
         assert np.abs(out.ti - ti).max() <= 1e-12
         assert np.array_equal(out.dc, dc)

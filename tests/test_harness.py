@@ -172,6 +172,12 @@ class TestRunExperiment:
         )
         assert any("below minimum meaningful size" in w for w in report.warnings)
 
+    def test_two_bank_correlations_are_undefined(self):
+        # Two pooled points would correlate at +-1 by construction.
+        report = run_experiment(ExperimentSpec("S", 0, 2, 1), workers=1)
+        assert set(report.correlation_pooled.values()) == {None}
+        assert set(report.correlation_means.values()) == {None}
+
     def test_type3_hits_target_density(self):
         report = run_experiment(
             ExperimentSpec("GD", 3, 300, 2, master_seed=5), workers=1

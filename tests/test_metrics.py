@@ -23,10 +23,10 @@ from contagion.clearing import (
     total_initial_assets,
 )
 from contagion.metrics import (
+    IndexImpactCorrelation,
     TopoIndices,
     _average_ranks,
     compute_topo_indices,
-    correlate_indices,
     gini,
     index_impact_correlation,
     ranking_statistics,
@@ -312,10 +312,15 @@ class TestIndexImpactCorrelation:
         assert corr.pearson_f_dc is not None
 
     def test_needs_three_banks(self):
+        # Two points correlate at +-1 by construction: undefined, like a
+        # constant input.
         values = np.array([0.1, 0.2])
         indices = TopoIndices(cs=values, frailty=values)
-        with pytest.raises(ValueError, match="at least 3"):
-            index_impact_correlation(indices, values, values)
+        corr = index_impact_correlation(indices, values, values)
+        assert corr == IndexImpactCorrelation(None, None, None, None)
+        one = np.array([0.5])
+        corr = index_impact_correlation(TopoIndices(one, one), one, one)
+        assert corr == IndexImpactCorrelation(None, None, None, None)
 
     def test_results_must_cover_every_bank(self):
         values = np.array([0.1, 0.2, 0.3])
@@ -338,7 +343,7 @@ def scipy_correlations(x, y):
 
 def assert_matches_scipy(x, y):
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    corr = correlate_indices(x, x, y, y)
+    corr = index_impact_correlation(TopoIndices(x, x), y, y)
     ours = (corr.pearson_cs_di, corr.spearman_cs_di)
     assert (corr.pearson_f_dc, corr.spearman_f_dc) == ours
     if x.min() == x.max() or y.min() == y.max():
@@ -370,7 +375,7 @@ class TestCorrelationsAgainstScipy:
         x = np.array([0.5, 0.1, 0.9, 0.3, 0.7])
         assert_matches_scipy(x, 3.0 * x)
         assert_matches_scipy(x, 1.0 - 2.0 * x)
-        corr = correlate_indices(x, x, 1.0 - 2.0 * x, x**3)
+        corr = index_impact_correlation(TopoIndices(x, x), 1.0 - 2.0 * x, x**3)
         assert corr.pearson_cs_di == corr.spearman_cs_di == -1.0
         assert corr.spearman_f_dc == 1.0
 
