@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "build_exposures",
     "build_balance_sheets",
     "nonbank_ratios",
-    "export_balances_csv",
 ]
 
 # Rejection-sampling retry cap for the capital-ratio draw.
@@ -272,14 +270,3 @@ def nonbank_ratios(
     nba, nbl = _nonbank_sides(ba, bl, lambda_i, xi)
     return nba / (ba + nba), nbl / (bl + nbl)
 
-
-def export_balances_csv(sheets: BalanceSheetSet, path: str | Path) -> None:
-    """Write per-bank balance sheets as ``bank,ba,bl,nba,nbl,e,lambda`` rows."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("bank,ba,bl,nba,nbl,e,lambda\n")
-        for i in range(len(sheets)):
-            fh.write(
-                f"{i},{sheets.ba[i]:.12g},{sheets.bl[i]:.12g},"
-                f"{sheets.nba[i]:.12g},{sheets.nbl[i]:.12g},"
-                f"{sheets.e[i]:.12g},{sheets.lam[i]:.12g}\n"
-            )

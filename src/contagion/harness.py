@@ -15,19 +15,24 @@ Variant parameter rows:
     2: denser at type-0-like concentration (beta = 0.75, offsets x 25)
     3: type-0 growth, then uniform random links up to mean degree 7.8
     4: type-0 density, less concentrated (beta = 0.25, offsets x 10)
+
+One private writer, ``_write_table``, writes every CSV table of a run
+directory and of a sweep, each number as ``%.12g``; edge lists keep the
+integer format of ``netgen.write_edge_list``.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import numbers
 import os
 import time
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +41,6 @@ from .balance import (
     BalanceSheetSet,
     build_balance_sheets,
     build_exposures,
-    export_balances_csv,
 )
 # ``clear`` is not called here; the benchmark's tracer test reads it as
 # ``harness.clear`` (bench/test_bench.py).
@@ -422,8 +426,21 @@ def sweep(
     ]
 
 
-def _fmt(x: float | str) -> str:
-    return x if isinstance(x, str) else f"{float(x):.12g}"
+def _write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table: the header, then one line per row.
+
+    A string is written as it stands and any other cell as a number in
+    ``%.12g``; the first row fixes which columns hold strings. One
+    ``%``-template per table formats each row in a single operation.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(header) + "\n")
+        if first is not None:
+            line = ",".join("%s" if isinstance(x, str) else "%.12g" for x in first) + "\n"
+            fh.write(line % tuple(first))
+            fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:
@@ -432,41 +449,37 @@ def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:
     Writes ``summary.csv`` (one scalar row per replication),
     ``ranking_di.csv``/``ranking_dc.csv`` (position, mean, std, cv),
     per-replication ``edges_<rep>.csv`` and ``balances_<rep>.csv``, and
-    ``report.json``. All CSV content is a pure function of the spec.
+    ``report.json``, strict JSON in which an undefined std (a single
+    replication) is ``null``. All CSV content is a pure function of the
+    spec.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "summary.csv", "w", encoding="ascii") as fh:
-        fh.write("rep," + ",".join(_SCALAR_KEYS) + "\n")
-        for row in report.scalar_rows():
-            fh.write(
-                f"{int(row['rep'])},"
-                + ",".join(_fmt(row[k]) for k in _SCALAR_KEYS)
-                + "\n"
-            )
-
+    # A scalar row holds "rep", then the summary fields in _SCALAR_KEYS order.
+    _write_table(out / "summary.csv", ("rep", *_SCALAR_KEYS),
+                 (row.values() for row in report.scalar_rows()))
     for name, stats in (("ranking_di", report.ranking_di), ("ranking_dc", report.ranking_dc)):
-        path = out / f"{name}.csv"
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("position,mean,std,cv\n")
-            if stats is not None:
-                for pos in range(stats.mean.size):
-                    fh.write(
-                        f"{pos + 1},{_fmt(stats.mean[pos])},"
-                        f"{_fmt(stats.std[pos])},{_fmt(stats.cv[pos])}\n"
-                    )
+        rows = () if stats is None else zip(
+            range(1, stats.mean.size + 1),
+            stats.mean.tolist(), stats.std.tolist(), stats.cv.tolist(),
+        )
+        _write_table(out / f"{name}.csv", ("position", "mean", "std", "cv"), rows)
 
     for rec in report.records:
         g_seed = replication_seeds(report.spec.master_seed, rec.rep)[0]
         write_edge_list(rec.graph, out / f"edges_{rec.rep}.csv", g_seed)
-        export_balances_csv(rec.sheets, out / f"balances_{rec.rep}.csv")
+        s = rec.sheets
+        _write_table(
+            out / f"balances_{rec.rep}.csv", ("bank", "ba", "bl", "nba", "nbl", "e", "lambda"),
+            zip(range(len(s)), *(a.tolist() for a in (s.ba, s.bl, s.nba, s.nbl, s.e, s.lam))),
+        )
 
     payload = {
         "spec": asdict(report.spec),
         "replications": report.scalar_rows(),
         "means": report.means,
-        "stds": report.stds,
+        "stds": {k: None if math.isnan(v) else v for k, v in report.stds.items()},
         "correlation_means": report.correlation_means,
         "correlation_pooled": report.correlation_pooled,
         "runtime": {
@@ -482,7 +495,7 @@ def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         # A spec may hold numpy scalars (a sweep over np.arange) or fractions.
-        json.dump(payload, fh, indent=2, sort_keys=True,
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False,
                   default=lambda x: int(x) if isinstance(x, numbers.Integral) else float(x))
         fh.write("\n")
     return out
@@ -499,21 +512,15 @@ def write_sweep_csv(
     grow), and ``below_min_meaningful_size`` for a spec below
     ``MIN_MEANINGFUL_SIZE`` nodes.
     """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(
-            f"{parameter},di_mean,di_std,dc_mean,dc_std,"
-            "di_max_mean,dc_max_mean,flag\n"
-        )
-        for report in reports:
-            values = (
-                getattr(report.spec, parameter),
-                report.means["di_aggregate"],
-                report.stds["di_aggregate"],
-                report.means["dc_aggregate"],
-                report.stds["dc_aggregate"],
-                report.means["di_max"],
-                report.means["dc_max"],
-            )
-            small = report.spec.n_nodes < MIN_MEANINGFUL_SIZE
-            flag = "below_min_meaningful_size" if small else ""
-            fh.write(",".join(map(_fmt, values)) + f",{flag}\n")
+    rows = []
+    for report in reports:
+        m, s = report.means, report.stds
+        small = report.spec.n_nodes < MIN_MEANINGFUL_SIZE
+        rows.append((
+            getattr(report.spec, parameter), m["di_aggregate"], s["di_aggregate"],
+            m["dc_aggregate"], s["dc_aggregate"], m["di_max"], m["dc_max"],
+            "below_min_meaningful_size" if small else "",
+        ))
+    header = (parameter, "di_mean", "di_std", "dc_mean", "dc_std",
+              "di_max_mean", "dc_max_mean", "flag")
+    _write_table(path, header, rows)

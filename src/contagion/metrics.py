@@ -98,19 +98,22 @@ def compute_topo_indices(
     local network frailty ``max_j (w_ij / E_j) * BL_j``, both over the
     creditors j of i, with ``E_j`` the creditor's equity and ``BL_j`` its
     interbank liabilities, which proxy how hard the creditor's own failure
-    would hit its lenders. Banks with no creditors score 0 on both.
+    would hit its lenders. Banks with no creditors score 0 on both, and
+    debtors of a creditor with equity <= 0 score ``inf`` on both.
     Raises ``ValueError`` when the sheets cover other banks than the matrix.
     """
     n = _bank_count(exposures, sheets)
     # Per link: debtor, creditor, and weight over the creditor's equity.
     indptr, col, data = exposures.row_arrays()
     row = np.repeat(np.arange(n), np.diff(indptr))
-    denom = sheets.e[col]
-    with np.errstate(divide="ignore"):
-        ratio = np.where(denom > 0.0, data / np.where(denom > 0, denom, 1.0), np.inf)
+    equity = sheets.e[col]
+    # A creditor without positive equity cannot absorb any exposure, so
+    # both indices of its debtors are infinite, whatever its BL.
+    solvent = equity > 0.0
+    ratio = data / np.where(solvent, equity, 1.0)
     return TopoIndices(
-        cs=_debtor_max(n, row, ratio),
-        frailty=_debtor_max(n, row, ratio * sheets.bl[col]),
+        cs=_debtor_max(n, row, np.where(solvent, ratio, np.inf)),
+        frailty=_debtor_max(n, row, np.where(solvent, ratio * sheets.bl[col], np.inf)),
     )
 
 

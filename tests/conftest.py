@@ -77,8 +77,8 @@ def all_banks_picard(
     sheets: BalanceSheetSet,
     recovery_on_nonbank: float = 0.0,
     max_iter: int = 10_000,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """DI, TI and DC of shocking every bank, by one dense batched Picard iteration.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """DI, TI, DC and own default of shocking every bank, by dense batched Picard.
 
     Row k of the payment matrix holds the payments when bank k's nonbank
     assets are written off but for the share ``recovery_on_nonbank``, which
@@ -89,7 +89,8 @@ def all_banks_picard(
     (write-off plus unpaid interbank claims) exceeds its equity by more than
     ``1e-12 * (1 + |equity|)``, the model's margin. DI is the unpaid total
     over the gross volume ``sum(NBA + BA + NBL)``, TI adds the write-off and
-    DC counts the defaulted banks other than the shocked one, over n.
+    DC counts the defaulted banks other than the shocked one, over n, and
+    the fourth array says whether each shocked bank itself defaults.
     Several n-by-n arrays are live at once, so keep n to about 2000.
     """
     n = len(sheets)
@@ -118,8 +119,9 @@ def all_banks_picard(
     defaulted = loss > threshold + 1e-12 * (1.0 + np.abs(threshold))
     v0 = float(nba.sum() + ba.sum() + sheets.nbl.sum())
     di = (pbar - p).sum(axis=1) / v0
-    dc = (defaulted.sum(axis=1) - defaulted.diagonal()) / n
-    return di, writeoff / v0 + di, dc
+    shocked_defaults = defaulted.diagonal().copy()
+    dc = (defaulted.sum(axis=1) - shocked_defaults) / n
+    return di, writeoff / v0 + di, dc, shocked_defaults
 
 
 def lp_clearing(

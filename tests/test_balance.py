@@ -9,9 +9,9 @@ from contagion.balance import (
     ExposureMatrix,
     build_balance_sheets,
     build_exposures,
-    export_balances_csv,
     nonbank_ratios,
 )
+from contagion.harness import ExperimentSpec, run_experiment, write_run_directory
 from contagion.netgen import DirectedGraph, generate, params_from_delta_in
 
 from conftest import dense_exposures, exposures_from_dense
@@ -321,10 +321,9 @@ class TestConfigValidation:
 
 class TestExports:
     def test_balance_csv_format(self, tmp_path):
-        _, _, sheets = _sheets(n=50)
-        path = tmp_path / "balances.csv"
-        export_balances_csv(sheets, path)
-        lines = path.read_text().splitlines()
+        report = run_experiment(ExperimentSpec("S", 0, 50, 1), workers=1)
+        out = write_run_directory(report, tmp_path / "run")
+        lines = (out / "balances_0.csv").read_text().splitlines()
         assert lines[0] == "bank,ba,bl,nba,nbl,e,lambda"
         assert len(lines) == 51
         first = lines[1].split(",")

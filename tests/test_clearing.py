@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contagion.balance import BalanceSheetSet, build_balance_sheets, BalanceConfig, build_exposures
@@ -356,7 +356,7 @@ class TestClearAll:
     )
     def test_every_bank_matches_the_all_banks_picard_oracle(self, system):
         exposures, sheets = system()
-        di, ti, dc = all_banks_picard(dense_exposures(exposures), sheets)
+        di, ti, dc, _ = all_banks_picard(dense_exposures(exposures), sheets)
         out = clear_all(exposures, sheets)
         assert np.abs(out.di - di).max() <= 1e-12
         assert np.abs(out.ti - ti).max() <= 1e-12
@@ -364,13 +364,23 @@ class TestClearAll:
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    # A shocked bank whose loss lies between its buffer, e - (1 - r) NBA, and
+    # the lower e - (1 - 0.9 r) NBA.
+    @example(seed=0, recovery=0.75)
     def test_small_systems_match_the_all_banks_picard_oracle(self, seed, recovery):
         exposures, sheets = random_small_system(np.random.default_rng(seed), max_n=8)
-        di, ti, dc = all_banks_picard(dense_exposures(exposures), sheets, recovery)
+        di, ti, dc, shocked_defaults = all_banks_picard(
+            dense_exposures(exposures), sheets, recovery
+        )
         out = clear_all(exposures, sheets, recovery)
         assert np.abs(out.di - di).max() <= 1e-12
         assert np.abs(out.ti - ti).max() <= 1e-12
         assert np.array_equal(out.dc, dc)
+        # DC leaves the shocked bank out; clear's default set does not.
+        assert shocked_defaults.tolist() == [
+            k in clear(exposures, sheets, ShockScenario(k, recovery)).defaulted
+            for k in range(exposures.n)
+        ]
 
     def test_small_systems_under_every_recovery_setting(self):
         rng = np.random.default_rng(5)

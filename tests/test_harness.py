@@ -1,10 +1,13 @@
+import csv
 import json
 import logging
+import math
 import os
 import re
+import statistics
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from contagion.harness import (
     write_run_directory,
     write_sweep_csv,
 )
+from contagion.metrics import NetworkRiskSummary, TopoIndices, index_impact_correlation
 
 from conftest import WORKER_MODES, fail_replication_one
 
@@ -249,7 +253,82 @@ class TestRunExperiment:
             run_experiment(spec, workers=workers)
 
 
+@pytest.fixture(scope="module")
+def ensemble():
+    """Three serial replications of a 200-bank GD0 system."""
+    return run_experiment(ExperimentSpec("GD", 0, 200, 3, master_seed=17), workers=1)
+
+
+class TestAggregates:
+    """Each ensemble aggregate, recomputed from the records by other code."""
+
+    def test_stds_are_sample_standard_deviations(self, ensemble):
+        assert set(ensemble.stds) == {f.name for f in fields(NetworkRiskSummary)}
+        for key, std in ensemble.stds.items():
+            values = [getattr(rec.summary, key) for rec in ensemble.records]
+            assert ensemble.means[key] == pytest.approx(statistics.fmean(values), rel=1e-12)
+            assert std == pytest.approx(statistics.stdev(values), rel=1e-12)
+        assert ensemble.stds["mean_degree"] > 0.0
+
+    def test_correlation_means_average_the_replications(self, ensemble):
+        for rec in ensemble.records:
+            own = index_impact_correlation(TopoIndices(rec.cs, rec.frailty), rec.di, rec.dc)
+            assert rec.correlations == own
+        for name, mean in ensemble.correlation_means.items():
+            values = [getattr(rec.correlations, name) for rec in ensemble.records]
+            assert len(set(values)) == 3
+            assert mean == pytest.approx(statistics.fmean(values), rel=1e-12)
+
+    def test_pooled_correlations_cover_every_replication(self, ensemble):
+        cs, frailty, di, dc = (
+            np.concatenate([getattr(rec, name) for rec in ensemble.records])
+            for name in ("cs", "frailty", "di", "dc")
+        )
+        pooled = asdict(index_impact_correlation(TopoIndices(cs, frailty), di, dc))
+        assert ensemble.correlation_pooled == pooled
+        assert pooled != asdict(ensemble.records[0].correlations)
+
+    def test_sweep_columns_carry_their_aggregates(self, ensemble, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([ensemble], "n_nodes", path)
+        with open(path, newline="", encoding="ascii") as fh:
+            [row] = csv.DictReader(fh)
+        means, stds = ensemble.means, ensemble.stds
+        expected = {
+            "n_nodes": 200,
+            "di_mean": means["di_aggregate"],
+            "di_std": stds["di_aggregate"],
+            "dc_mean": means["dc_aggregate"],
+            "dc_std": stds["dc_aggregate"],
+            "di_max_mean": means["di_max"],
+            "dc_max_mean": means["dc_max"],
+        }
+        for column, value in expected.items():
+            assert float(row[column]) == pytest.approx(value, rel=1e-11), column
+        assert row["flag"] == ""
+        assert not math.isclose(means["di_max"], means["dc_max"], rel_tol=1e-6)
+
+
 class TestRunDirectory:
+    @pytest.mark.parametrize("replications", [1, 2])
+    def test_report_json_is_strict(self, tmp_path, replications):
+        spec = ExperimentSpec("S", 0, 40, replications, master_seed=3)
+        report = run_experiment(spec, workers=1)
+        out = write_run_directory(report, tmp_path / "run")
+
+        def refuse(token):
+            raise ValueError(f"report.json holds the non-standard token {token}")
+
+        payload = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        stds = payload["stds"]
+        assert set(stds) == set(report.stds)
+        if replications == 1:
+            # Undefined in memory (NaN), null on disk.
+            assert all(math.isnan(v) for v in report.stds.values())
+            assert set(stds.values()) == {None}
+        else:
+            assert stds == report.stds
+
     def test_artifact_set(self, tmp_path):
         spec = ExperimentSpec("S", 0, 90, 2, master_seed=13)
         report = run_experiment(spec, workers=1)

@@ -13,6 +13,7 @@ from scipy import stats
 from contagion.balance import (
     BalanceConfig,
     BalanceSheetSet,
+    ExposureMatrix,
     build_balance_sheets,
     build_exposures,
 )
@@ -114,6 +115,25 @@ class TestLocalIndices:
         )
         f = compute_topo_indices(exposures, sheets).frailty
         assert f[0] == pytest.approx((0.4 / 0.2) * 3.0)
+
+    @pytest.mark.parametrize("equity", [0.0, -0.5])
+    @pytest.mark.parametrize("creditor_bl", [0.0, 2.0])
+    def test_creditor_without_positive_equity_makes_both_indices_infinite(
+        self, equity, creditor_bl
+    ):
+        # One obligation 0 -> 1 of weight 1; creditor 1 has equity <= 0.
+        exposures = ExposureMatrix(DirectedGraph.from_links(2, [(0, 1)]), [1.0])
+        sheets = BalanceSheetSet(
+            ba=np.array([0.0, 1.0]),
+            bl=np.array([1.0, creditor_bl]),
+            nba=np.array([3.0, 3.0]),
+            nbl=np.array([1.5, 3.0]),
+            e=np.array([0.5, equity]),
+            lam=np.array([0.05, 0.05]),
+        )
+        topo = compute_topo_indices(exposures, sheets)
+        assert topo.cs.tolist() == [np.inf, 0.0]
+        assert topo.frailty.tolist() == [np.inf, 0.0]
 
     def test_frailty_dominates_cs_times_min_bl(self):
         rng = np.random.default_rng(23)
