@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgen import DirectedGraph, _require
+from .netgen import DirectedGraph, _require, _require_finite
 
 __all__ = [
     "ExposureMatrix",
@@ -126,12 +126,7 @@ class BalanceSheetSet:
         if any(a.shape != (n,) for a in arrays):
             raise ValueError("balance-sheet columns must share one length")
         for name, a in zip(("ba", "bl", "nba", "nbl", "e", "lam"), arrays):
-            bad = np.flatnonzero(~np.isfinite(a))
-            if bad.size:
-                bank = int(bad[0])
-                raise ValueError(
-                    f"balance-sheet column {name} is not finite at bank {bank}"
-                )
+            _require_finite(a, f"balance-sheet column {name} is not finite at bank")
         for a in arrays:
             a.setflags(write=False)
         self.ba, self.bl, self.nba, self.nbl, self.e, self.lam = arrays
@@ -184,14 +179,13 @@ def _sample_capital_ratios(
 ) -> np.ndarray:
     """Draw Normal(lambda_min, sigma) ratios, rejecting values <= the floor."""
     lam = rng.normal(lambda_min, sigma, size=n)
-    for _ in range(_LAMBDA_RETRY_CAP):
+    # The first pass checks the first draw; each later one, a round of redraws.
+    for _ in range(_LAMBDA_RETRY_CAP + 1):
         bad = lam <= lambda_min
         count = int(bad.sum())
         if count == 0:
             return lam
         lam[bad] = rng.normal(lambda_min, sigma, size=count)
-    if (lam > lambda_min).all():
-        return lam
     raise RuntimeError(
         f"capital-ratio sampling failed to clear the floor {lambda_min} "
         f"within {_LAMBDA_RETRY_CAP} rounds"

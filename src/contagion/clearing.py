@@ -40,7 +40,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .balance import BalanceSheetSet, ExposureMatrix, _bank_count
-from .netgen import _require
+from .netgen import _require, _run_heads
 
 __all__ = [
     "ShockScenario",
@@ -168,12 +168,6 @@ def _locate(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, ids[np.minimum(pos, ids.size - 1)] == x
 
 
-def _sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """``np.unique`` of non-negative ids, by sorting (np.unique imports numpy.ma)."""
-    ids = np.sort(ids)
-    return ids[np.diff(ids, prepend=-1) != 0]
-
-
 def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR positions of the entries of ``rows``, row by row, and row lengths."""
     starts = indptr[rows]
@@ -219,7 +213,8 @@ def _settle(
     blocks = np.arange(shocks.size) * n
     negative = np.flatnonzero(e < 0.0)
     insolvent = negative[_trigger(e[negative]) < 0.0]
-    nodes = _sorted_unique(np.append(np.add.outer(blocks, insolvent), blocks + shocks))
+    nodes = np.sort(np.append(np.add.outer(blocks, insolvent), blocks + shocks))
+    nodes = nodes[_run_heads(nodes)]
     new = nodes[_trigger(own(nodes, e, shocked_e)) < 0.0]
     defaulted, ratio = new, np.ones(new.size)
     iterations = np.zeros(shocks.size, dtype=np.int64)
@@ -292,7 +287,8 @@ def _settle(
 
             # The payers' edges carry every loss of their shocks: sum them
             # at the new ratios. Only the nodes owed can fail next.
-            owed = _sorted_unique(cols)
+            owed = np.sort(cols)
+            owed = owed[_run_heads(owed)]
             shortfall = np.repeat(1.0 - r, row_len) * vals
             loss = np.bincount(owed.searchsorted(cols), shortfall)
             failing = owed[loss > _trigger(own(owed, e, shocked_e))]

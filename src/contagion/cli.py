@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
@@ -153,11 +154,9 @@ def _cmd_shock(args: argparse.Namespace) -> int:
         recovery_on_nonbank=args.recovery,
         defaulted_nonbank_recovery=args.defaulted_recovery,
     )
-    if args.trace is not None:
-        with open(args.trace, "w", encoding="ascii") as sink:
-            solution = clearing.clear(exposures, sheets, scenario, trace=sink)
-    else:
-        solution = clearing.clear(exposures, sheets, scenario)
+    trace = nullcontext() if args.trace is None else open(args.trace, "w", encoding="ascii")
+    with trace as sink:
+        solution = clearing.clear(exposures, sheets, scenario, trace=sink)
     a0 = clearing.total_initial_assets(sheets)
     result = clearing.cascade_metrics(solution, sheets, args.bank, a0)
     print(

@@ -186,11 +186,10 @@ def replication_seeds(master_seed: int, rep: int) -> tuple[int, int, int]:
 class ReplicationRecord:
     """Everything persisted or aggregated from one replication.
 
-    ``counters`` holds the all-banks clearing counters (``shocks_screened``,
-    ``shocks_solved``, ``inner_iterations``, ``max_cascade``), which are a
-    pure function of the spec; ``stage_seconds`` the wall time of each
-    stage (``generate`` with any densification, ``build``, ``clear``,
-    ``metrics``), which is not.
+    ``counters`` holds every engine counter of the replication's
+    :class:`~contagion.clearing.AllBanksClearing`, which are a pure
+    function of the spec; ``stage_seconds`` the wall time of each stage in
+    ``_STAGES``, which is not. ``augment`` is 0.0 when no links are added.
     """
 
     rep: int
@@ -219,6 +218,7 @@ class ExperimentReport:
     correlation_means: dict[str, Optional[float]]
     correlation_pooled: dict[str, Optional[float]]
     elapsed_seconds: float
+    aggregate_seconds: float
     workers: int
     warnings: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -233,7 +233,7 @@ _SCALAR_KEYS = tuple(f.name for f in fields(NetworkRiskSummary))
 
 
 # Stages of a replication, timed in ReplicationRecord.stage_seconds.
-_STAGES = ("generate", "build", "clear", "metrics")
+_STAGES = ("generate", "augment", "exposures", "sheets", "clear", "metrics")
 
 
 def _scalar_row(rec: ReplicationRecord) -> dict[str, float]:
@@ -265,13 +265,16 @@ def _run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
     clock = [time.perf_counter()]
     g_seed, aug_seed, b_seed = replication_seeds(spec.master_seed, rep)
     a, b, g, d_in, d_out = TYPE_PARAMS[(spec.network_family, spec.type_variant)]
-    graph = generate(GenParams(a, b, g, d_in, d_out, spec.n_nodes, g_seed))
+    grown = graph = generate(GenParams(a, b, g, d_in, d_out, spec.n_nodes, g_seed))
+    clock.append(time.perf_counter())
     if spec.type_variant == 3:
         target = min(TYPE3_TARGET_MEAN_DEGREE, 2.0 * (spec.n_nodes - 1))
         if target > graph.mean_degree:
             graph = augment_random_links(graph, target, aug_seed)
-    clock.append(time.perf_counter())
+    # A graph that gains no links spent no time densifying.
+    clock.append(clock[-1] if graph is grown else time.perf_counter())
     exposures = build_exposures(graph)
+    clock.append(time.perf_counter())
     sheets = build_balance_sheets(
         exposures,
         BalanceConfig(spec.lambda_min, spec.sigma, spec.xi, seed=b_seed),
@@ -293,12 +296,8 @@ def _run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
         frailty=indices.frailty,
         di=cleared.di,
         dc=cleared.dc,
-        counters={
-            "shocks_screened": cleared.shocks_screened,
-            "shocks_solved": cleared.shocks_solved,
-            "inner_iterations": cleared.inner_iterations,
-            "max_cascade": cleared.max_cascade,
-        },
+        # Every field but the per-bank arrays is an engine counter.
+        counters={k: v for k, v in vars(cleared).items() if not isinstance(v, np.ndarray)},
         stage_seconds={
             stage: end - start
             for stage, start, end in zip(_STAGES, clock, clock[1:])
@@ -354,6 +353,7 @@ def run_experiment(
                 spec.replications,
             )
 
+    aggregate_start = time.perf_counter()
     means: dict[str, float] = {}
     stds: dict[str, float] = {}
     rows = [_scalar_row(rec) for rec in records]
@@ -391,6 +391,7 @@ def run_experiment(
             f"{TYPE3_TARGET_MEAN_DEGREE}"
         )
 
+    end = time.perf_counter()
     return ExperimentReport(
         spec=spec,
         records=records,
@@ -400,7 +401,8 @@ def run_experiment(
         ranking_dc=rank_dc,
         correlation_means=corr_means,
         correlation_pooled=corr_pooled,
-        elapsed_seconds=time.perf_counter() - start,
+        elapsed_seconds=end - start,
+        aggregate_seconds=end - aggregate_start,
         workers=n_workers,
         warnings=warnings,
         notes=notes,
@@ -441,6 +443,11 @@ def _write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequenc
             line = ",".join("%s" if isinstance(x, str) else "%.12g" for x in first) + "\n"
             fh.write(line % tuple(first))
             fh.writelines(line % tuple(row) for row in rows)
+
+
+def _sums(dicts: Sequence[dict]) -> dict:
+    """Each key of the first dict, summed over all of them."""
+    return {key: sum(d[key] for d in dicts) for key in dicts[0]}
 
 
 def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:
@@ -484,11 +491,16 @@ def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:
         "correlation_pooled": report.correlation_pooled,
         "runtime": {
             "elapsed_seconds": report.elapsed_seconds,
+            "aggregate_seconds": report.aggregate_seconds,
             "workers": report.workers,
             "replications": [
                 {"rep": rec.rep, **rec.counters, "stage_seconds": rec.stage_seconds}
                 for rec in report.records
             ],
+            # Each counter and each stage's seconds, summed over replications.
+            "totals": _sums([rec.counters for rec in report.records]) | {
+                "stage_seconds": _sums([rec.stage_seconds for rec in report.records])
+            },
         },
         "warnings": report.warnings,
         "notes": report.notes,

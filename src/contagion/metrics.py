@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .balance import BalanceSheetSet, ExposureMatrix, _bank_count
-from .netgen import DirectedGraph
+from .netgen import DirectedGraph, _require_finite, _run_heads
 
 __all__ = [
     "NetworkRiskSummary",
@@ -34,13 +34,6 @@ __all__ = [
     "ranking_statistics",
     "index_impact_correlation",
 ]
-
-
-def _require_finite(v: np.ndarray, message: str) -> None:
-    """Raise ``ValueError`` ending ``message`` with the first non-finite index."""
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        raise ValueError(f"{message} {int(bad[0])}")
 
 
 def gini(values: Sequence[float]) -> float:
@@ -110,10 +103,16 @@ def compute_topo_indices(
     # A creditor without positive equity cannot absorb any exposure, so
     # both indices of its debtors are infinite, whatever its BL.
     solvent = equity > 0.0
-    ratio = data / np.where(solvent, equity, 1.0)
+    bl = sheets.bl[col]
+    # A tiny positive equity can overflow w / E (or its product with BL) to
+    # inf, which is what it means; a creditor with BL 0 still adds 0 to
+    # frailty, and inf * 0 is never evaluated.
+    with np.errstate(over="ignore"):
+        ratio = data / np.where(solvent, equity, 1.0)
+        weighted = np.multiply(ratio, bl, out=np.zeros_like(ratio), where=bl != 0.0)
     return TopoIndices(
         cs=_debtor_max(n, row, np.where(solvent, ratio, np.inf)),
-        frailty=_debtor_max(n, row, np.where(solvent, ratio * sheets.bl[col], np.inf)),
+        frailty=_debtor_max(n, row, np.where(solvent, weighted, np.inf)),
     )
 
 
@@ -220,7 +219,9 @@ class IndexImpactCorrelation:
     """Correlations between local indices and realized impacts.
 
     ``None`` marks an undefined correlation (a constant, zero-variance input,
-    or fewer than 3 banks), deliberately distinct from a measured 0.
+    a Pearson over an index without a finite mean, such as one holding
+    ``inf``, or fewer than 3 banks),
+    deliberately distinct from a measured 0.
     """
 
     pearson_cs_di: Optional[float]
@@ -233,7 +234,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n of ``x``, each group of ties sharing its mean rank."""
     order = np.argsort(x)
     xs = x[order]
-    head = np.concatenate(([True], xs[1:] != xs[:-1]))
+    head = _run_heads(xs)
     dense = np.empty(x.size, dtype=np.intp)
     dense[order] = np.cumsum(head)
     # With dense[i] = k for the k-th smallest distinct value (from 1),
@@ -243,10 +244,16 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def _safe_corr(x: np.ndarray, y: np.ndarray) -> Optional[float]:
-    """Pearson's r clipped to [-1, 1]; ``None`` when an input is constant."""
-    if x.min() == x.max() or y.min() == y.max():
+    """Pearson's r clipped to [-1, 1]; ``None`` when it is undefined.
+
+    It is undefined when an input is constant, and when ``x`` has no finite
+    mean: it holds ``inf``, or values whose sum overflows. ``y`` is finite.
+    """
+    with np.errstate(over="ignore"):
+        x_mean = x.mean()
+    if not np.isfinite(x_mean) or x.min() == x.max() or y.min() == y.max():
         return None
-    xm, ym = x - x.mean(), y - y.mean()
+    xm, ym = x - x_mean, y - y.mean()
     # Scaled to unit peaks, so that no square overflows or underflows.
     xm, ym = xm / np.abs(xm).max(), ym / np.abs(ym).max()
     r = (xm * ym).sum() / np.sqrt((xm * xm).sum() * (ym * ym).sum())
@@ -261,9 +268,10 @@ def index_impact_correlation(
     ``di`` and ``dc`` hold one finite value per bank, aligned with the
     indices by bank id; the banks may be one replication's or an ensemble
     pooled over replications. Spearman's rho is Pearson's r of the average
-    ranks, which are constant exactly when the input is. Below 3 banks
-    every correlation is ``None``: like a constant input's, a two-point
-    correlation is undefined (it is +-1 by construction).
+    ranks, which are constant exactly when the input is; the ranks stay
+    finite where an index is ``inf``, whose Pearson is ``None``. Below 3
+    banks every correlation is ``None``: like a constant input's, a
+    two-point correlation is undefined (it is +-1 by construction).
     """
     n = indices.cs.size
     di, dc = _impact_vectors(n, di, dc)

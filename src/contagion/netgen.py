@@ -80,6 +80,24 @@ def _require(obj, kind: type, *names: str) -> None:
             raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
+def _require_finite(v: np.ndarray, message: str) -> None:
+    """Raise ``ValueError`` ending ``message`` with the first non-finite index."""
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"{message} {int(bad[0])}")
+
+
+def _run_heads(xs: np.ndarray) -> np.ndarray:
+    """Mask of the first of each run of equal values in the sorted ``xs``.
+
+    Selects the distinct values as ``np.unique`` would, without its hash
+    path, which imports ``numpy.ma``.
+    """
+    head = np.ones(xs.size, dtype=bool)
+    np.not_equal(xs[1:], xs[:-1], out=head[1:])
+    return head
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Parameters of the directed preferential-attachment process.
@@ -198,10 +216,9 @@ class DirectedGraph:
             if self_link[first]:
                 raise ValueError(f"self-link at node {s}")
             raise ValueError(f"link ({s}, {t}) outside node range [0, {n})")
-        # Codes s * n + t sort in (source, target) order. A sort-based
-        # unique: np.unique's hash path imports numpy.ma.
+        # Codes s * n + t sort in (source, target) order.
         codes = np.sort(src * n + dst)
-        return cls._from_codes(n, codes[np.diff(codes, prepend=-1) != 0])
+        return cls._from_codes(n, codes[_run_heads(codes)])
 
     @classmethod
     def _from_codes(cls, n: int, codes: np.ndarray) -> "DirectedGraph":

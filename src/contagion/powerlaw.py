@@ -19,6 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .netgen import _run_heads
+
 __all__ = [
     "PowerLawFit",
     "fit_discrete",
@@ -184,9 +186,8 @@ def fit_discrete(samples: Sequence[int]) -> PowerLawFit:
     # The cast would truncate a fraction (and garble NaN or inf) silently.
     if x.min() < 1 or (x != raw).any():
         raise ValueError("samples must be positive integers")
-    # Sort-based distinct values: np.unique's hash path imports numpy.ma.
     xs = np.sort(x)
-    values = xs[np.append(True, xs[1:] != xs[:-1])]
+    values = xs[_run_heads(xs)]
     if values.size < 2:
         raise DegenerateSequenceError(
             "degenerate sequence: all samples equal"

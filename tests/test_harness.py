@@ -224,7 +224,7 @@ class TestRunExperiment:
             )
             runtimes.append(json.loads((out / "report.json").read_text())["runtime"])
         serial, pooled = (r["replications"] for r in runtimes)
-        stages = {"generate", "build", "clear", "metrics"}
+        stages = {"generate", "augment", "exposures", "sheets", "clear", "metrics"}
         for rows in (serial, pooled):
             assert [row["rep"] for row in rows] == [0, 1, 2]
             for row in rows:
@@ -307,6 +307,78 @@ class TestAggregates:
             assert float(row[column]) == pytest.approx(value, rel=1e-11), column
         assert row["flag"] == ""
         assert not math.isclose(means["di_max"], means["dc_max"], rel_tol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def runtimes(tmp_path_factory):
+    """``report.json`` runtime blocks of a densified GD3 ensemble, by worker count."""
+    spec = ExperimentSpec("GD", 3, 120, 2, master_seed=29)
+    out = {}
+    for workers in (1, 2):
+        run = write_run_directory(
+            run_experiment(spec, workers=workers), tmp_path_factory.mktemp(f"w{workers}")
+        )
+        out[workers] = json.loads((run / "report.json").read_text())["runtime"]
+    return out
+
+
+def _numbers(tree):
+    """Every number in a JSON tree."""
+    if isinstance(tree, dict):
+        return [x for v in tree.values() for x in _numbers(v)]
+    if isinstance(tree, list):
+        return [x for v in tree for x in _numbers(v)]
+    return [tree]
+
+
+class TestRuntime:
+    """The runtime block: six timed stages, the aggregation time and totals."""
+
+    def test_serial_and_pool_mode_give_the_same_keys(self, runtimes):
+        serial, pooled = runtimes[1], runtimes[2]
+        assert set(serial) == set(pooled) == {
+            "elapsed_seconds", "aggregate_seconds", "workers", "replications", "totals",
+        }
+        stages = {"generate", "augment", "exposures", "sheets", "clear", "metrics"}
+        for runtime in (serial, pooled):
+            for row in runtime["replications"] + [runtime["totals"]]:
+                assert set(row["stage_seconds"]) == stages
+            keys = set(runtime["replications"][0]) - {"rep"}
+            assert set(runtime["totals"]) == keys
+        assert set(serial["replications"][0]) == set(pooled["replications"][0])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_value_is_non_negative(self, runtimes, workers):
+        values = _numbers(runtimes[workers])
+        assert all(isinstance(v, (int, float)) and v >= 0 for v in values)
+        assert runtimes[workers]["aggregate_seconds"] > 0.0
+
+    def test_serial_stages_and_aggregation_fit_in_the_elapsed_time(self, runtimes):
+        serial = runtimes[1]
+        busy = sum(serial["totals"]["stage_seconds"].values())
+        assert busy + serial["aggregate_seconds"] <= serial["elapsed_seconds"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_totals_sum_the_replications(self, runtimes, workers):
+        rows, totals = runtimes[workers]["replications"], runtimes[workers]["totals"]
+        for key, total in totals.items():
+            if key == "stage_seconds":
+                for stage, seconds in total.items():
+                    per_rep = [row[key][stage] for row in rows]
+                    assert seconds == pytest.approx(sum(per_rep), rel=1e-12)
+            else:
+                assert total == sum(row[key] for row in rows)
+
+    def test_augment_is_timed_only_when_links_are_added(self, runtimes):
+        for rows in (runtimes[1]["replications"], runtimes[2]["replications"]):
+            assert all(row["stage_seconds"]["augment"] > 0.0 for row in rows)
+        # GD0 is never densified; a two-bank GD3 seed graph is already at
+        # its densest, so it gains no links.
+        for spec in (ExperimentSpec("GD", 0, 120, 2), ExperimentSpec("GD", 3, 2, 2)):
+            report = run_experiment(spec, workers=1)
+            for rec in report.records:
+                assert rec.stage_seconds["augment"] == 0.0
+                assert rec.stage_seconds["generate"] > 0.0
 
 
 class TestRunDirectory:

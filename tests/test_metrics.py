@@ -1,12 +1,14 @@
+import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -134,6 +136,25 @@ class TestLocalIndices:
         topo = compute_topo_indices(exposures, sheets)
         assert topo.cs.tolist() == [np.inf, 0.0]
         assert topo.frailty.tolist() == [np.inf, 0.0]
+
+    @pytest.mark.parametrize("creditor_bl, frailty", [(0.0, 0.0), (2.0, np.inf)])
+    def test_overflowing_ratio_is_infinite_and_adds_no_frailty_without_bl(
+        self, creditor_bl, frailty
+    ):
+        # w / E = 1 / 1e-310 overflows; with BL = 0 that must not become
+        # inf * 0 = NaN (the suite turns any RuntimeWarning into an error).
+        exposures = ExposureMatrix(DirectedGraph.from_links(2, [(0, 1)]), [1.0])
+        sheets = BalanceSheetSet(
+            ba=np.array([0.0, 1.0]),
+            bl=np.array([1.0, creditor_bl]),
+            nba=np.array([3.0, 3.0]),
+            nbl=np.array([1.5, 3.0]),
+            e=np.array([0.5, 1e-310]),
+            lam=np.array([0.05, 0.05]),
+        )
+        topo = compute_topo_indices(exposures, sheets)
+        assert topo.cs.tolist() == [np.inf, 0.0]
+        assert topo.frailty.tolist() == [frailty, 0.0]
 
     def test_frailty_dominates_cs_times_min_bl(self):
         rng = np.random.default_rng(23)
@@ -342,6 +363,44 @@ class TestIndexImpactCorrelation:
         corr = index_impact_correlation(TopoIndices(one, one), one, one)
         assert corr == IndexImpactCorrelation(None, None, None, None)
 
+    def test_pearson_over_an_infinite_index_is_undefined(self):
+        # Creditor 1 has negative equity, so its debtors 0 and 2 score inf on
+        # both indices; bank 3 owes bank 0, whose equity is positive.
+        dense = np.zeros((4, 4))
+        dense[0, 1], dense[2, 1], dense[3, 0] = 0.4, 0.7, 0.3
+        exposures = exposures_from_dense(dense)
+        sheets = BalanceSheetSet(
+            ba=dense.sum(axis=0),
+            bl=dense.sum(axis=1),
+            nba=np.full(4, 2.0),
+            nbl=np.full(4, 1.0),
+            e=np.array([0.5, -0.1, 0.5, 0.5]),
+            lam=np.full(4, 0.05),
+        )
+        topo = compute_topo_indices(exposures, sheets)
+        assert topo.cs.tolist() == [np.inf, 0.0, np.inf, 0.6]
+        assert topo.frailty.tolist() == [np.inf, 0.0, np.inf, 0.6 * 0.4]
+        di, dc = np.array([0.3, 0.1, 0.2, 0.05]), np.array([0.2, 0.0, 0.4, 0.1])
+        corr = index_impact_correlation(topo, di, dc)
+        assert corr.pearson_cs_di is None
+        assert corr.pearson_f_dc is None
+        assert corr.spearman_cs_di == pytest.approx(
+            stats.spearmanr(topo.cs, di).statistic, abs=1e-12, rel=0
+        )
+        assert corr.spearman_f_dc == pytest.approx(
+            stats.spearmanr(topo.frailty, dc).statistic, abs=1e-12, rel=0
+        )
+
+    def test_pearson_over_an_index_whose_sum_overflows_is_undefined(self):
+        # Every value is finite, but the mean of two near-largest doubles is not.
+        x = np.array([1e308, 1.5e308, 0.0, 1.0])
+        di = np.array([0.3, 0.1, 0.2, 0.05])
+        corr = index_impact_correlation(TopoIndices(x, x), di, di)
+        assert corr.pearson_cs_di is None
+        assert corr.spearman_cs_di == pytest.approx(
+            stats.spearmanr(x, di).statistic, abs=1e-12, rel=0
+        )
+
     def test_results_must_cover_every_bank(self):
         values = np.array([0.1, 0.2, 0.3])
         indices = TopoIndices(cs=values, frailty=values)
@@ -430,6 +489,51 @@ class TestCorrelationsAgainstScipy:
         x = data.draw(st.lists(values, min_size=n, max_size=n))
         y = data.draw(st.lists(values, min_size=n, max_size=n))
         assert_matches_scipy(x, y)
+
+
+@st.composite
+def indexed_systems(draw):
+    """3 to 8 banks with positive link weights and hand-set equities.
+
+    BL and BA are the exposure matrix's row and column sums, so a bank that
+    lends but owes nothing has BL 0. Each equity is <= 0, tiny and
+    positive (down to subnormal, where ``w / E`` overflows or comes near
+    the largest double), or ordinary. Impacts are any values in [0, 1].
+    """
+    n = draw(st.integers(3, 8))
+    cells = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    dense = np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n)))
+    dense = dense.reshape(n, n)
+    np.fill_diagonal(dense, 0.0)
+    assume(dense.any())
+    equities = st.one_of(
+        st.floats(-10.0, 0.0), st.floats(5e-324, 1e-295), st.floats(1e-3, 1e3)
+    )
+    impacts = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    sheets = BalanceSheetSet(
+        ba=dense.sum(axis=0),
+        bl=dense.sum(axis=1),
+        nba=np.ones(n),
+        nbl=np.ones(n),
+        e=np.array(draw(st.lists(equities, min_size=n, max_size=n))),
+        lam=np.full(n, 0.05),
+    )
+    di, dc = np.array(draw(impacts)), np.array(draw(impacts))
+    return exposures_from_dense(dense), sheets, di, dc
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(indexed_systems())
+def test_indices_are_never_nan_and_correlations_are_none_or_in_range(system):
+    exposures, sheets, di, dc = system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        topo = compute_topo_indices(exposures, sheets)
+        corr = index_impact_correlation(topo, di, dc)
+    assert not np.isnan(topo.cs).any()
+    assert not np.isnan(topo.frailty).any()
+    for value in asdict(corr).values():
+        assert value is None or (math.isfinite(value) and -1.0 <= value <= 1.0)
 
 
 def test_import_loads_no_scipy_stats_or_optimize():
