@@ -239,11 +239,13 @@ def _settle(
             vals = data[edge]
 
             # Subsystem: the edges whose creditor is also a payer drive the
-            # inner fixed point; dst indexes the creditor within payers.
+            # inner fixed point; slot and dst index creditors in owed, payers.
             d = payers.size
-            dst, internal = _locate(payers, cols)
+            owed, slot = np.unique(cols, return_inverse=True)
+            pos, paying = _locate(payers, owed)
+            internal = paying[slot]
             src = np.repeat(np.arange(d), row_len)[internal]
-            dst, w = dst[internal], vals[internal]
+            dst, w = pos[slot[internal]], vals[internal]
 
             # Only defaulted banks pay short, and all of a shock's are payers
             # here: receipts start at ``ba``, the sweeps apply the shortfalls.
@@ -287,10 +289,8 @@ def _settle(
 
             # The payers' edges carry every loss of their shocks: sum them
             # at the new ratios. Only the nodes owed can fail next.
-            owed = np.sort(cols)
-            owed = owed[_run_heads(owed)]
             shortfall = np.repeat(1.0 - r, row_len) * vals
-            loss = np.bincount(owed.searchsorted(cols), shortfall)
+            loss = np.bincount(slot, shortfall)
             failing = owed[loss > _trigger(own(owed, e, shocked_e))]
             fresh = failing[~_locate(defaulted, failing)[1]]
         if trace is not None:

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .balance import BalanceSheetSet, ExposureMatrix, _bank_count
-from .netgen import DirectedGraph, _require_finite, _run_heads
+from .balance import BalanceSheetSet, ExposureMatrix, _bank_count, _row_reduce
+from .netgen import DirectedGraph, _require_finite
 
 __all__ = [
     "NetworkRiskSummary",
@@ -75,30 +75,24 @@ class TopoIndices:
     frailty: np.ndarray
 
 
-def _debtor_max(n: int, row: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Largest of each debtor's link values; 0 for a bank that owes nothing."""
-    out = np.zeros(n)
-    np.maximum.at(out, row, values)
-    return out
-
-
 def compute_topo_indices(
     exposures: ExposureMatrix, sheets: BalanceSheetSet
 ) -> TopoIndices:
-    """Both local indices of every bank, from one pass over the links.
+    """Both local indices of every bank, each a maximum over its exposure row.
 
-    For bank i, counterparty susceptibility is ``max_j w_ij / E_j`` and
-    local network frailty ``max_j (w_ij / E_j) * BL_j``, both over the
-    creditors j of i, with ``E_j`` the creditor's equity and ``BL_j`` its
-    interbank liabilities, which proxy how hard the creditor's own failure
-    would hit its lenders. Banks with no creditors score 0 on both, and
-    debtors of a creditor with equity <= 0 score ``inf`` on both.
+    For bank i, counterparty susceptibility is ``max(0, max_j w_ij / E_j)``
+    and local network frailty ``max(0, max_j (w_ij / E_j) * BL_j)``, both
+    over the creditors j of i, with ``E_j`` the creditor's equity and
+    ``BL_j`` its interbank liabilities, which proxy how hard the creditor's
+    own failure would hit its lenders. Each inner maximum is one
+    ``np.maximum`` row reduction, the one that also sums BL. Banks with no
+    creditors score 0 on both, and debtors of a creditor with equity <= 0
+    score ``inf`` on both.
     Raises ``ValueError`` when the sheets cover other banks than the matrix.
     """
-    n = _bank_count(exposures, sheets)
-    # Per link: debtor, creditor, and weight over the creditor's equity.
+    _bank_count(exposures, sheets)
+    # Per link, in CSR order: creditor, and weight over its equity.
     indptr, col, data = exposures.row_arrays()
-    row = np.repeat(np.arange(n), np.diff(indptr))
     equity = sheets.e[col]
     # A creditor without positive equity cannot absorb any exposure, so
     # both indices of its debtors are infinite, whatever its BL.
@@ -110,10 +104,11 @@ def compute_topo_indices(
     with np.errstate(over="ignore"):
         ratio = data / np.where(solvent, equity, 1.0)
         weighted = np.multiply(ratio, bl, out=np.zeros_like(ratio), where=bl != 0.0)
-    return TopoIndices(
-        cs=_debtor_max(n, row, np.where(solvent, ratio, np.inf)),
-        frailty=_debtor_max(n, row, np.where(solvent, weighted, np.inf)),
-    )
+    # Each debtor's largest link value, floored at 0 as for a bank owing nothing.
+    return TopoIndices(*(
+        np.maximum(0.0, _row_reduce(np.maximum, indptr, np.where(solvent, v, np.inf)))
+        for v in (ratio, weighted)
+    ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,15 +227,11 @@ class IndexImpactCorrelation:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n of ``x``, each group of ties sharing its mean rank."""
-    order = np.argsort(x)
-    xs = x[order]
-    head = _run_heads(xs)
-    dense = np.empty(x.size, dtype=np.intp)
-    dense[order] = np.cumsum(head)
-    # With dense[i] = k for the k-th smallest distinct value (from 1),
-    # count[k - 1] values lie below x[i] and count[k] at or below it.
-    count = np.append(np.flatnonzero(head), x.size)
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    _, group, size = np.unique(x, return_inverse=True, return_counts=True)
+    # A tie group ending at sorted position ``last`` holds the ranks
+    # ``last - size + 1 .. last``.
+    last = np.cumsum(size)
+    return (last - 0.5 * (size - 1))[group]
 
 
 def _safe_corr(x: np.ndarray, y: np.ndarray) -> Optional[float]:

@@ -501,11 +501,8 @@ def augment_random_links(
         drawn = s * n
         drawn += t
         del s, t  # each temporary is freed once read: a block can be large
-        order = drawn.argsort(kind="stable")
-        ranked = drawn[order]
-        first = np.ones(pairs, dtype=bool)
-        first[order[1:]] = ranked[1:] != ranked[:-1]
-        del order, ranked
+        first = np.zeros(pairs, dtype=bool)
+        first[np.unique(drawn, return_index=True)[1]] = True
         hit &= first
         # A sentinel past every code keeps each position in range.
         known = np.append(codes, n * n)

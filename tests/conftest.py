@@ -20,6 +20,7 @@ import multiprocessing
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 from scipy.special import zeta
 
 from contagion.balance import (
@@ -76,47 +77,64 @@ def all_banks_picard(
     dense_w: np.ndarray,
     sheets: BalanceSheetSet,
     recovery_on_nonbank: float = 0.0,
+    defaulted_nonbank_recovery: float = 1.0,
     max_iter: int = 10_000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """DI, TI, DC and own default of shocking every bank, by dense batched Picard.
+    """DI, TI, DC and own default of shocking every bank, by batched Picard.
 
     Row k of the payment matrix holds the payments when bank k's nonbank
-    assets are written off but for the share ``recovery_on_nonbank``, which
-    its estate keeps; every other bank's estate is pooled (nonbank assets
-    plus receipts). Each step computes
-    ``P <- min(pbar, ext + (P / pbar) @ W)`` from ``P = pbar``, which falls
-    to each shock's greatest clearing vector. A bank defaults when its loss
-    (write-off plus unpaid interbank claims) exceeds its equity by more than
-    ``1e-12 * (1 + |equity|)``, the model's margin. DI is the unpaid total
-    over the gross volume ``sum(NBA + BA + NBL)``, TI adds the write-off and
-    DC counts the defaulted banks other than the shocked one, over n, and
-    the fourth array says whether each shocked bank itself defaults.
-    Several n-by-n arrays are live at once, so keep n to about 2000.
+    assets are written off but for the share ``recovery_on_nonbank``. Each
+    shock runs the fictitious-default sequence of Eisenberg and Noe (2001):
+    its default set starts with the banks that the write-off or a negative
+    equity sinks. With the set fixed, a defaulted bank hands its creditors
+    ``defaulted_nonbank_recovery * NBA`` (the shocked bank
+    ``recovery_on_nonbank * NBA``) plus its receipts, a solvent bank pays in
+    full, and ``P <- min(pbar, ext + (P / pbar) @ W)`` from ``P = pbar``
+    falls to the greatest clearing vector. Every bank whose loss (write-off
+    plus unpaid interbank claims) then exceeds its equity by more than
+    ``1e-12 * (1 + |equity|)``, the model's margin, joins the set, until
+    the set stops growing. DI is the unpaid total over the gross volume
+    ``sum(NBA + BA + NBL)``, TI adds the write-off and DC counts the
+    defaulted banks other than the shocked one, over n, and the fourth
+    array says whether each shocked bank itself defaults. Several n-by-n
+    arrays are live at once, so keep n to about 2000.
     """
     n = len(sheets)
+    w = csr_array(dense_w)
     ba, nba, e = sheets.ba, sheets.nba, sheets.e
     pbar = sheets.bl + sheets.nbl
     owes = pbar > 0.0
     writeoff = (1.0 - recovery_on_nonbank) * nba
-    ext = np.tile(nba, (n, 1))
+    ext = np.tile(defaulted_nonbank_recovery * nba, (n, 1))
     np.fill_diagonal(ext, recovery_on_nonbank * nba)
-    step = 1e-15 * max(1.0, float(pbar.max()))
-    p = np.tile(pbar, (n, 1))
-    for _ in range(max_iter):
-        ratio = np.divide(p, pbar, out=np.ones_like(p), where=owes)
-        p_new = np.minimum(pbar, ext + ratio @ dense_w)
-        np.maximum(p_new, 0.0, out=p_new)
-        done = np.abs(p_new - p).max() <= step
-        p = p_new
-        if done:
-            break
-    else:
-        raise RuntimeError("all-banks Picard oracle did not converge")
-    ratio = np.divide(p, pbar, out=np.ones_like(p), where=owes)
-    loss = ba - ratio @ dense_w
     threshold = np.tile(e, (n, 1))
     threshold[np.diag_indices(n)] -= writeoff
-    defaulted = loss > threshold + 1e-12 * (1.0 + np.abs(threshold))
+    trigger = threshold + 1e-12 * (1.0 + np.abs(threshold))
+    step = 1e-15 * max(1.0, float(pbar.max()))
+    # Before any interbank loss, only a buffer below zero sinks a bank.
+    defaulted = trigger < 0.0
+    p = np.tile(pbar, (n, 1))
+    # Each pass re-solves the shocks whose default set grew in the last.
+    rows = np.arange(n)
+    while rows.size:
+        fixed = defaulted[rows]
+        # A solvent bank pays in full: no resource bound caps it.
+        bound = np.where(fixed, ext[rows], np.inf)
+        q = np.tile(pbar, (rows.size, 1))
+        for _ in range(max_iter):
+            ratio = np.divide(q, pbar, out=np.ones_like(q), where=owes)
+            q_new = np.maximum(np.minimum(pbar, bound + ratio @ w), 0.0)
+            done = np.abs(q_new - q).max() <= step
+            q = q_new
+            if done:
+                break
+        else:
+            raise RuntimeError("all-banks Picard oracle did not converge")
+        p[rows] = q
+        ratio = np.divide(q, pbar, out=np.ones_like(q), where=owes)
+        grown = fixed | (ba - ratio @ w > trigger[rows])
+        defaulted[rows] = grown
+        rows = rows[(grown != fixed).any(axis=1)]
     v0 = float(nba.sum() + ba.sum() + sheets.nbl.sum())
     di = (pbar - p).sum(axis=1) / v0
     shocked_defaults = defaulted.diagonal().copy()

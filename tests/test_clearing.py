@@ -337,48 +337,56 @@ class TestClearAll:
                 monkeypatch.undo()
 
     @pytest.mark.parametrize(
-        "system",
+        "system, defaulted_recovery",
         [
-            partial(_replication_system, "GD", 0, 1000, 0.05, 2.0),
-            partial(_replication_system, "GD", 3, 1000, 0.01, 1.1),
-            _loss_within_the_margin_system,
-            partial(_replication_system, "GC", 0, 1000, 0.05, 2.0),
-            partial(_replication_system, "S", 0, 1000, 0.05, 2.0),
-            partial(_replication_system, "GC", 1, 1000, 0.05, 2.0),
-            partial(_replication_system, "S", 1, 1000, 0.05, 2.0),
-            partial(_replication_system, "GD", 1, 1000, 0.05, 2.0),
-            partial(_replication_system, "GC", 3, 1000, 0.01, 1.1),
+            (partial(_replication_system, "GD", 0, 1000, 0.05, 2.0), 1.0),
+            (partial(_replication_system, "GD", 3, 1000, 0.01, 1.1), 1.0),
+            (_loss_within_the_margin_system, 1.0),
+            (partial(_replication_system, "GC", 0, 1000, 0.05, 2.0), 1.0),
+            (partial(_replication_system, "S", 0, 1000, 0.05, 2.0), 1.0),
+            (partial(_replication_system, "GC", 1, 1000, 0.05, 2.0), 1.0),
+            (partial(_replication_system, "S", 1, 1000, 0.05, 2.0), 1.0),
+            (partial(_replication_system, "GD", 1, 1000, 0.05, 2.0), 1.0),
+            (partial(_replication_system, "GC", 3, 1000, 0.01, 1.1), 1.0),
+            # Fenced estates: defaulted banks keep their nonbank assets.
+            (partial(_replication_system, "GD", 3, 1000, 0.01, 1.1), 0.0),
         ],
         ids=[
             "GD0", "GD3-deep", "within-margin",
-            "GC0", "S0", "GC1", "S1", "GD1", "GC3-deep",
+            "GC0", "S0", "GC1", "S1", "GD1", "GC3-deep", "GD3-deep-fenced",
         ],
     )
-    def test_every_bank_matches_the_all_banks_picard_oracle(self, system):
+    def test_every_bank_matches_the_all_banks_picard_oracle(self, system, defaulted_recovery):
         exposures, sheets = system()
-        di, ti, dc, _ = all_banks_picard(dense_exposures(exposures), sheets)
-        out = clear_all(exposures, sheets)
+        di, ti, dc, _ = all_banks_picard(
+            dense_exposures(exposures), sheets, 0.0, defaulted_recovery
+        )
+        out = clear_all(exposures, sheets, 0.0, defaulted_recovery)
         assert np.abs(out.di - di).max() <= 1e-12
         assert np.abs(out.ti - ti).max() <= 1e-12
         assert np.array_equal(out.dc, dc)
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
-    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     # A shocked bank whose loss lies between its buffer, e - (1 - r) NBA, and
     # the lower e - (1 - 0.9 r) NBA.
-    @example(seed=0, recovery=0.75)
-    def test_small_systems_match_the_all_banks_picard_oracle(self, seed, recovery):
+    @example(seed=0, recovery=0.75, defaulted_recovery=1.0)
+    def test_small_systems_match_the_all_banks_picard_oracle(
+        self, seed, recovery, defaulted_recovery
+    ):
         exposures, sheets = random_small_system(np.random.default_rng(seed), max_n=8)
         di, ti, dc, shocked_defaults = all_banks_picard(
-            dense_exposures(exposures), sheets, recovery
+            dense_exposures(exposures), sheets, recovery, defaulted_recovery
         )
-        out = clear_all(exposures, sheets, recovery)
+        out = clear_all(exposures, sheets, recovery, defaulted_recovery)
         assert np.abs(out.di - di).max() <= 1e-12
         assert np.abs(out.ti - ti).max() <= 1e-12
         assert np.array_equal(out.dc, dc)
         # DC leaves the shocked bank out; clear's default set does not.
         assert shocked_defaults.tolist() == [
-            k in clear(exposures, sheets, ShockScenario(k, recovery)).defaulted
+            k in clear(
+                exposures, sheets, ShockScenario(k, recovery, defaulted_recovery)
+            ).defaulted
             for k in range(exposures.n)
         ]
 

@@ -534,17 +534,27 @@ class TestWorkerResolution:
 
 
 def test_serial_run_loads_no_pool_or_masked_arrays():
-    # A serial run needs neither the process pool (concurrent.futures
-    # brings in multiprocessing) nor numpy.ma, which np.unique and
-    # np.quantile import.
+    # A serial run, a tail fit and a single shock need neither the process
+    # pool (concurrent.futures brings in multiprocessing) nor numpy.ma,
+    # which the plain np.unique(x) and np.quantile import; np.unique with a
+    # return_* flag does not.
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys\n"
         "from contagion import ExperimentSpec, run_experiment\n"
+        "from contagion.balance import BalanceConfig, build_balance_sheets, build_exposures\n"
+        "from contagion.clearing import ShockScenario, clear\n"
+        "from contagion.netgen import GenParams, generate\n"
+        "from contagion.powerlaw import fit_discrete\n"
         "for variant in (0, 3):\n"
         "    spec = ExperimentSpec('GD', variant, n_nodes=200, replications=2,\n"
         "                          lambda_min=0.01, xi=1.1, master_seed=1)\n"
         "    run_experiment(spec, workers=1)\n"
+        "graph = generate(GenParams(0.41, 0.54, 0.05, 0.2, 0.0, 300, 3))\n"
+        "fit_discrete(graph.in_degree + graph.out_degree)\n"
+        "exposures = build_exposures(graph)\n"
+        "sheets = build_balance_sheets(exposures, BalanceConfig(0.01, xi=1.1))\n"
+        "clear(exposures, sheets, ShockScenario(1))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
         "             or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )

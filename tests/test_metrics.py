@@ -156,6 +156,40 @@ class TestLocalIndices:
         assert topo.cs.tolist() == [np.inf, 0.0]
         assert topo.frailty.tolist() == [frailty, 0.0]
 
+    def test_indices_equal_a_dense_double_loop(self):
+        # Creditors with equity <= 0, tiny (w / E overflows) or ordinary, and
+        # BL zero, negative or positive; banks owing nothing sit between
+        # banks that owe.
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(3, 9))
+            dense = np.where(rng.random((n, n)) < 0.5, 0.05 + rng.random((n, n)), 0.0)
+            np.fill_diagonal(dense, 0.0)
+            dense[rng.integers(1, n - 1)] = 0.0
+            if not dense.any():
+                continue
+            e = rng.choice([-0.5, 0.0, 1e-310, 0.3, 2.0], size=n)
+            bl = rng.choice([-1.5, 0.0, 0.7, 3.0], size=n)
+            sheets = BalanceSheetSet(
+                ba=np.ones(n), bl=bl, nba=np.ones(n), nbl=np.ones(n), e=e,
+                lam=np.full(n, 0.05),
+            )
+            topo = compute_topo_indices(exposures_from_dense(dense), sheets)
+            w, e, bl = dense.tolist(), e.tolist(), bl.tolist()
+            cs, frailty = [0.0] * n, [0.0] * n
+            for i in range(n):
+                for j in range(n):
+                    if w[i][j] == 0.0:
+                        continue
+                    if e[j] <= 0.0:
+                        cs[i] = frailty[i] = math.inf
+                        continue
+                    cs[i] = max(cs[i], w[i][j] / e[j])
+                    if bl[j] != 0.0:
+                        frailty[i] = max(frailty[i], w[i][j] / e[j] * bl[j])
+            assert topo.cs.tolist() == cs
+            assert topo.frailty.tolist() == frailty
+
     def test_frailty_dominates_cs_times_min_bl(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
