@@ -30,8 +30,10 @@ integer or dyadic offsets every weight, slot sum, subtraction and
 offsets the law is the same and a draw can differ only where rounding moves
 a boundary, or where a take-back ``(v + 1) - 1`` left a slot one ulp away
 from ``v``.
-``augment_random_links`` likewise draws its node ids in blocks that equal
-scalar ``rng.integers(n)`` calls, and tests a whole block's pairs at once.
+``augment_random_links`` samples the missing links without replacement from
+the absent pairs when the target holds more than half the ``n * (n - 1)``
+possible links; below that it draws node ids in blocks that equal scalar
+``rng.integers(n)`` calls and tests a whole block's pairs at once.
 
 Also provides the closed-form limit exponents of the in/out degree
 distributions, the one-parameter family of attachment parameters used to
@@ -47,6 +49,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -462,7 +465,26 @@ def augment_random_links(
     skipping self-links and existing links, until the mean total degree
     2 * links / n reaches ``target_mean_degree`` within one link's
     granularity. Returns the input unchanged if the target is already met.
+
+    The target density picks the sampler. A dense target, one of more than
+    half the n * (n - 1) possible links, lists the absent pairs in
+    row-major order and lets ``rng.choice`` draw the missing links from
+    them without replacement. A sparse target draws pairs of
+    ``rng.integers(n)`` ids and keeps, in draw order, the first pairs that
+    are new links; as at most half the pairs are links, each draw is one
+    with probability at least (n - 1) / (2n). Both give a uniformly random
+    set of absent pairs.
+
+    Raises:
+        ValueError: if ``seed`` is no non-negative integer, or the target
+            is no finite number, below the current mean degree, or above
+            that of the complete digraph.
     """
+    args = SimpleNamespace(target_mean_degree=target_mean_degree, seed=seed)
+    _require(args, numbers.Real, "target_mean_degree")
+    _require(args, numbers.Integral, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     n = graph.n
     current = graph.mean_degree
     if not math.isfinite(target_mean_degree):
@@ -483,18 +505,20 @@ def augment_random_links(
 
     rng = np.random.default_rng(seed)
     # Link s -> t is stored as the code s * n + t; graph links are sorted,
-    # so their codes are too. The pair that scalar rng.integers(n) draws
-    # would give next counts if it is no self-link and its code is neither
-    # a link yet nor drawn before in this block (only a first occurrence
-    # can count); 200 misses in a row end the sparse phase.
+    # so their codes are too.
     codes = graph.links[:, 0] * n + graph.links[:, 1]
     missing = needed_links - codes.size
-    misses = used = 0
-    while missing > 0 and misses < 200:
+    if 2 * needed_links > max_links:
+        absent = np.ones(n * n, dtype=bool)
+        absent[codes] = False
+        absent[:: n + 1] = False
+        added = rng.choice(np.flatnonzero(absent), size=missing, replace=False)
+        return DirectedGraph._from_codes(n, np.sort(np.concatenate((codes, added))))
+    while missing > 0:
         # Block draws give the same ids as scalar rng.integers(n) calls, for
-        # any block size; the state before the block lets the dense
-        # fallback rewind.
-        block_state = rng.bit_generator.state
+        # any block size. A drawn pair is a hit if it is no self-link and
+        # its code is neither a link yet nor drawn before in this block
+        # (only a first occurrence can count).
         pairs = min(missing + missing // 4 + 256, _AUGMENT_BLOCK)
         s, t = rng.integers(n, size=2 * pairs).reshape(pairs, 2).T
         hit = s != t
@@ -507,34 +531,9 @@ def augment_random_links(
         # A sentinel past every code keeps each position in range.
         known = np.append(codes, n * n)
         hit &= known[known.searchsorted(drawn)] != drawn
-        hits = np.flatnonzero(hit)
-        # The sparse phase stops at the hit that fills the target or at the
-        # 200th miss in a row, whichever comes first.
-        stop = pairs
-        if hits.size >= missing:
-            stop = int(hits[missing - 1]) + 1
-        gaps = np.diff(hits, prepend=-1 - misses, append=pairs)
-        long = np.flatnonzero(gaps > 200)
-        if long.size:
-            run_end = (int(hits[long[0] - 1]) if long[0] else -1 - misses) + 201
-            stop = min(stop, run_end)
-        hits = hits[hits < stop]
-        misses = stop - 1 - int(hits[-1]) if hits.size else misses + stop
+        hits = np.flatnonzero(hit)[:missing]
         missing -= hits.size
-        used = 2 * stop
         codes = np.sort(np.concatenate((codes, drawn[hits])))
-    if missing > 0:
-        # Dense regime: sample absent pairs without replacement, in
-        # row-major order, from the generator state that scalar draws in
-        # the loop above would have left.
-        rng.bit_generator.state = block_state
-        rng.integers(n, size=used)
-        absent = np.ones(n * n, dtype=bool)
-        absent[codes] = False
-        absent[:: n + 1] = False
-        candidates = np.flatnonzero(absent)
-        picks = rng.choice(len(candidates), size=missing, replace=False)
-        codes = np.sort(np.concatenate((codes, candidates[picks])))
     return DirectedGraph._from_codes(n, codes)
 
 

@@ -7,7 +7,9 @@ HiGHS,
 the all-banks reference clears and scores each shock on its own,
 the Gini oracle is the O(n^2) pairwise definition, the power-law
 sampler inverts the exact CDF, the network-growth oracles are a per-draw
-``cumsum`` sampler and a scalar-draw augmentation loop, and the tail-fit
+``cumsum`` sampler and an augmentation that draws one scalar pair at a
+time for a target of at most half the possible links and picks from a
+Python list of absent pairs above it, and the tail-fit
 oracle searches one cutoff at a time. Ensemble
 runs are cached per configuration so the acceptance criteria share data.
 """
@@ -236,38 +238,38 @@ def cumsum_generate_links(params: GenParams, uniforms=None) -> list[list[int]]:
 
 def scalar_augment_links(
     graph: DirectedGraph, target_mean_degree: float, seed: int
-) -> tuple[list[list[int]], int]:
+) -> tuple[list[list[int]], bool]:
     """Sorted ``[s, t]`` links of ``netgen.augment_random_links``, scalar draws.
 
-    Draws one ``rng.integers(n)`` per endpoint; after 200 misses in a row
-    it lists the absent pairs in row-major order and lets ``rng.choice``
-    pick the rest. Also returns how many links that fallback placed.
+    A target of more than half the ``n * (n - 1)`` possible links lists the
+    absent pairs in row-major order and lets ``rng.choice`` pick the
+    missing ones; a sparser target draws one ``rng.integers(n)`` per
+    endpoint until enough pairs are new links. Also returns whether the
+    dense branch ran.
     """
     n = graph.n
     rng = np.random.default_rng(seed)
     link_set = set(map(tuple, graph.links.tolist()))
-    missing = math.ceil(target_mean_degree * n / 2.0 - 1e-9) - len(link_set)
-    misses = 0
-    while missing > 0 and misses < 200:
-        s = int(rng.integers(n))
-        t = int(rng.integers(n))
-        if s == t or (s, t) in link_set:
-            misses += 1
-            continue
-        link_set.add((s, t))
-        missing -= 1
-        misses = 0
-    fallback = max(missing, 0)
-    if fallback:
+    needed = math.ceil(target_mean_degree * n / 2.0 - 1e-9)
+    missing = needed - len(link_set)
+    dense = 2 * needed > n * (n - 1)
+    if dense:
         absent = [
             (s, t)
             for s in range(n)
             for t in range(n)
             if s != t and (s, t) not in link_set
         ]
-        for idx in rng.choice(len(absent), size=fallback, replace=False):
+        for idx in rng.choice(len(absent), size=missing, replace=False):
             link_set.add(absent[int(idx)])
-    return sorted(map(list, link_set)), fallback
+    else:
+        while missing > 0:
+            s = int(rng.integers(n))
+            t = int(rng.integers(n))
+            if s != t and (s, t) not in link_set:
+                link_set.add((s, t))
+                missing -= 1
+    return sorted(map(list, link_set)), dense
 
 
 def sequential_fit_discrete(samples) -> PowerLawFit:

@@ -267,6 +267,34 @@ def test_pinned_graph_digest():
     assert digest.hexdigest() == PINNED_GRAPHS_SHA256
 
 
+# One SHA-256 over the links of the graphs that test_pinned_augmented_digest
+# densifies: type-3 growth at sizes from 9 to 1000 densified as the harness
+# does, a sparse GD0 case and a linkless graph. Every target is at most half
+# of the possible links, where the sampler keeps the first new links drawn.
+PINNED_AUGMENTED_SHA256 = "1980d237f9d36f6167eaf3a121581a830645b424ae65ed4d1bbd6c3a868768e0"
+
+
+def test_pinned_augmented_digest():
+    cases = [
+        (
+            generate(GenParams(*TYPE_PARAMS[(family, 3)], n_target=n, seed=seed)),
+            min(TYPE3_TARGET_MEAN_DEGREE, 2.0 * (n - 1)),
+            seed + 100,
+        )
+        for family in ("GC", "S", "GD")
+        for n in (9, 30, 120, 1000)
+        for seed in (0, 1, 2)
+    ]
+    cases += [
+        (generate(GD0.with_size(400, 9)), TYPE3_TARGET_MEAN_DEGREE, 10),
+        (DirectedGraph.from_links(40, []), 30.0, 0),
+    ]
+    digest = hashlib.sha256()
+    for base, target, seed in cases:
+        digest.update(augment_random_links(base, target, seed).links.astype("<i8").tobytes())
+    assert digest.hexdigest() == PINNED_AUGMENTED_SHA256
+
+
 class TestAgainstCumsumOracle:
     """The frontier-tree sampler and block draws reproduce the scalar code."""
 
@@ -399,22 +427,21 @@ class TestAgainstCumsumOracle:
 
     def test_augment_sparse(self):
         base = generate(GD0.with_size(400, 9))
-        links, fallback = scalar_augment_links(
-            base, TYPE3_TARGET_MEAN_DEGREE, 10
-        )
-        assert fallback == 0
+        links, dense = scalar_augment_links(base, TYPE3_TARGET_MEAN_DEGREE, 10)
+        assert not dense
         g = augment_random_links(base, TYPE3_TARGET_MEAN_DEGREE, seed=10)
         assert g.links.tolist() == links
 
     @pytest.mark.parametrize("block", [2, 7, 150])
     def test_augment_in_small_blocks(self, monkeypatch, block):
-        # Misses and draws carry across blocks as across scalar draws.
+        # Draws carry across blocks as across scalar draws.
         monkeypatch.setattr(netgen, "_AUGMENT_BLOCK", block)
-        cases = [(400, TYPE3_TARGET_MEAN_DEGREE, 10), (40, 70.0, 0)]
-        cases += [(40, 77.5, seed) for seed in range(1, 7)]
+        cases = [(400, TYPE3_TARGET_MEAN_DEGREE, 10)]
+        cases += [(40, 30.0, seed) for seed in range(7)]  # 600 of 1560 links
         for n, target, seed in cases:
             base = generate(GD0.with_size(n, 9))
-            links, _ = scalar_augment_links(base, target, seed)
+            links, dense = scalar_augment_links(base, target, seed)
+            assert not dense
             assert augment_random_links(base, target, seed).links.tolist() == links
 
     def test_augment_linkless_graph(self):
@@ -423,12 +450,27 @@ class TestAgainstCumsumOracle:
             links, _ = scalar_augment_links(base, target, seed)
             assert augment_random_links(base, target, seed).links.tolist() == links
 
-    def test_augment_dense_fallback(self):
+    @pytest.mark.parametrize(
+        "target, dense",
+        [(TYPE3_TARGET_MEAN_DEGREE, False), (8.1, True)],
+        ids=["half", "half-plus-one"],
+    )
+    def test_augment_at_half_density(self, target, dense):
+        # At n = 9 a target of 7.8 needs 36 of the 72 possible links, exactly
+        # half, and stays sparse; 8.1 needs 37, one more, and is dense.
+        for seed in range(3):
+            base = generate(GenParams(*TYPE_PARAMS[("GD", 3)], n_target=9, seed=seed))
+            links, ran_dense = scalar_augment_links(base, target, seed + 100)
+            assert ran_dense is dense
+            g = augment_random_links(base, target, seed + 100)
+            assert g.links.tolist() == links
+
+    def test_augment_dense_target(self):
         base = generate(GD0.with_size(40, 3))
         complete = 2.0 * (base.n - 1)
-        for target, seed in ((complete, 0), (complete - 0.1, 1)):
-            links, fallback = scalar_augment_links(base, target, seed)
-            assert fallback > 0
+        for target, seed in ((complete, 0), (complete - 0.1, 1), (50.0, 2)):
+            links, dense = scalar_augment_links(base, target, seed)
+            assert dense
             assert augment_random_links(base, target, seed).links.tolist() == links
 
 
@@ -528,8 +570,43 @@ class TestAugmentRandomLinks:
     def test_deterministic(self):
         base = generate(GD0.with_size(200, 9))
         a = augment_random_links(base, 6.0, seed=3)
-        b = augment_random_links(base, 6.0, seed=3)
+        b = augment_random_links(base, np.float64(6.0), seed=np.int64(3))
         assert np.array_equal(a.links, b.links)
+
+    @pytest.mark.parametrize(
+        "target, seed, message",
+        [
+            (4.0, None, "seed must be an integer, got None"),
+            (4.0, True, "seed must be an integer, got True"),
+            (4.0, 1.5, "seed must be an integer, got 1.5"),
+            (4.0, "3", "seed must be an integer, got '3'"),
+            (4.0, -1, "seed must be a non-negative integer, got -1"),
+            ("x", 0, "target_mean_degree must be a number, got 'x'"),
+            (None, 0, "target_mean_degree must be a number, got None"),
+        ],
+    )
+    def test_bad_seed_or_target_rejected(self, target, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            augment_random_links(self._tiny(), target, seed)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_small_graphs_on_both_sides_of_half(self, n):
+        # Targets from the input's own link count to the complete digraph,
+        # always with half and half plus one of the n * (n - 1) pairs.
+        rng = np.random.default_rng(n)
+        pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+        half = len(pairs) // 2
+        for needed in sorted({half, half + 1, *rng.integers(1, len(pairs) + 1, 8)}):
+            picks = rng.choice(len(pairs), size=rng.integers(needed), replace=False)
+            base = DirectedGraph.from_links(n, [pairs[i] for i in picks])
+            seed = int(rng.integers(1000))
+            g = augment_random_links(base, 2.0 * needed / n, seed)
+            links = set(map(tuple, g.links.tolist()))
+            assert set(map(tuple, base.links.tolist())) <= links
+            assert len(links) == g.link_count == needed
+            assert all(s != t for s, t in links)
+            again = augment_random_links(base, 2.0 * needed / n, seed)
+            assert np.array_equal(g.links, again.links)
 
 
 class TestEdgeListRoundTrip:
