@@ -199,14 +199,6 @@ def _nonbank_sides(ba, bl, lam, xi):
     return nba, nbl
 
 
-def _row_reduce(ufunc: np.ufunc, indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``ufunc.reduceat`` of each non-empty CSR row; 0 for a bank without links."""
-    rows = np.flatnonzero(np.diff(indptr))
-    out = np.zeros(indptr.size - 1)
-    out[rows] = ufunc.reduceat(values, indptr[rows])
-    return out
-
-
 def build_balance_sheets(
     exposures: ExposureMatrix, config: BalanceConfig
 ) -> BalanceSheetSet:
@@ -214,8 +206,8 @@ def build_balance_sheets(
 
     Interbank liabilities are the matrix's row sums and interbank assets
     its column sums, summed in the same order as ``scipy.sparse`` sums a
-    canonical CSR matrix, so they match it bit for bit: each row by
-    ``_row_reduce(np.add, ...)``, each column by ``np.bincount`` in CSR
+    canonical CSR matrix, so they match it bit for bit: each non-empty row
+    by one ``np.add.reduceat``, each column by ``np.bincount`` in CSR
     order. Capital ratios are sampled above the floor, nonbank assets are
     ``xi * (BA + BL)``, equity is ``lambda_i`` times total assets, and
     nonbank liabilities close the accounting identity:
@@ -231,7 +223,10 @@ def build_balance_sheets(
     """
     n = exposures.n
     indptr, indices, data = exposures.row_arrays()
-    bl = _row_reduce(np.add, indptr, data)
+    # reduceat would give an empty row the next row's first weight; it owes 0.
+    rows = np.flatnonzero(np.diff(indptr))
+    bl = np.zeros(n)
+    bl[rows] = np.add.reduceat(data, indptr[rows])
     ba = np.bincount(indices, weights=data, minlength=n)
     rng = np.random.default_rng(config.seed)
     lam = _sample_capital_ratios(rng, n, config.lambda_min, config.sigma)

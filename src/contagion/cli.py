@@ -113,17 +113,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     samples = []
-    with open(args.input, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                samples.append(int(line))
-            except ValueError:
-                raise ValueError(
-                    f"{args.input}:{line_no}: malformed sample line {line!r}"
-                ) from None
+    for line_no, line in netgen._text_lines(args.input):
+        if line.startswith("#"):
+            continue
+        try:
+            samples.append(int(line))
+        except ValueError:
+            raise ValueError(
+                f"{args.input}:{line_no}: malformed sample line {line!r}"
+            ) from None
     fit = powerlaw.fit_discrete(samples)
     print(
         json.dumps(

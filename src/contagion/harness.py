@@ -147,14 +147,14 @@ class ExperimentSpec:
         """Load a spec from a JSON file whose keys match the field names.
 
         Raises:
-            ValueError: naming the file, when it is not JSON, holds no JSON
+            ValueError: naming the file, when it is not UTF-8 JSON, holds no JSON
                 object, or an object with unknown keys or without a required
                 one.
         """
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # malformed JSON or undecodable bytes
                 raise ValueError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: spec must be a JSON object")

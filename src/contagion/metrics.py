@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .balance import BalanceSheetSet, ExposureMatrix, _bank_count, _row_reduce
+from .balance import BalanceSheetSet, ExposureMatrix, _bank_count
 from .netgen import DirectedGraph, _require_finite
 
 __all__ = [
@@ -84,31 +84,33 @@ def compute_topo_indices(
     and local network frailty ``max(0, max_j (w_ij / E_j) * BL_j)``, both
     over the creditors j of i, with ``E_j`` the creditor's equity and
     ``BL_j`` its interbank liabilities, which proxy how hard the creditor's
-    own failure would hit its lenders. Each inner maximum is one
-    ``np.maximum`` row reduction, the one that also sums BL. Banks with no
-    creditors score 0 on both, and debtors of a creditor with equity <= 0
-    score ``inf`` on both.
+    own failure would hit its lenders. Each index is one value per link,
+    scattered by ``np.maximum.at`` onto its debtor from a floor of 0, the
+    score of a bank with no creditors. Debtors of a creditor with
+    equity <= 0 score ``inf`` on both.
     Raises ``ValueError`` when the sheets cover other banks than the matrix.
     """
-    _bank_count(exposures, sheets)
-    # Per link, in CSR order: creditor, and weight over its equity.
+    n = _bank_count(exposures, sheets)
+    # Per link, in CSR order: debtor, creditor, and weight over its equity.
     indptr, col, data = exposures.row_arrays()
+    debtor = np.repeat(np.arange(n), np.diff(indptr))
     equity = sheets.e[col]
     # A creditor without positive equity cannot absorb any exposure, so
     # both indices of its debtors are infinite, whatever its BL.
     solvent = equity > 0.0
     bl = sheets.bl[col]
     # A tiny positive equity can overflow w / E (or its product with BL) to
-    # inf, which is what it means; a creditor with BL 0 still adds 0 to
+    # inf, which is what it means; a solvent creditor with BL 0 adds 0 to
     # frailty, and inf * 0 is never evaluated.
     with np.errstate(over="ignore"):
-        ratio = data / np.where(solvent, equity, 1.0)
-        weighted = np.multiply(ratio, bl, out=np.zeros_like(ratio), where=bl != 0.0)
-    # Each debtor's largest link value, floored at 0 as for a bank owing nothing.
-    return TopoIndices(*(
-        np.maximum(0.0, _row_reduce(np.maximum, indptr, np.where(solvent, v, np.inf)))
-        for v in (ratio, weighted)
-    ))
+        ratio = np.divide(data, equity, out=np.full_like(data, np.inf), where=solvent)
+        weighted = np.multiply(
+            ratio, bl, out=np.where(solvent, 0.0, np.inf), where=solvent & (bl != 0.0)
+        )
+    cs, frailty = np.zeros(n), np.zeros(n)
+    np.maximum.at(cs, debtor, ratio)
+    np.maximum.at(frailty, debtor, weighted)
+    return TopoIndices(cs, frailty)
 
 
 @dataclass(frozen=True, eq=False)

@@ -544,6 +544,29 @@ def write_edge_list(graph: DirectedGraph, path: str | Path, seed: int) -> None:
         fh.writelines(f"{s},{t}\n" for s, t in graph.links.tolist())
 
 
+def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped line)`` of each non-blank line of an ASCII file.
+
+    Raises ``ValueError`` naming the file and line of the first non-ASCII byte.
+    """
+    # A strict decoder would fail on a whole chunk, not knowing the line.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise ValueError(f"{path}:{line_no}: not ASCII text")
+            line = line.strip()
+            if line:
+                yield line_no, line
+
+
+def _int64(text: str) -> int:
+    """``int(text)``, refused with ``ValueError`` when it needs more than 64 bits."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} does not fit in 64 bits")
+    return value
+
+
 def read_edge_list(path: str | Path) -> DirectedGraph:
     """Read a graph written by :func:`write_edge_list`.
 
@@ -552,28 +575,25 @@ def read_edge_list(path: str | Path) -> DirectedGraph:
 
     Raises:
         ValueError: naming the file and line of the first line that is
-            neither a header nor a ``source,target`` pair of integers, or
-            the file and its invalid node count or first invalid link.
+            neither a header nor a ``source,target`` pair of 64-bit
+            integers or holds a non-ASCII byte, or the file and its invalid
+            node count or first invalid link.
     """
     n_header: Optional[int] = None
     ids: list[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    for line_no, line in _text_lines(path):
+        try:
+            if line.startswith("#"):
+                for field in line[1:].split():
+                    if field.startswith("nodes="):
+                        n_header = _int64(field.split("=", 1)[1])
                 continue
-            try:
-                if line.startswith("#"):
-                    for field in line[1:].split():
-                        if field.startswith("nodes="):
-                            n_header = int(field.split("=", 1)[1])
-                    continue
-                s_str, t_str = line.split(",")
-                ids += (int(s_str), int(t_str))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{line_no}: malformed edge-list line {line!r}"
-                ) from None
+            s_str, t_str = line.split(",")
+            ids += (_int64(s_str), _int64(t_str))
+        except ValueError:
+            raise ValueError(
+                f"{path}:{line_no}: malformed edge-list line {line!r}"
+            ) from None
     links = np.array(ids, dtype=np.int64).reshape(-1, 2)
     if n_header is None:
         n_header = 1 + (int(links.max()) if ids else 0)

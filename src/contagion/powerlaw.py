@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -177,8 +177,12 @@ def fit_discrete(samples: Sequence[int]) -> PowerLawFit:
         DegenerateSequenceError: when all samples are equal.
     """
     raw = np.asarray(samples)
-    with np.errstate(invalid="ignore"):
-        x = raw.astype(np.int64)
+    try:
+        with np.errstate(invalid="ignore"):
+            x = raw.astype(np.int64)
+    except OverflowError:
+        # An integer beyond 64 bits leaves an object array that cannot cast.
+        raise ValueError("samples must be positive integers") from None
     if x.size < _MIN_SAMPLES:
         raise ValueError(
             f"need at least {_MIN_SAMPLES} samples, got {x.size}"
@@ -202,15 +206,10 @@ def fit_discrete(samples: Sequence[int]) -> PowerLawFit:
     log_sums = [float(np.log(x[x >= cutoff]).sum()) for cutoff in candidates.tolist()]
     exponents = _mle_exponents(xs.size - starts, candidates, np.array(log_sums))
 
-    best: Optional[PowerLawFit] = None
-    for cutoff, start, exponent in zip(candidates.tolist(), starts.tolist(), exponents.tolist()):
-        tail = xs[start:]
-        ks = _ks_distance(tail, cutoff, exponent)
-        if best is None or ks < best.ks_distance:
-            best = PowerLawFit(
-                exponent=exponent, x_min=cutoff, ks_distance=ks, n_tail=tail.size
-            )
-    return best
+    cutoffs, starts, exponents = candidates.tolist(), starts.tolist(), exponents.tolist()
+    ks = [_ks_distance(xs[s:], c, a) for s, c, a in zip(starts, cutoffs, exponents)]
+    best = int(np.argmin(ks))  # the first of equal distances
+    return PowerLawFit(exponents[best], cutoffs[best], ks[best], xs.size - starts[best])
 
 
 def _upper_decile(xs: np.ndarray) -> float:

@@ -94,6 +94,27 @@ class TestFitCommand:
             f"contagion fit: error: {samples}:5: malformed sample line '2.5'\n"
         )
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"3\n99999999999999999999\n", "samples must be positive integers"),
+            (b"3\n-99999999999999999999\n", "samples must be positive integers"),
+            (b"# degrees\n3\n\xc3\xa9\n", "{path}:15: not ASCII text"),
+        ],
+        ids=["huge", "huge-negative", "non-ascii"],
+    )
+    def test_unreadable_sample_is_a_one_line_error(
+        self, tmp_path, capsys, content, message
+    ):
+        samples = tmp_path / "degrees.txt"
+        samples.write_bytes(b"1\n2\n4\n" * 4 + content)
+        capsys.readouterr()
+        rc = main(["fit", "--input", str(samples)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"contagion fit: error: {message.format(path=samples)}\n"
+
 
 class TestShockCommand:
     def test_reports_cascade(self, tmp_path, capsys):
@@ -174,7 +195,7 @@ class TestShockCommand:
 
     def _assert_edge_file_error(self, tmp_path, capsys, text, message):
         net = tmp_path / "net.csv"
-        net.write_text(text)
+        net.write_bytes(text.encode())
         capsys.readouterr()
         rc = main(["shock", "--edges", str(net), "--bank", "0"])
         assert rc != 0
@@ -198,6 +219,43 @@ class TestShockCommand:
         ids=["out-of-range", "self-link", "negative-nodes"],
     )
     def test_invalid_edge_file_is_a_one_line_error_naming_it(
+        self, tmp_path, capsys, text, message
+    ):
+        self._assert_edge_file_error(tmp_path, capsys, text, message)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "99999999999999999999,1\n",
+                ":1: malformed edge-list line '99999999999999999999,1'",
+            ),
+            (
+                "0,1\n1,9223372036854775808\n",
+                ":2: malformed edge-list line '1,9223372036854775808'",
+            ),
+            (
+                "# nodes=99999999999999999999\n0,1\n",
+                ":1: malformed edge-list line '# nodes=99999999999999999999'",
+            ),
+        ],
+        ids=["huge-link", "link-past-int64", "huge-nodes"],
+    )
+    def test_integers_beyond_64_bits_are_a_one_line_error(
+        self, tmp_path, capsys, text, message
+    ):
+        self._assert_edge_file_error(tmp_path, capsys, text, message)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# nodes=2 bank=\u00e9\n0,1\n", ":1: not ASCII text"),
+            # Past the decoder's first chunk, the line is still the right one.
+            ("0,1\n" * 5000 + "1,\u00e9\n", ":5001: not ASCII text"),
+        ],
+        ids=["header", "line-5001"],
+    )
+    def test_non_ascii_edge_file_is_a_one_line_error_naming_it(
         self, tmp_path, capsys, text, message
     ):
         self._assert_edge_file_error(tmp_path, capsys, text, message)
@@ -403,16 +461,24 @@ class TestConsoleScript:
                 "not valid JSON: Expecting property name enclosed in double "
                 "quotes: line 1 column 2 (char 1)",
             ),
+            (
+                b'{"network_family": "G\xc9"}',
+                "not valid JSON: 'utf-8' codec can't decode byte 0xc9 in position 21: "
+                "invalid continuation byte",
+            ),
         ],
-        ids=["unknown-key", "missing-key", "not-an-object", "not-json"],
+        ids=["unknown-key", "missing-key", "not-an-object", "not-json", "not-utf-8"],
     )
     def test_malformed_spec_is_a_one_line_error(
         self, tmp_path, capsys, payload, message
     ):
-        # A string payload is written as it stands, not JSON-encoded.
-        text = payload if isinstance(payload, str) else json.dumps(payload)
+        # A string or bytes payload is written as it stands, not JSON-encoded.
+        if isinstance(payload, str):
+            payload = payload.encode()
+        elif not isinstance(payload, bytes):
+            payload = json.dumps(payload).encode()
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(text)
+        spec_path.write_bytes(payload)
         rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r"),
                    "--workers", "1"])
         assert rc == 1

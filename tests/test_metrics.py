@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -35,7 +36,14 @@ from contagion.metrics import (
     ranking_statistics,
     summarize,
 )
-from contagion.netgen import DirectedGraph, generate, params_from_delta_in
+from contagion.harness import TYPE3_TARGET_MEAN_DEGREE, TYPE_PARAMS, replication_seeds
+from contagion.netgen import (
+    DirectedGraph,
+    GenParams,
+    augment_random_links,
+    generate,
+    params_from_delta_in,
+)
 
 from conftest import dense_exposures, exposures_from_dense, pairwise_gini, random_small_system
 
@@ -119,11 +127,12 @@ class TestLocalIndices:
         assert f[0] == pytest.approx((0.4 / 0.2) * 3.0)
 
     @pytest.mark.parametrize("equity", [0.0, -0.5])
-    @pytest.mark.parametrize("creditor_bl", [0.0, 2.0])
+    @pytest.mark.parametrize("creditor_bl", [0.0, 2.0, -1.5])
     def test_creditor_without_positive_equity_makes_both_indices_infinite(
         self, equity, creditor_bl
     ):
         # One obligation 0 -> 1 of weight 1; creditor 1 has equity <= 0.
+        # A negative BL must not turn the infinite ratio into -inf frailty.
         exposures = ExposureMatrix(DirectedGraph.from_links(2, [(0, 1)]), [1.0])
         sheets = BalanceSheetSet(
             ba=np.array([0.0, 1.0]),
@@ -243,6 +252,32 @@ class TestLocalIndices:
         scaled = compute_topo_indices(scaled_x, scaled_sheets)
         assert np.allclose(indices.cs, scaled.cs, atol=1e-12)
         assert np.allclose(indices.frailty * c, scaled.frailty, rtol=1e-12)
+
+
+# One SHA-256 over the cs and frailty bytes of GD0, GD1 and GD3 at n=1000,
+# master seeds 0-2 (replication 0), each under two balance-sheet settings,
+# built as a replication builds them. A rewrite of compute_topo_indices
+# keeps it: maxima are exact, so every float must come out the same.
+PINNED_INDICES_SHA256 = "d0c25f054a7b06d70c44df40554e58d0054cdf0526d892d5c29ca21130396eb6"
+
+
+def test_pinned_indices_digest():
+    digest = hashlib.sha256()
+    for variant in (0, 1, 3):
+        for master_seed in (0, 1, 2):
+            g_seed, aug_seed, b_seed = replication_seeds(master_seed, 0)
+            graph = generate(GenParams(*TYPE_PARAMS[("GD", variant)], 1000, g_seed))
+            if variant == 3:
+                graph = augment_random_links(graph, TYPE3_TARGET_MEAN_DEGREE, aug_seed)
+            exposures = build_exposures(graph)
+            for lambda_min, xi in ((0.05, 2.0), (0.01, 1.1)):
+                sheets = build_balance_sheets(
+                    exposures, BalanceConfig(lambda_min, 0.01, xi, seed=b_seed)
+                )
+                topo = compute_topo_indices(exposures, sheets)
+                digest.update(topo.cs.astype("<f8").tobytes())
+                digest.update(topo.frailty.astype("<f8").tobytes())
+    assert digest.hexdigest() == PINNED_INDICES_SHA256
 
 
 def _full_run(n=120, seed=5, lam=0.05):

@@ -58,6 +58,18 @@ class TestFitDiscrete:
             fit_discrete([np.nan] + list(range(1, 10)))
         assert fit_discrete(np.arange(1.0, 21.0)) == fit_discrete(np.arange(1, 21))
 
+    @pytest.mark.parametrize("huge", [10**20, -(10**20), 2**63])
+    def test_samples_beyond_64_bits_rejected(self, huge):
+        with pytest.raises(ValueError, match="^samples must be positive integers$"):
+            fit_discrete(list(range(1, 20)) + [huge])
+
+    def test_fields_are_python_scalars(self, synthetic_draws):
+        # `contagion fit` dumps them as JSON; numpy scalars would not serialize.
+        fit = fit_discrete(synthetic_draws[:2000])
+        assert [type(v) for v in (fit.exponent, fit.x_min, fit.ks_distance, fit.n_tail)] == [
+            float, int, float, int
+        ]
+
     def test_tail_scale_free(self, synthetic_draws):
         # Dropping sub-cutoff samples and refitting must reproduce the fit.
         fit = fit_discrete(synthetic_draws)
