@@ -27,7 +27,7 @@ sheets = build_balance_sheets(
 )
 
 print(f"network: {graph.n} banks, {graph.link_count} exposures")
-print(f"largest single exposure: {exposures.row_arrays()[2].max():.3f} "
+print(f"largest single exposure: {exposures.data.max():.3f} "
       f"(the max-debtor -> max-creditor link is 1 by construction)")
 
 # Interbank positions cancel in aggregate: one side's asset is the other's

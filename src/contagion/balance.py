@@ -44,8 +44,9 @@ class ExposureMatrix:
     so its creditor column is ``indices`` and its running out-degree sum is
     ``indptr`` as they stand. ``weights`` gives one finite, positive weight
     per link in ``graph.links`` order; the error names the first bad link.
-    The CSR arrays are read-only copies; row and column sums are left to
-    :func:`build_balance_sheets`.
+    ``n``, ``indptr``, ``indices`` and ``data`` (the weights) are plain
+    attributes, the three CSR arrays read-only copies; row and column sums
+    are left to :func:`build_balance_sheets`.
     """
 
     def __init__(self, graph: DirectedGraph, weights):
@@ -70,20 +71,11 @@ class ExposureMatrix:
         indices = np.ascontiguousarray(links[:, 1])
         for a in (indptr, indices, data):
             a.setflags(write=False)
-        self._n = n
-        self._indptr, self._indices, self._data = indptr, indices, data
-
-    @property
-    def n(self) -> int:
-        return self._n
+        self.n, self.indptr, self.indices, self.data = n, indptr, indices, data
 
     @property
     def nnz(self) -> int:
-        return self._data.size
-
-    def row_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only CSR arrays (indptr, indices, data) for row traversal."""
-        return self._indptr, self._indices, self._data
+        return self.data.size
 
 
 def build_exposures(graph: DirectedGraph) -> ExposureMatrix:
@@ -221,13 +213,12 @@ def build_balance_sheets(
             advising a larger ``xi``, or a smaller ``lambda_min`` or
             ``sigma`` when a capital ratio of 1 or more is to blame.
     """
-    n = exposures.n
-    indptr, indices, data = exposures.row_arrays()
+    n, indptr, data = exposures.n, exposures.indptr, exposures.data
     # reduceat would give an empty row the next row's first weight; it owes 0.
     rows = np.flatnonzero(np.diff(indptr))
     bl = np.zeros(n)
     bl[rows] = np.add.reduceat(data, indptr[rows])
-    ba = np.bincount(indices, weights=data, minlength=n)
+    ba = np.bincount(exposures.indices, weights=data, minlength=n)
     rng = np.random.default_rng(config.seed)
     lam = _sample_capital_ratios(rng, n, config.lambda_min, config.sigma)
     nba, nbl = _nonbank_sides(ba, bl, lam, config.xi)

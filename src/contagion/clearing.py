@@ -197,7 +197,6 @@ def _settle(
     their payment ratios and the inner sweeps of each shock.
     """
     n = exposures.n
-    indptr, indices, data = exposures.row_arrays()
     ba, bl, nba, nbl, e = sheets.ba, sheets.bl, sheets.nba, sheets.nbl, sheets.e
     # The shocked bank's loss buffer is lowered by the write-off of its
     # nonbank assets.
@@ -234,9 +233,9 @@ def _settle(
         if at.size:
             payers, block, bank = defaulted[at], j[at], i[at]
             # Edge list of the payers' own rows, in CSR order.
-            edge, row_len = _row_edges(indptr, bank)
-            cols = np.repeat(block * n, row_len) + indices[edge]
-            vals = data[edge]
+            edge, row_len = _row_edges(exposures.indptr, bank)
+            cols = np.repeat(block * n, row_len) + exposures.indices[edge]
+            vals = exposures.data[edge]
 
             # Subsystem: the edges whose creditor is also a payer drive the
             # inner fixed point; slot and dst index creditors in owed, payers.
@@ -382,7 +381,7 @@ def clear_all(
     pbar = sheets.bl + sheets.nbl
     writeoff = (1.0 - recovery_on_nonbank) * sheets.nba
 
-    links = np.diff(exposures.row_arrays()[0]) + 1
+    links = np.diff(exposures.indptr) + 1
     cuts = np.flatnonzero(np.diff((np.cumsum(links) - links) // _BATCH_LINKS)) + 1
     scores = []
     iterations = max_cascade = 0

@@ -138,7 +138,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_shock(args: argparse.Namespace) -> int:
     graph = netgen.read_edge_list(args.edges)
-    exposures = balance.build_exposures(graph)
+    try:
+        exposures = balance.build_exposures(graph)
+    except ValueError as exc:  # a linkless file
+        raise ValueError(f"{args.edges}: {exc}") from None
     sheets = balance.build_balance_sheets(
         exposures,
         balance.BalanceConfig(

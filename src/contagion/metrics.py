@@ -92,18 +92,19 @@ def compute_topo_indices(
     """
     n = _bank_count(exposures, sheets)
     # Per link, in CSR order: debtor, creditor, and weight over its equity.
-    indptr, col, data = exposures.row_arrays()
-    debtor = np.repeat(np.arange(n), np.diff(indptr))
-    equity = sheets.e[col]
+    debtor = np.repeat(np.arange(n), np.diff(exposures.indptr))
+    equity = sheets.e[exposures.indices]
     # A creditor without positive equity cannot absorb any exposure, so
     # both indices of its debtors are infinite, whatever its BL.
     solvent = equity > 0.0
-    bl = sheets.bl[col]
+    bl = sheets.bl[exposures.indices]
     # A tiny positive equity can overflow w / E (or its product with BL) to
     # inf, which is what it means; a solvent creditor with BL 0 adds 0 to
     # frailty, and inf * 0 is never evaluated.
     with np.errstate(over="ignore"):
-        ratio = np.divide(data, equity, out=np.full_like(data, np.inf), where=solvent)
+        ratio = np.divide(
+            exposures.data, equity, out=np.full_like(equity, np.inf), where=solvent
+        )
         weighted = np.multiply(
             ratio, bl, out=np.where(solvent, 0.0, np.inf), where=solvent & (bl != 0.0)
         )

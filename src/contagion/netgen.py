@@ -72,6 +72,8 @@ __all__ = [
 _SELF_LINK_RETRIES = 16
 # Most node pairs one augmentation block draws.
 _AUGMENT_BLOCK = 1 << 20
+# Most nodes whose link codes ``s * n + t``, at most ``n * n - 1``, fit in int64.
+_MAX_NODES = math.isqrt(2**63)
 
 
 def _require(obj, kind: type, *names: str) -> None:
@@ -199,10 +201,14 @@ class DirectedGraph:
         recounts degrees from the deduplicated set. ``links`` is any
         iterable of ``(source, target)`` pairs, or a ``(k, 2)`` integer
         array. The error names the first offending link in input order.
-        The stored links are sorted by (source, target).
+        The stored links are sorted by (source, target). ``n`` is at most
+        3,037,000,499, so that each link's code ``source * n + target``
+        fits in 64 bits; a larger ``n`` is refused before any allocation.
         """
         if n < 1:
             raise ValueError("graph needs at least one node")
+        if n > _MAX_NODES:
+            raise ValueError(f"graph needs at most {_MAX_NODES} nodes, got {n}")
         if not isinstance(links, np.ndarray):
             links = list(links)
         pairs = np.asarray(links, dtype=np.int64)
@@ -571,7 +577,8 @@ def read_edge_list(path: str | Path) -> DirectedGraph:
     """Read a graph written by :func:`write_edge_list`.
 
     Lines starting with ``#`` are headers; a ``nodes=<n>`` field, when
-    present, fixes the node count (otherwise max id + 1 is used).
+    present, fixes the node count (otherwise max id + 1 is used), which
+    may not pass 3,037,000,499 (see :meth:`DirectedGraph.from_links`).
 
     Raises:
         ValueError: naming the file and line of the first line that is

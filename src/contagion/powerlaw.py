@@ -203,7 +203,8 @@ def fit_discrete(samples: Sequence[int]) -> PowerLawFit:
     candidates = values[(values <= _upper_decile(xs)) & (values < xs[-1])]
     starts = xs.searchsorted(candidates)
     # Log sums in sample order, as a tail's own sum adds them.
-    log_sums = [float(np.log(x[x >= cutoff]).sum()) for cutoff in candidates.tolist()]
+    logs = np.log(x)
+    log_sums = [float(logs[x >= cutoff].sum()) for cutoff in candidates.tolist()]
     exponents = _mle_exponents(xs.size - starts, candidates, np.array(log_sums))
 
     cutoffs, starts, exponents = candidates.tolist(), starts.tolist(), exponents.tolist()

@@ -399,9 +399,10 @@ def exposures_from_dense(dense) -> ExposureMatrix:
 
 
 def dense_exposures(exposures: ExposureMatrix) -> np.ndarray:
-    indptr, indices, data = exposures.row_arrays()
-    dense = np.zeros((exposures.n, exposures.n))
-    dense[np.repeat(np.arange(exposures.n), np.diff(indptr)), indices] = data
+    n = exposures.n
+    debtors = np.repeat(np.arange(n), np.diff(exposures.indptr))
+    dense = np.zeros((n, n))
+    dense[debtors, exposures.indices] = exposures.data
     return dense
 
 

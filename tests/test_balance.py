@@ -40,7 +40,7 @@ class TestBuildExposures:
         x = build_exposures(g)
         io_max = np.argmax(g.out_degree)
         ii_max = np.argmax(g.in_degree)
-        assert x.row_arrays()[2].max() <= 1.0 + 1e-15
+        assert x.data.max() <= 1.0 + 1e-15
         if [int(io_max), int(ii_max)] in g.links.tolist():
             assert dense_exposures(x)[io_max, ii_max] == pytest.approx(1.0)
 
@@ -76,8 +76,8 @@ class TestBuildExposures:
         # debtor's out-degree.
         g = generate(params_from_delta_in(2.0).with_size(300, 5))
         x = build_exposures(g)
-        indptr, indices, _ = x.row_arrays()
-        debtors = np.repeat(np.arange(x.n), np.diff(indptr))
+        indices = x.indices
+        debtors = np.repeat(np.arange(x.n), np.diff(x.indptr))
         dense = dense_exposures(x)
         for j in np.unique(indices)[:50]:
             rows = debtors[indices == j]
@@ -93,10 +93,9 @@ class TestBuildExposures:
 def assert_matches_scipy_csr(x, n, debtors, creditors, weights):
     """CSR arrays and the sheets' margins equal scipy's, bit for bit."""
     m = sp.csr_matrix((weights, (debtors, creditors)), shape=(n, n))
-    indptr, indices, data = x.row_arrays()
-    assert np.array_equal(indptr, m.indptr)
-    assert np.array_equal(indices, m.indices)
-    assert np.array_equal(data, m.data)
+    assert np.array_equal(x.indptr, m.indptr)
+    assert np.array_equal(x.indices, m.indices)
+    assert np.array_equal(x.data, m.data)
     sheets = build_balance_sheets(x, BalanceConfig(0.05))
     assert np.array_equal(sheets.bl, np.asarray(m.sum(axis=1)).ravel())
     assert np.array_equal(sheets.ba, np.asarray(m.sum(axis=0)).ravel())
@@ -137,7 +136,7 @@ class TestExposureMatrix:
     def test_arrays_are_read_only(self):
         weights = np.array([0.4, 0.3])
         x = ExposureMatrix(DirectedGraph.from_links(2, [(0, 1), (1, 0)]), weights)
-        for a in x.row_arrays():
+        for a in (x.indptr, x.indices, x.data):
             assert not a.flags.writeable
         assert weights.flags.writeable  # the matrix keeps its own copy
 

@@ -215,8 +215,22 @@ class TestShockCommand:
             ("# nodes=2\n0,1\n1,5\n", ": link (1, 5) outside node range [0, 2)"),
             ("# nodes=3\n0,1\n1,1\n", ": self-link at node 1"),
             ("# nodes=-4\n0,1\n", ": graph needs at least one node"),
+            ("# nodes=5 seed=1\n", ": graph has no links; exposures undefined"),
+            # Link codes source * nodes + target must fit in 64 bits.
+            (
+                "# nodes=9999999999999999\n0,1\n",
+                ": graph needs at most 3037000499 nodes, got 9999999999999999",
+            ),
+            (
+                "# nodes=3037000500\n0,1\n",
+                ": graph needs at most 3037000499 nodes, got 3037000500",
+            ),
+            ("0,3037000499\n", ": graph needs at most 3037000499 nodes, got 3037000500"),
         ],
-        ids=["out-of-range", "self-link", "negative-nodes"],
+        ids=[
+            "out-of-range", "self-link", "negative-nodes", "linkless",
+            "huge-header", "header-past-bound", "id-past-bound",
+        ],
     )
     def test_invalid_edge_file_is_a_one_line_error_naming_it(
         self, tmp_path, capsys, text, message

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import math
@@ -381,7 +382,32 @@ class TestRuntime:
                 assert rec.stage_seconds["generate"] > 0.0
 
 
+# One SHA-256 over every file name and content that write_run_directory
+# writes for GD0, and for GD3 at lambda_min 0.01 and xi 1.1 (n=1000, two
+# replications, master seed 99), with report.json's timings dropped. A
+# change that keeps every output keeps it, in serial and pool mode.
+PINNED_RUN_DIRECTORY_SHA256 = "6527181e8596de4811e4f0455852c100997441e28be8c04d0d8bfe47835d67c8"
+
+
 class TestRunDirectory:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_run_directory_digest(self, tmp_path, workers):
+        digest = hashlib.sha256()
+        specs = [
+            ExperimentSpec("GD", 0, 1000, 2, master_seed=99),
+            ExperimentSpec("GD", 3, 1000, 2, lambda_min=0.01, xi=1.1, master_seed=99),
+        ]
+        for k, spec in enumerate(specs):
+            out = write_run_directory(run_experiment(spec, workers=workers), tmp_path / str(k))
+            for path in sorted(out.iterdir()):
+                data = path.read_bytes()
+                if path.name == "report.json":
+                    report = json.loads(data)
+                    del report["runtime"]
+                    data = json.dumps(report, sort_keys=True).encode()
+                digest.update(path.name.encode() + b"\0" + data)
+        assert digest.hexdigest() == PINNED_RUN_DIRECTORY_SHA256
+
     @pytest.mark.parametrize("replications", [1, 2])
     def test_report_json_is_strict(self, tmp_path, replications):
         spec = ExperimentSpec("S", 0, 40, replications, master_seed=3)

@@ -205,7 +205,7 @@ class TestLocalIndices:
             exposures, sheets = random_small_system(rng)
             topo = compute_topo_indices(exposures, sheets)
             cs, f = topo.cs, topo.frailty
-            indptr, indices, _ = exposures.row_arrays()
+            indptr, indices = exposures.indptr, exposures.indices
             for i in range(exposures.n):
                 creditors = indices[indptr[i]:indptr[i + 1]]
                 if creditors.size == 0:
@@ -222,9 +222,9 @@ class TestLocalIndices:
                 break
             exposures, sheets = random_small_system(rng)
             cs = compute_topo_indices(exposures, sheets).cs
-            indptr, creditors, weights = exposures.row_arrays()
+            creditors, weights = exposures.indices, exposures.data
             in_deg = np.bincount(creditors, minlength=exposures.n)
-            debtors = np.repeat(np.arange(exposures.n), np.diff(indptr))
+            debtors = np.repeat(np.arange(exposures.n), np.diff(exposures.indptr))
             for i, j, w in zip(debtors, creditors, weights):
                 shocked_pays_nothing = in_deg[i] == 0
                 if in_deg[j] == 1 and w > sheets.e[j] and shocked_pays_nothing:
