@@ -7,8 +7,7 @@ single-bank default on a stored network, and ``sweep`` runs an experiment
 through the ``contagion`` logger; results go to files or to stdout as
 single JSON records, so output can be piped. Bad input (an unreadable or
 malformed file, a bank id out of range) exits with status 1 and a
-one-line message on stderr. The ``CONTAGION_WORKERS`` environment
-variable overrides the worker count used by ``sweep``.
+one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -122,7 +121,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"{args.input}:{line_no}: malformed sample line {line!r}"
             ) from None
-    fit = powerlaw.fit_discrete(samples)
+    try:
+        fit = powerlaw.fit_discrete(samples)
+    except ValueError as exc:  # too few, all equal, or not positive
+        raise ValueError(f"{args.input}: {exc}") from None
     print(
         json.dumps(
             {
@@ -213,7 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, MemoryError) as exc:
         # Bad input (unreadable or malformed files, ids out of range, node
         # counts too large to allocate): one line on stderr, no traceback.
-        print(f"contagion {args.command}: error: {exc}", file=sys.stderr)
+        message = str(exc) or type(exc).__name__  # a bare MemoryError has no text
+        print(f"contagion {args.command}: error: {message}", file=sys.stderr)
         return 1
     finally:
         logger.removeHandler(handler)

@@ -32,6 +32,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -71,7 +72,6 @@ __all__ = [
     "write_run_directory",
     "write_sweep_csv",
     "replication_seeds",
-    "resolve_workers",
 ]
 
 logger = logging.getLogger(__name__)
@@ -240,26 +240,6 @@ def _scalar_row(rec: ReplicationRecord) -> dict[str, float]:
     return {"rep": rec.rep} | asdict(rec.summary)
 
 
-def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else CONTAGION_WORKERS, else CPUs."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError("worker count must be >= 1")
-        return explicit
-    env = os.environ.get("CONTAGION_WORKERS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0  # reported below, like a count < 1
-        if value < 1:
-            raise ValueError(
-                f"CONTAGION_WORKERS must be an integer >= 1, got {env!r}"
-            )
-        return value
-    return os.cpu_count() or 1
-
-
 def _run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
     """Generate, build, shock every bank, and summarize one replication."""
     clock = [time.perf_counter()]
@@ -329,10 +309,17 @@ def run_experiment(
     byte-identical across worker counts and fully determined by
     ``spec.master_seed``. A failed replication's exception is re-raised
     with its type kept and ``replication <index>: `` before its message,
-    in serial and pool mode alike.
+    in serial and pool mode alike. ``workers`` is the pool size, by
+    default the CPU count.
+
+    Raises:
+        ValueError: if ``workers`` is a bool, no integer, or below 1.
     """
     start = time.perf_counter()
-    n_workers = resolve_workers(workers)
+    n_workers = (os.cpu_count() or 1) if workers is None else workers
+    _require(SimpleNamespace(workers=n_workers), numbers.Integral, "workers")
+    if n_workers < 1:
+        raise ValueError("worker count must be >= 1")
     tasks = [(spec, rep) for rep in range(spec.replications)]
     pooled = n_workers > 1 and spec.replications > 1
     records = []

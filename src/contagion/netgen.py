@@ -112,7 +112,8 @@ class GenParams:
     ``beta`` the probability of adding a link between existing nodes.
     ``delta_in``/``delta_out`` are smoothing offsets added to every node's
     degree during target/source selection. Growth stops once the node count
-    reaches ``n_target``.
+    reaches ``n_target``, which is at most 3,037,000,499 (the bound of
+    :meth:`DirectedGraph.from_links`).
     """
 
     alpha: float
@@ -140,6 +141,9 @@ class GenParams:
             raise ValueError("delta_in and delta_out must be finite and non-negative")
         if self.n_target < 2:
             raise ValueError(f"n_target must be >= 2, got {self.n_target}")
+        # Refused before generate allocates its n_target-sized tallies.
+        if self.n_target > _MAX_NODES:
+            raise ValueError(f"n_target must be at most {_MAX_NODES}, got {self.n_target}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -585,6 +589,8 @@ def read_edge_list(path: str | Path) -> DirectedGraph:
             neither a header nor a ``source,target`` pair of 64-bit
             integers or holds a non-ASCII byte, or the file and its invalid
             node count or first invalid link.
+        MemoryError: naming the file, when its node count cannot be
+            allocated.
     """
     n_header: Optional[int] = None
     ids: list[int] = []
@@ -608,3 +614,5 @@ def read_edge_list(path: str | Path) -> DirectedGraph:
         return DirectedGraph.from_links(n_header, links)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except MemoryError as exc:  # a node count within the bound, too large for memory
+        raise MemoryError(f"{path}: {exc}") from None

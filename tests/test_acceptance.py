@@ -281,23 +281,22 @@ def test_criterion_9_metric_correctness():
     )
 
 
-def test_criterion_10_determinism(tmp_path, monkeypatch):
+def test_criterion_10_determinism(tmp_path):
     spec = ExperimentSpec("GC", 0, 120, 2, master_seed=ACCEPT_SEED)
 
     runs = {}
-    monkeypatch.delenv("CONTAGION_WORKERS", raising=False)
     for label, workers in (("first", 1), ("second", 1), ("pooled", 2)):
         out = tmp_path / label
         write_run_directory(run_experiment(spec, workers=workers), out)
         runs[label] = out
-    monkeypatch.setenv("CONTAGION_WORKERS", "2")
-    out = tmp_path / "env"
+    # Without a count, the pool is as large as the CPU count.
+    out = tmp_path / "default"
     write_run_directory(run_experiment(spec), out)
-    runs["env"] = out
+    runs["default"] = out
 
     names = sorted(p.name for p in runs["first"].glob("*.csv"))
     assert names
-    for other in ("second", "pooled", "env"):
+    for other in ("second", "pooled", "default"):
         for name in names:
             assert (runs["first"] / name).read_bytes() == (
                 runs[other] / name

@@ -22,6 +22,10 @@ def _degree_file(tmp_path, edges_path):
     return path
 
 
+# Twelve valid samples, enough for a fit.
+TWELVE_SAMPLES = b"1\n2\n4\n" * 4
+
+
 class TestGenerateCommand:
     def test_writes_edge_list(self, tmp_path, capsys):
         out = tmp_path / "net.csv"
@@ -64,6 +68,27 @@ class TestGenerateCommand:
         )
         assert not out.exists()
 
+    def test_textless_memory_error_prints_its_class_name(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Growth that runs out of memory raises MemoryError without text;
+        # simulated, not allocated.
+        def exhausted(params):
+            raise MemoryError()
+
+        monkeypatch.setattr(netgen, "generate", exhausted)
+        out = tmp_path / "net.csv"
+        rc = main([
+            "generate", "--alpha", "0.1875", "--beta", "0.25",
+            "--gamma", "0.5625", "--delta-in", "3", "--delta-out", "1",
+            "--nodes", "200", "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "contagion generate: error: MemoryError\n"
+        assert not out.exists()
+
 
 class TestFitCommand:
     def test_emits_json_record(self, tmp_path, capsys):
@@ -97,17 +122,22 @@ class TestFitCommand:
     @pytest.mark.parametrize(
         "content, message",
         [
-            (b"3\n99999999999999999999\n", "samples must be positive integers"),
-            (b"3\n-99999999999999999999\n", "samples must be positive integers"),
-            (b"# degrees\n3\n\xc3\xa9\n", "{path}:15: not ASCII text"),
+            (TWELVE_SAMPLES + b"3\n99999999999999999999\n",
+             "{path}: samples must be positive integers"),
+            (TWELVE_SAMPLES + b"3\n-99999999999999999999\n",
+             "{path}: samples must be positive integers"),
+            (TWELVE_SAMPLES + b"# degrees\n3\n\xc3\xa9\n", "{path}:15: not ASCII text"),
+            (b"1\n2\n4\n", "{path}: need at least 10 samples, got 3"),
+            (b"5\n" * 12, "{path}: degenerate sequence: all samples equal"),
+            (TWELVE_SAMPLES + b"0\n", "{path}: samples must be positive integers"),
         ],
-        ids=["huge", "huge-negative", "non-ascii"],
+        ids=["huge", "huge-negative", "non-ascii", "too-few", "all-equal", "zero"],
     )
     def test_unreadable_sample_is_a_one_line_error(
         self, tmp_path, capsys, content, message
     ):
         samples = tmp_path / "degrees.txt"
-        samples.write_bytes(b"1\n2\n4\n" * 4 + content)
+        samples.write_bytes(content)
         capsys.readouterr()
         rc = main(["fit", "--input", str(samples)])
         assert rc == 1
@@ -273,6 +303,24 @@ class TestShockCommand:
         self, tmp_path, capsys, text, message
     ):
         self._assert_edge_file_error(tmp_path, capsys, text, message)
+
+    def test_edge_file_too_large_for_memory_is_a_one_line_error_naming_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A header within the node bound whose degree tallies cannot be
+        # allocated; the allocation failure is simulated, not provoked.
+        def bincount(*args, **kwargs):
+            raise MemoryError(
+                "Unable to allocate 22.4 GiB for an array with shape "
+                "(3000000000,) and data type int64"
+            )
+
+        monkeypatch.setattr(netgen.np, "bincount", bincount)
+        self._assert_edge_file_error(
+            tmp_path, capsys, "# nodes=3000000000\n0,1\n",
+            ": Unable to allocate 22.4 GiB for an array with shape "
+            "(3000000000,) and data type int64",
+        )
 
     def test_unallocatable_network_is_a_one_line_error(self, monkeypatch, capsys):
         # A huge ``nodes=`` header fails to allocate; simulated, not allocated.

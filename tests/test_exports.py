@@ -1,5 +1,5 @@
-"""Every name a module of the package exports in ``__all__`` exists, and
-every name it imports is used."""
+"""Every name a module of the package exports in ``__all__`` exists, every
+name it imports is used, and no module reads the environment."""
 
 import ast
 import importlib
@@ -33,13 +33,17 @@ def test_all_names_resolve(name):
 UNUSED_IMPORTS_ALLOWED = {("contagion.harness", "clear")}
 
 
+def _syntax_tree(name):
+    path = importlib.util.find_spec(name).origin
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_imported_name_is_used(name):
     # No linter runs on the package; this is its unused-import rule. A name
     # counts as used when the module reads it or lists it in ``__all__``.
-    path = importlib.util.find_spec(name).origin
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
+    tree = _syntax_tree(name)
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -50,3 +54,21 @@ def test_every_imported_name_is_used(name):
     used.update(getattr(importlib.import_module(name), "__all__", ()))
     unused = {n for n in imported - used if (name, n) not in UNUSED_IMPORTS_ALLOWED}
     assert sorted(unused) == []
+
+
+# The ``os`` names that read environment variables.
+ENVIRONMENT_READERS = {"environ", "environb", "getenv"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_environment_variable_is_read(name):
+    # Callers set every option through arguments and spec files; a knob
+    # read from the environment would change results unseen.
+    reads = []
+    for node in ast.walk(_syntax_tree(name)):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            reads.append(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [f"os.{a.name}" for a in node.names if a.name in ENVIRONMENT_READERS]
+    assert reads == []

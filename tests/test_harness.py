@@ -22,7 +22,6 @@ from contagion.harness import (
     TYPE_PARAMS,
     ExperimentSpec,
     replication_seeds,
-    resolve_workers,
     run_experiment,
     sweep,
     write_run_directory,
@@ -535,28 +534,24 @@ class TestSweeps:
 
 
 class TestWorkerResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("CONTAGION_WORKERS", "7")
-        assert resolve_workers(3) == 3
+    SPEC = ExperimentSpec("GD", 0, 60, 1, master_seed=3)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CONTAGION_WORKERS", "5")
-        assert resolve_workers() == 5
-
-    def test_invalid_env(self, monkeypatch):
-        for value in ("0", "x", "2.5"):
-            monkeypatch.setenv("CONTAGION_WORKERS", value)
-            message = f"CONTAGION_WORKERS must be an integer >= 1, got '{value}'"
-            with pytest.raises(ValueError, match=re.escape(message)):
-                resolve_workers()
+    def test_explicit_wins(self):
+        for workers in (1, 3, np.int64(2)):
+            assert run_experiment(self.SPEC, workers=workers).workers == workers
 
     def test_explicit_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="^worker count must be >= 1$"):
-            resolve_workers(0)
+            run_experiment(self.SPEC, workers=0)
 
-    def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("CONTAGION_WORKERS", raising=False)
-        assert resolve_workers() >= 1
+    def test_non_integer_count_rejected(self):
+        for workers in (True, 2.5, "2"):
+            message = f"^workers must be an integer, got {re.escape(repr(workers))}$"
+            with pytest.raises(ValueError, match=message):
+                run_experiment(self.SPEC, workers=workers)
+
+    def test_default_is_cpu_count(self):
+        assert run_experiment(self.SPEC).workers == (os.cpu_count() or 1)
 
 
 def test_serial_run_loads_no_pool_or_masked_arrays():

@@ -53,6 +53,14 @@ class TestGenParams:
         with pytest.raises(ValueError, match="n_target"):
             GenParams(0.25, 0.5, 0.25, 1.0, 1.0, 1, 0)
 
+    def test_size_whose_link_codes_overflow_is_refused(self):
+        # The bound of DirectedGraph.from_links; generate never allocates.
+        bound = netgen._MAX_NODES
+        assert GenParams(0.25, 0.5, 0.25, 1.0, 1.0, bound, 0).n_target == bound
+        message = f"^n_target must be at most {bound}, got {bound + 1}$"
+        with pytest.raises(ValueError, match=message):
+            GenParams(0.25, 0.5, 0.25, 1.0, 1.0, bound + 1, 0)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
             GenParams(0.25, 0.5, 0.25, 1.0, 1.0, 10, -1)
