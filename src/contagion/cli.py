@@ -18,7 +18,6 @@ import logging
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
-from functools import cache, partial
 from pathlib import Path
 
 from . import balance, clearing, harness, netgen, powerlaw
@@ -179,19 +178,17 @@ def _cmd_shock(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = harness.ExperimentSpec.from_json(args.spec)
-    # Runs are seeded, so a repeated spec reuses its report instead of rerunning.
-    run = cache(partial(harness.run_experiment, workers=args.workers))
-    harness.write_run_directory(run(spec), args.out)
+    sweeps = (("size", "n_nodes", args.sizes), ("capital", "lambda_min", args.lambdas))
+    # One run for all points: a repeated spec runs once, and the capital
+    # points share each replication's network with the base spec.
+    points = [replace(spec, **{p: v}) for _, p, values in sweeps for v in values or ()]
+    reports = iter(harness._run_specs([spec, *points], args.workers))
+    harness.write_run_directory(next(reports), args.out)
     logger.info("[contagion] run directory: %s", args.out)
-    for name, parameter, values in (
-        ("size", "n_nodes", args.sizes),
-        ("capital", "lambda_min", args.lambdas),
-    ):
+    for name, parameter, values in sweeps:
         if values:
-            reports = [run(replace(spec, **{parameter: v})) for v in values]
-            harness.write_sweep_csv(
-                reports, parameter, Path(args.out) / f"{name}_sweep.csv"
-            )
+            path = Path(args.out) / f"{name}_sweep.csv"
+            harness.write_sweep_csv([next(reports) for _ in values], parameter, path)
             logger.info("[contagion] %s sweep done", name)
     return 0
 

@@ -8,6 +8,10 @@ summarizes the outcomes. Replications are independent; their RNG streams
 are derived from the master seed by spawn keys, so results are identical
 whatever the worker count.
 
+``run_experiment`` and ``sweep`` share one run path, which runs each
+distinct spec once. Specs that differ only in balance-sheet fields share
+each replication's network: it is grown once and cleared at every point.
+
 Variant parameter rows:
 
     0: the reference mix (beta = 0.25, offsets summing to 4)
@@ -189,7 +193,8 @@ class ReplicationRecord:
     ``counters`` holds every engine counter of the replication's
     :class:`~contagion.clearing.AllBanksClearing`, which are a pure
     function of the spec; ``stage_seconds`` the wall time of each stage in
-    ``_STAGES``, which is not. ``augment`` is 0.0 when no links are added.
+    ``_STAGES``, which is not. ``augment`` is 0.0 when no links are added, and
+    ``generate``, ``augment`` and ``exposures`` when an earlier point grew the network.
     """
 
     rep: int
@@ -235,13 +240,19 @@ _SCALAR_KEYS = tuple(f.name for f in fields(NetworkRiskSummary))
 # Stages of a replication, timed in ReplicationRecord.stage_seconds.
 _STAGES = ("generate", "augment", "exposures", "sheets", "clear", "metrics")
 
+# The spec fields that only balance sheets read: BalanceConfig's but its seed.
+_SHEET_FIELDS = tuple(f.name for f in fields(BalanceConfig) if f.name != "seed")
+
 
 def _scalar_row(rec: ReplicationRecord) -> dict[str, float]:
     return {"rep": rec.rep} | asdict(rec.summary)
 
 
-def _run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
-    """Generate, build, shock every bank, and summarize one replication."""
+def _run_replication(specs: Sequence[ExperimentSpec], rep: int) -> list[ReplicationRecord]:
+    """One replication at each spec, which differ only in ``_SHEET_FIELDS``:
+    the network grows once, so the later records' shared stages read 0.0.
+    """
+    spec = specs[0]
     clock = [time.perf_counter()]
     g_seed, aug_seed, b_seed = replication_seeds(spec.master_seed, rep)
     a, b, g, d_in, d_out = TYPE_PARAMS[(spec.network_family, spec.type_variant)]
@@ -255,43 +266,36 @@ def _run_replication(spec: ExperimentSpec, rep: int) -> ReplicationRecord:
     clock.append(clock[-1] if graph is grown else time.perf_counter())
     exposures = build_exposures(graph)
     clock.append(time.perf_counter())
-    sheets = build_balance_sheets(
-        exposures,
-        BalanceConfig(spec.lambda_min, spec.sigma, spec.xi, seed=b_seed),
-    )
-    clock.append(time.perf_counter())
-    cleared = clear_all(exposures, sheets)
-    clock.append(time.perf_counter())
-    summary = summarize(cleared.di, cleared.dc, graph, sheets)
-    indices = compute_topo_indices(exposures, sheets)
-    correlations = index_impact_correlation(indices, cleared.di, cleared.dc)
-    clock.append(time.perf_counter())
-    return ReplicationRecord(
-        rep=rep,
-        summary=summary,
-        correlations=correlations,
-        graph=graph,
-        sheets=sheets,
-        cs=indices.cs,
-        frailty=indices.frailty,
-        di=cleared.di,
-        dc=cleared.dc,
-        # Every field but the per-bank arrays is an engine counter.
-        counters={k: v for k, v in vars(cleared).items() if not isinstance(v, np.ndarray)},
-        stage_seconds={
-            stage: end - start
-            for stage, start, end in zip(_STAGES, clock, clock[1:])
-        },
-    )
-
-
-def _run_replication_args(args: tuple[ExperimentSpec, int]) -> ReplicationRecord:
-    spec, rep = args
-    try:
-        return _run_replication(spec, rep)
-    except Exception as exc:
-        # Same type, so callers still catch it; pool.map names no replication.
-        raise type(exc)(f"replication {rep}: {exc}") from exc
+    records = []
+    for point in specs:
+        config = {k: getattr(point, k) for k in _SHEET_FIELDS}
+        sheets = build_balance_sheets(exposures, BalanceConfig(**config, seed=b_seed))
+        clock.append(time.perf_counter())
+        cleared = clear_all(exposures, sheets)
+        clock.append(time.perf_counter())
+        summary = summarize(cleared.di, cleared.dc, graph, sheets)
+        indices = compute_topo_indices(exposures, sheets)
+        correlations = index_impact_correlation(indices, cleared.di, cleared.dc)
+        clock.append(time.perf_counter())
+        records.append(ReplicationRecord(
+            rep=rep,
+            summary=summary,
+            correlations=correlations,
+            graph=graph,
+            sheets=sheets,
+            cs=indices.cs,
+            frailty=indices.frailty,
+            di=cleared.di,
+            dc=cleared.dc,
+            # Every field but the per-bank arrays is an engine counter.
+            counters={k: v for k, v in vars(cleared).items() if not isinstance(v, np.ndarray)},
+            stage_seconds={
+                stage: end - start
+                for stage, start, end in zip(_STAGES, clock, clock[1:])
+            },
+        ))
+        clock = clock[-1:] * 4  # the next point's shared stages take no time
+    return records
 
 
 def _mean_or_none(values: list[Optional[float]]) -> Optional[float]:
@@ -299,47 +303,48 @@ def _mean_or_none(values: list[Optional[float]]) -> Optional[float]:
     return float(np.mean(defined)) if defined else None
 
 
-def run_experiment(
-    spec: ExperimentSpec, workers: Optional[int] = None
-) -> ExperimentReport:
-    """Run every replication of an experiment and aggregate the outcomes.
+def _run_specs(
+    specs: Sequence[ExperimentSpec], workers: Optional[int]
+) -> list[ExperimentReport]:
+    """One report per spec, in order; equal specs run once.
 
-    Replications are dispatched to a process pool when more than one worker
-    is available; the merge is keyed by replication index, so outputs are
-    byte-identical across worker counts and fully determined by
-    ``spec.master_seed``. A failed replication's exception is re-raised
-    with its type kept and ``replication <index>: `` before its message,
-    in serial and pool mode alike. ``workers`` is the pool size, by
-    default the CPU count.
-
-    Raises:
-        ValueError: if ``workers`` is a bool, no integer, or below 1.
+    Specs equal but in ``_SHEET_FIELDS`` form a group, whose replications each
+    grow one network for all its points; their ``elapsed_seconds`` run from its start.
     """
-    start = time.perf_counter()
     n_workers = (os.cpu_count() or 1) if workers is None else workers
     _require(SimpleNamespace(workers=n_workers), numbers.Integral, "workers")
     if n_workers < 1:
         raise ValueError("worker count must be >= 1")
-    tasks = [(spec, rep) for rep in range(spec.replications)]
-    pooled = n_workers > 1 and spec.replications > 1
-    records = []
-    if pooled:
+    groups: dict[tuple, list[ExperimentSpec]] = {}
+    for spec in dict.fromkeys(specs):
+        key = [getattr(spec, f.name) for f in fields(spec) if f.name not in _SHEET_FIELDS]
+        groups.setdefault(tuple(key), []).append(spec)
+    # A pool starts all its workers at once: no more than a group has tasks.
+    pool_size = min(n_workers, max((spec.replications for spec in specs), default=1))
+    if pool_size > 1:
         # concurrent.futures loads multiprocessing, which a serial run never
         # needs, so only a pooled run imports it.
         from concurrent.futures import ProcessPoolExecutor
-    # Both maps yield the records in task order.
-    with ProcessPoolExecutor(n_workers) if pooled else nullcontext() as pool:
-        for record in (pool.map if pooled else map)(_run_replication_args, tasks):
-            records.append(record)
-            logger.info(
-                "[contagion] %s%d n=%d rep %d/%d done",
-                spec.network_family,
-                spec.type_variant,
-                spec.n_nodes,
-                record.rep + 1,
-                spec.replications,
-            )
+    reports = {}
+    with ProcessPoolExecutor(pool_size) if pool_size > 1 else nullcontext() as pool:
+        for group in groups.values():
+            start, spec, rows = time.perf_counter(), group[0], []
+            tasks = [group] * spec.replications, range(spec.replications)
+            try:  # both maps yield each replication's records in task order
+                for row in (pool.map if pool else map)(_run_replication, *tasks):
+                    rows.append(row)
+                    logger.info("[contagion] %s%d n=%d rep %d/%d done", spec.network_family,
+                                spec.type_variant, spec.n_nodes, len(rows), spec.replications)
+            except Exception as exc:
+                # Same type, so callers still catch it; pool.map names no replication.
+                raise type(exc)(f"replication {len(rows)}: {exc}") from exc
+            for point, records in zip(group, zip(*rows)):
+                reports[point] = _report(point, list(records), start, n_workers)
+    return [reports[spec] for spec in specs]
 
+
+def _report(spec: ExperimentSpec, records: list, start: float, workers: int):
+    """Aggregate one spec's records into its report."""
     aggregate_start = time.perf_counter()
     means: dict[str, float] = {}
     stds: dict[str, float] = {}
@@ -390,10 +395,30 @@ def run_experiment(
         correlation_pooled=corr_pooled,
         elapsed_seconds=end - start,
         aggregate_seconds=end - aggregate_start,
-        workers=n_workers,
+        workers=workers,
         warnings=warnings,
         notes=notes,
     )
+
+
+def run_experiment(
+    spec: ExperimentSpec, workers: Optional[int] = None
+) -> ExperimentReport:
+    """Run every replication of an experiment and aggregate the outcomes.
+
+    Replications are dispatched to a process pool when more than one worker
+    is available; the merge is keyed by replication index, so outputs are
+    byte-identical across worker counts and fully determined by
+    ``spec.master_seed``. A failed replication's exception is re-raised
+    with its type kept and ``replication <index>: `` before its message,
+    in serial and pool mode alike. ``workers`` is the requested pool size,
+    by default the CPU count; the pool holds ``min(workers, replications)``
+    processes.
+
+    Raises:
+        ValueError: if ``workers`` is a bool, no integer, or below 1.
+    """
+    return _run_specs([spec], workers)[0]
 
 
 def sweep(
@@ -402,17 +427,15 @@ def sweep(
     values: Sequence,
     workers: Optional[int] = None,
 ) -> list[ExperimentReport]:
-    """Run the experiment once per value of one spec field, in order.
+    """Run the experiment at each value of one spec field; reports in order.
 
-    Point k is ``run_experiment(replace(spec, **{parameter: values[k]}))``.
-    The master seed fixes the topologies, so a sweep of a balance-sheet
-    field (``lambda_min``, ``sigma``, ``xi``) clears the same networks at
+    Point k equals ``run_experiment(replace(spec, **{parameter: values[k]}))``
+    outside its timings, and a repeated value runs once. The points of a
+    balance-sheet field (``lambda_min``, ``sigma``, ``xi``) share one
+    topology: each replication grows its network once and clears it at
     every point, isolating that field's effect.
     """
-    return [
-        run_experiment(replace(spec, **{parameter: value}), workers=workers)
-        for value in values
-    ]
+    return _run_specs([replace(spec, **{parameter: value}) for value in values], workers)
 
 
 def _write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -505,18 +528,24 @@ def write_sweep_csv(
 ) -> None:
     """Write a sweep table, one row per report.
 
-    Columns: the value of ``parameter`` in the report's spec, the means and
-    stds of the DI and DC aggregates, the mean first-ranking-position
-    impacts (``di_max_mean``/``dc_max_mean``, which shrink as networks
-    grow), and ``below_min_meaningful_size`` for a spec below
-    ``MIN_MEANINGFUL_SIZE`` nodes.
+    Columns: the value of ``parameter`` in the report's spec (an integer
+    in full, any other number in ``%.12g``), the means and stds of the DI
+    and DC aggregates, the mean first-ranking-position impacts
+    (``di_max_mean``/``dc_max_mean``, which shrink as networks grow), and
+    ``below_min_meaningful_size`` for a spec below ``MIN_MEANINGFUL_SIZE``
+    nodes.
     """
     rows = []
     for report in reports:
         m, s = report.means, report.stds
         small = report.spec.n_nodes < MIN_MEANINGFUL_SIZE
+        value = getattr(report.spec, parameter)
+        # Each value formats itself, as a column may mix integers and floats;
+        # %.12g would write the integer 10**12 + 1 as 1e+12.
+        if not isinstance(value, str):
+            value = ("%d" if isinstance(value, numbers.Integral) else "%.12g") % value
         rows.append((
-            getattr(report.spec, parameter), m["di_aggregate"], s["di_aggregate"],
+            value, m["di_aggregate"], s["di_aggregate"],
             m["dc_aggregate"], s["dc_aggregate"], m["di_max"], m["dc_max"],
             "below_min_meaningful_size" if small else "",
         ))

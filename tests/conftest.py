@@ -429,11 +429,15 @@ WORKER_MODES = [
 ]
 
 
-def fail_replication_one(spec, rep, _run=harness._run_replication):
-    """``harness._run_replication``, except that replication 1 raises."""
+def fail_replication_one(specs, rep, _run=harness._run_replication):
+    """``harness._run_replication``, except that replication 1 raises.
+
+    Its message names no replication, so a ``replication 1: `` prefix can
+    only come from the harness.
+    """
     if rep == 1:
         raise ValueError("sheets broken")
-    return _run(spec, rep)
+    return _run(specs, rep)
 
 
 # -------------------------------------------------------------- fixtures

@@ -377,14 +377,13 @@ class TestSweepCommand:
         assert lam_lines[0].startswith("lambda_min,di_mean")
 
     def test_each_distinct_experiment_runs_once(self, tmp_path, monkeypatch):
-        calls = []
-        run_experiment = harness.run_experiment
+        grown, cleared = [], []
 
-        def counting(spec, workers=None):
-            calls.append(spec)
-            return run_experiment(spec, workers=workers)
+        def counting(calls, fn):
+            return lambda *args: calls.append(args) or fn(*args)
 
-        monkeypatch.setattr(harness, "run_experiment", counting)
+        monkeypatch.setattr(harness, "generate", counting(grown, harness.generate))
+        monkeypatch.setattr(harness, "clear_all", counting(cleared, harness.clear_all))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
             "network_family": "GC", "type_variant": 0, "n_nodes": 60,
@@ -395,9 +394,12 @@ class TestSweepCommand:
                    "--workers", "1", "--sizes", "60", "90", "90",
                    "--lambdas", "0.05", "0.10"])
         assert rc == 0
-        # The base spec, n_nodes 90 and lambda_min 0.10: three of six points.
-        assert [(s.n_nodes, s.lambda_min) for s in calls] == [
-            (60, 0.05), (90, 0.05), (60, 0.10),
+        # Three of six points are distinct: the base spec, n_nodes 90 and
+        # lambda_min 0.10. The last shares the base spec's network, so two
+        # topologies grow, one replication each.
+        assert [params.n_target for params, in grown] == [60, 90]
+        assert [(exposures.n, sheets.lam.min() > 0.10) for exposures, sheets in cleared] == [
+            (60, False), (60, True), (90, False),
         ]
         size_rows = (out / "size_sweep.csv").read_text().splitlines()[1:]
         assert len(size_rows) == 3 and size_rows[1] == size_rows[2]
@@ -461,6 +463,8 @@ class TestSweepCommand:
         assert [line for line in err if "error" in line] == [
             "contagion sweep: error: replication 1: sheets broken"
         ]
+        # Every point runs before the first file is written.
+        assert not (tmp_path / "r").exists()
 
 
 class TestProgressLogging:

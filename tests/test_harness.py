@@ -8,7 +8,7 @@ import re
 import statistics
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -322,6 +322,36 @@ def runtimes(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def sweep_runtimes(tmp_path_factory):
+    """Runtime blocks of the points of a two-point ``lambda_min`` sweep of
+    GD3, by worker count."""
+    spec = ExperimentSpec("GD", 3, 120, 2, master_seed=29)
+    out = {}
+    for workers in (1, 2):
+        out[workers] = [
+            json.loads((write_run_directory(report, tmp_path_factory.mktemp("s")) /
+                        "report.json").read_text())["runtime"]
+            for report in sweep(spec, "lambda_min", [0.05, 0.01], workers=workers)
+        ]
+    return out
+
+
+STAGES = {"generate", "augment", "exposures", "sheets", "clear", "metrics"}
+SHARED_STAGES = ("generate", "augment", "exposures")
+
+
+def _assert_totals_sum(runtime):
+    rows, totals = runtime["replications"], runtime["totals"]
+    for key, total in totals.items():
+        if key == "stage_seconds":
+            for stage, seconds in total.items():
+                per_rep = [row[key][stage] for row in rows]
+                assert seconds == pytest.approx(sum(per_rep), rel=1e-12)
+        else:
+            assert total == sum(row[key] for row in rows)
+
+
 def _numbers(tree):
     """Every number in a JSON tree."""
     if isinstance(tree, dict):
@@ -360,14 +390,35 @@ class TestRuntime:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_totals_sum_the_replications(self, runtimes, workers):
-        rows, totals = runtimes[workers]["replications"], runtimes[workers]["totals"]
-        for key, total in totals.items():
-            if key == "stage_seconds":
-                for stage, seconds in total.items():
-                    per_rep = [row[key][stage] for row in rows]
-                    assert seconds == pytest.approx(sum(per_rep), rel=1e-12)
-            else:
-                assert total == sum(row[key] for row in rows)
+        _assert_totals_sum(runtimes[workers])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_sweep_point_has_every_stage(self, sweep_runtimes, workers):
+        for runtime in sweep_runtimes[workers]:
+            assert len(runtime["replications"]) == 2
+            for row in runtime["replications"] + [runtime["totals"]]:
+                assert set(row["stage_seconds"]) == STAGES
+            values = _numbers(runtime)
+            assert all(isinstance(v, (int, float)) and v >= 0 for v in values)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_later_sweep_point_grows_nothing(self, sweep_runtimes, workers):
+        first, later = sweep_runtimes[workers]
+        for row in first["replications"]:
+            assert all(row["stage_seconds"][stage] > 0.0 for stage in SHARED_STAGES)
+        for row in later["replications"] + [later["totals"]]:
+            assert [row["stage_seconds"][stage] for stage in SHARED_STAGES] == [0.0] * 3
+            assert row["stage_seconds"]["clear"] > 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_totals_sum_each_sweep_point(self, sweep_runtimes, workers):
+        for runtime in sweep_runtimes[workers]:
+            _assert_totals_sum(runtime)
+
+    def test_serial_sweep_point_fits_in_its_elapsed_time(self, sweep_runtimes):
+        for runtime in sweep_runtimes[1]:
+            busy = sum(runtime["totals"]["stage_seconds"].values())
+            assert busy + runtime["aggregate_seconds"] <= runtime["elapsed_seconds"]
 
     def test_augment_is_timed_only_when_links_are_added(self, runtimes):
         for rows in (runtimes[1]["replications"], runtimes[2]["replications"]):
@@ -532,6 +583,68 @@ class TestSweeps:
                 assert np.array_equal(a.graph.links, b.graph.links)
                 assert not np.array_equal(a.sheets.lam, b.sheets.lam)
 
+    @pytest.mark.parametrize("workers", WORKER_MODES)
+    def test_capital_sweep_grows_each_network_once(self, monkeypatch, workers):
+        grown, generate = [], harness.generate
+        monkeypatch.setattr(
+            harness, "generate", lambda params: grown.append(params.seed) or generate(params)
+        )
+        spec = ExperimentSpec("GD", 3, 120, 2, master_seed=9)
+        reports = sweep(spec, "lambda_min", [0.01, 0.05, 0.10], workers=workers)
+        if workers == 1:  # pool workers count in their own processes
+            assert grown == [replication_seeds(9, rep)[0] for rep in range(2)]
+        for rep in range(2):
+            low, mid, high = (report.records[rep].graph for report in reports)
+            assert low is mid is high
+
+    def test_repeated_value_is_cleared_once(self, monkeypatch):
+        cleared, clear_all = [], harness.clear_all
+        monkeypatch.setattr(
+            harness, "clear_all", lambda e, sheets: cleared.append(sheets) or clear_all(e, sheets)
+        )
+        spec = ExperimentSpec("GD", 0, 60, 2, master_seed=9)
+        first, low, again = sweep(spec, "lambda_min", [0.05, 0.01, 0.05], workers=1)
+        # Two replications, each cleared at lambda_min 0.05, then at 0.01.
+        assert [sheets.lam.min() > 0.05 for sheets in cleared] == [True, False] * 2
+        assert again is first and low.spec.lambda_min == 0.01
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_points_equal_separate_experiments(self, tmp_path, workers):
+        spec = ExperimentSpec("GD", 3, 150, 3, xi=1.1, master_seed=31)
+        values = [0.01, 0.03, 0.05]
+        reports = sweep(spec, "lambda_min", values, workers=workers)
+        for k, (report, value) in enumerate(zip(reports, values, strict=True)):
+            alone = run_experiment(replace(spec, lambda_min=value), workers=workers)
+            assert _run_directory_outside_runtime(report, tmp_path / f"sweep{k}") == \
+                _run_directory_outside_runtime(alone, tmp_path / f"alone{k}")
+
+    def test_integer_values_are_written_in_full(self, tmp_path):
+        spec = ExperimentSpec("S", 0, 30, 1)
+        reports = sweep(spec, "master_seed", [10**12 + 1, 10**12 + 2], workers=1)
+        rows = _sweep_rows(reports, "master_seed", tmp_path / "seeds.csv")
+        assert [row[0] for row in rows] == ["1000000000001", "1000000000002"]
+
+    def test_each_value_keeps_its_format_in_a_mixed_column(self, ensemble, tmp_path):
+        values = (2, 2.5, 0.1 + 0.2, 1e12 + 1, np.int64(10**12 + 1), Fraction(1, 3))
+        reports = [replace(ensemble, spec=replace(ensemble.spec, xi=xi)) for xi in values]
+        rows = _sweep_rows(reports, "xi", tmp_path / "xi.csv")
+        assert [row[0] for row in rows] == [
+            "2", "2.5", "0.3", "1e+12", "1000000000001", "0.333333333333",
+        ]
+        assert len({tuple(row[1:]) for row in rows}) == 1
+
+
+def _run_directory_outside_runtime(report, out):
+    """Every file ``write_run_directory`` writes, by name, without report.json's runtime."""
+    files = {}
+    for path in sorted(write_run_directory(report, out).iterdir()):
+        files[path.name] = path.read_bytes()
+        if path.name == "report.json":
+            payload = json.loads(files[path.name])
+            del payload["runtime"]
+            files[path.name] = json.dumps(payload, sort_keys=True).encode()
+    return files
+
 
 class TestWorkerResolution:
     SPEC = ExperimentSpec("GD", 0, 60, 1, master_seed=3)
@@ -552,6 +665,34 @@ class TestWorkerResolution:
 
     def test_default_is_cpu_count(self):
         assert run_experiment(self.SPEC).workers == (os.cpu_count() or 1)
+
+    def test_pool_has_no_more_workers_than_replications(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs the tasks in this process."""
+
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        spec = ExperimentSpec("GD", 0, 60, 2)
+        assert run_experiment(spec, workers=6).workers == 6
+        # One pool serves every point of a sweep.
+        reports = sweep(spec, "lambda_min", [0.01, 0.05, 0.10], workers=6)
+        assert [report.workers for report in reports] == [6, 6, 6]
+        assert sizes == [2, 2]
 
 
 def test_serial_run_loads_no_pool_or_masked_arrays():
