@@ -11,6 +11,8 @@ whatever the worker count.
 ``run_experiment`` and ``sweep`` share one run path, which runs each
 distinct spec once. Specs that differ only in balance-sheet fields share
 each replication's network: it is grown once and cleared at every point.
+A task is one replication of one such group, and one ``map`` runs every
+task of a run, on a pool of ``min(workers, tasks)`` processes.
 
 Variant parameter rows:
 
@@ -61,7 +63,8 @@ from .metrics import (
     summarize,
 )
 from .netgen import (
-    DirectedGraph, GenParams, _require, augment_random_links, generate, write_edge_list,
+    _MAX_NODES, DirectedGraph, GenParams, _require, augment_random_links, generate,
+    write_edge_list,
 )
 
 __all__ = [
@@ -138,6 +141,8 @@ class ExperimentSpec:
             raise ValueError(f"type_variant must be 0..4, got {self.type_variant}")
         if self.n_nodes < 2:
             raise ValueError("n_nodes must be >= 2")
+        if self.n_nodes > _MAX_NODES:  # as GenParams does, but before any replication runs
+            raise ValueError(f"n_nodes must be at most {_MAX_NODES}, got {self.n_nodes}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.master_seed < 0:
@@ -248,10 +253,11 @@ def _scalar_row(rec: ReplicationRecord) -> dict[str, float]:
     return {"rep": rec.rep} | asdict(rec.summary)
 
 
-def _run_replication(specs: Sequence[ExperimentSpec], rep: int) -> list[ReplicationRecord]:
-    """One replication at each spec, which differ only in ``_SHEET_FIELDS``:
-    the network grows once, so the later records' shared stages read 0.0.
+def _run_replication(task: tuple[list[ExperimentSpec], int]) -> list[ReplicationRecord]:
+    """One task: replication ``rep`` at each of ``specs``, which differ only in
+    ``_SHEET_FIELDS``; the network grows once, so the later records' shared stages read 0.0.
     """
+    specs, rep = task
     spec = specs[0]
     clock = [time.perf_counter()]
     g_seed, aug_seed, b_seed = replication_seeds(spec.master_seed, rep)
@@ -309,8 +315,11 @@ def _run_specs(
     """One report per spec, in order; equal specs run once.
 
     Specs equal but in ``_SHEET_FIELDS`` form a group, whose replications each
-    grow one network for all its points; their ``elapsed_seconds`` run from its start.
+    grow one network for all its points. One ``map`` runs every task, one per
+    replication per group, on a pool of ``min(workers, tasks)`` processes when
+    that is above 1; each ``elapsed_seconds`` runs from the run's start.
     """
+    start = time.perf_counter()
     n_workers = (os.cpu_count() or 1) if workers is None else workers
     _require(SimpleNamespace(workers=n_workers), numbers.Integral, "workers")
     if n_workers < 1:
@@ -319,27 +328,24 @@ def _run_specs(
     for spec in dict.fromkeys(specs):
         key = [getattr(spec, f.name) for f in fields(spec) if f.name not in _SHEET_FIELDS]
         groups.setdefault(tuple(key), []).append(spec)
-    # A pool starts all its workers at once: no more than a group has tasks.
-    pool_size = min(n_workers, max((spec.replications for spec in specs), default=1))
+    tasks = [(group, rep) for group in groups.values() for rep in range(group[0].replications)]
+    pool_size = min(n_workers, len(tasks))  # a pool starts all its workers at once
     if pool_size > 1:
-        # concurrent.futures loads multiprocessing, which a serial run never
-        # needs, so only a pooled run imports it.
+        # concurrent.futures loads multiprocessing, which a serial run never needs.
         from concurrent.futures import ProcessPoolExecutor
-    reports = {}
+    records = {spec: [] for spec in specs}
     with ProcessPoolExecutor(pool_size) if pool_size > 1 else nullcontext() as pool:
-        for group in groups.values():
-            start, spec, rows = time.perf_counter(), group[0], []
-            tasks = [group] * spec.replications, range(spec.replications)
-            try:  # both maps yield each replication's records in task order
-                for row in (pool.map if pool else map)(_run_replication, *tasks):
-                    rows.append(row)
-                    logger.info("[contagion] %s%d n=%d rep %d/%d done", spec.network_family,
-                                spec.type_variant, spec.n_nodes, len(rows), spec.replications)
-            except Exception as exc:
-                # Same type, so callers still catch it; pool.map names no replication.
-                raise type(exc)(f"replication {len(rows)}: {exc}") from exc
-            for point, records in zip(group, zip(*rows)):
-                reports[point] = _report(point, list(records), start, n_workers)
+        rows = (pool.map if pool else map)(_run_replication, tasks)  # in task order
+        try:
+            for group, rep in tasks:
+                for point, record in zip(group, next(rows)):
+                    records[point].append(record)
+                logger.info("[contagion] %s%d n=%d rep %d/%d done", point.network_family,
+                            point.type_variant, point.n_nodes, rep + 1, point.replications)
+        except Exception as exc:
+            # Same type, so callers still catch it; pool.map names no replication.
+            raise type(exc)(f"replication {rep}: {exc}") from exc
+    reports = {spec: _report(spec, recs, start, n_workers) for spec, recs in records.items()}
     return [reports[spec] for spec in specs]
 
 
@@ -412,8 +418,9 @@ def run_experiment(
     ``spec.master_seed``. A failed replication's exception is re-raised
     with its type kept and ``replication <index>: `` before its message,
     in serial and pool mode alike. ``workers`` is the requested pool size,
-    by default the CPU count; the pool holds ``min(workers, replications)``
-    processes.
+    by default the CPU count; the pool holds ``min(workers, tasks)``
+    processes, one task per replication per group (here, per replication).
+    ``elapsed_seconds`` runs from the run's start.
 
     Raises:
         ValueError: if ``workers`` is a bool, no integer, or below 1.

@@ -446,6 +446,22 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == f"contagion sweep: error: {message}\n"
 
+    def test_oversized_sweep_point_fails_before_any_replication(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "network_family": "S", "type_variant": 0, "n_nodes": 60,
+            "replications": 2, "master_seed": 1,
+        }))
+        rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r"),
+                   "--workers", "1", "--sizes", "60", "4000000000"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "contagion sweep: error: n_nodes must be at most 3037000499, got 4000000000\n"
+        )
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("workers", WORKER_MODES)
     def test_failed_replication_is_one_error_line(
         self, tmp_path, capsys, monkeypatch, workers

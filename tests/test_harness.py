@@ -79,6 +79,7 @@ class TestSpecValidation:
             ({"replications": 0}, "replications"),
             ({"lambda_min": 0.0}, "lambda_min"),
             ({"master_seed": -1}, "^master_seed must be a non-negative integer, got -1$"),
+            ({"n_nodes": 4_000_000_000}, "^n_nodes must be at most 3037000499, got 4000000000$"),
         ],
     )
     def test_invalid_specs(self, kwargs, match):
@@ -251,6 +252,22 @@ class TestRunExperiment:
         spec = ExperimentSpec("GC", 0, 60, 3, master_seed=1)
         with pytest.raises(ValueError, match=r"^replication 1: sheets broken$"):
             run_experiment(spec, workers=workers)
+
+    @pytest.mark.parametrize("workers", WORKER_MODES)
+    def test_failed_replication_is_named_within_its_point(self, monkeypatch, workers):
+        # Only the second point's replication 1 fails: the fourth task of the run.
+        monkeypatch.setattr(harness, "_run_replication", fail_second_point_replication_one)
+        spec = ExperimentSpec("GC", 0, 60, 2, master_seed=1)
+        with pytest.raises(ValueError, match=r"^replication 1: sheets broken$"):
+            sweep(spec, "n_nodes", [60, 90], workers=workers)
+
+
+def fail_second_point_replication_one(task, _run=harness._run_replication):
+    """``fail_replication_one`` at the 90-bank point only."""
+    specs, rep = task
+    if specs[0].n_nodes == 90 and rep == 1:
+        raise ValueError("sheets broken")
+    return _run(task)
 
 
 @pytest.fixture(scope="module")
@@ -656,6 +673,8 @@ class TestWorkerResolution:
     def test_explicit_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="^worker count must be >= 1$"):
             run_experiment(self.SPEC, workers=0)
+        with pytest.raises(ValueError, match="^worker count must be >= 1$"):
+            sweep(self.SPEC, "n_nodes", [], workers=0)  # even with nothing to run
 
     def test_non_integer_count_rejected(self):
         for workers in (True, 2.5, "2"):
@@ -666,7 +685,7 @@ class TestWorkerResolution:
     def test_default_is_cpu_count(self):
         assert run_experiment(self.SPEC).workers == (os.cpu_count() or 1)
 
-    def test_pool_has_no_more_workers_than_replications(self, monkeypatch):
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
         import concurrent.futures
 
         sizes = []
@@ -693,6 +712,34 @@ class TestWorkerResolution:
         reports = sweep(spec, "lambda_min", [0.01, 0.05, 0.10], workers=6)
         assert [report.workers for report in reports] == [6, 6, 6]
         assert sizes == [2, 2]
+        # A task is one replication of one point: a one-replication size sweep
+        # fills one pool, and two points of two replications give four tasks.
+        one = ExperimentSpec("GD", 0, 60, 1)
+        sweep(one, "n_nodes", [60, 90, 120], workers=2)
+        assert sizes == [2, 2, 2]
+        sweep(spec, "n_nodes", [60, 90], workers=6)
+        assert sizes == [2, 2, 2, 4]
+        # Fewer than two tasks, no pool.
+        sweep(spec, "n_nodes", [], workers=6)
+        run_experiment(one, workers=6)
+        assert sizes == [2, 2, 2, 4]
+
+    @pytest.mark.parametrize("workers", WORKER_MODES)
+    def test_one_replication_size_sweep_equals_serial_runs(self, tmp_path, workers):
+        spec = ExperimentSpec("GD", 0, 60, 1, master_seed=5)
+        values = [60, 90, 120]
+        reports = sweep(spec, "n_nodes", values, workers=workers)
+        alone = [run_experiment(replace(spec, n_nodes=n), workers=1) for n in values]
+        for k, (report, serial) in enumerate(zip(reports, alone, strict=True)):
+            assert _run_directory_outside_runtime(report, tmp_path / f"sweep{k}") == \
+                _run_directory_outside_runtime(serial, tmp_path / f"alone{k}")
+        write_sweep_csv(reports, "n_nodes", tmp_path / "sweep.csv")
+        write_sweep_csv(alone, "n_nodes", tmp_path / "alone.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_sweep_runs_nothing(self, workers):
+        assert sweep(self.SPEC, "n_nodes", [], workers=workers) == []
 
 
 def test_serial_run_loads_no_pool_or_masked_arrays():
