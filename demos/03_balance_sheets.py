@@ -39,7 +39,7 @@ print("\nbalance-sheet composition (population means)")
 print(f"  nonbank assets / assets      : "
       f"{(sheets.nba[active] / sheets.total_assets[active]).mean():.3f}")
 print(f"  nonbank liabilities / liabs  : "
-      f"{(sheets.nbl[active] / (sheets.bl + sheets.nbl)[active]).mean():.3f}")
+      f"{(sheets.nbl[active] / sheets.obligations[active]).mean():.3f}")
 print(f"  capital ratio (floor 0.05)   : {sheets.lam.mean():.4f}")
 
 # ---------------------------------------------------------------------

@@ -49,7 +49,7 @@ for line in trace.getvalue().splitlines():
           f"(max payment change {record['max_delta']:.3e})")
 
 # Every bank owes its interbank plus its nonbank liabilities.
-obligations = sheets.bl + sheets.nbl
+obligations = sheets.obligations
 defaulted = sorted(solution.defaulted)
 print(f"\n{len(defaulted)} banks insolvent; payment ratios of the first few:")
 for bank in defaulted[:8]:

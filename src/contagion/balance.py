@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,32 +96,33 @@ def build_exposures(graph: DirectedGraph) -> ExposureMatrix:
     return ExposureMatrix(graph, weights)
 
 
+@dataclass(frozen=True, eq=False)
 class BalanceSheetSet:
     """Immutable per-bank balance sheets, one column array per entry.
 
-    The columns ``ba``, ``bl``, ``nba``, ``nbl``, ``e`` and ``lam`` are
-    read-only arrays indexed by bank and shared with the cascade engine;
-    ``len()`` is the number of banks. NaN or infinite entries are rejected.
+    The fields ``ba``, ``bl``, ``nba``, ``nbl``, ``e`` and ``lam`` are the
+    columns: read-only float64 copies of the arrays passed in, indexed by
+    bank and shared with the cascade engine; ``len()`` is the number of
+    banks. NaN or infinite entries are rejected.
     """
 
-    def __init__(
-        self,
-        ba: np.ndarray,
-        bl: np.ndarray,
-        nba: np.ndarray,
-        nbl: np.ndarray,
-        e: np.ndarray,
-        lam: np.ndarray,
-    ):
-        arrays = [np.asarray(a, dtype=np.float64) for a in (ba, bl, nba, nbl, e, lam)]
+    ba: np.ndarray
+    bl: np.ndarray
+    nba: np.ndarray
+    nbl: np.ndarray
+    e: np.ndarray
+    lam: np.ndarray
+
+    def __post_init__(self) -> None:
+        names = [f.name for f in fields(self)]
+        arrays = [np.array(getattr(self, name), dtype=np.float64) for name in names]
         n = arrays[0].size
         if any(a.shape != (n,) for a in arrays):
             raise ValueError("balance-sheet columns must share one length")
-        for name, a in zip(("ba", "bl", "nba", "nbl", "e", "lam"), arrays):
+        for name, a in zip(names, arrays):
             _require_finite(a, f"balance-sheet column {name} is not finite at bank")
-        for a in arrays:
             a.setflags(write=False)
-        self.ba, self.bl, self.nba, self.nbl, self.e, self.lam = arrays
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
         return self.ba.size
@@ -129,6 +130,11 @@ class BalanceSheetSet:
     @property
     def total_assets(self) -> np.ndarray:
         return self.ba + self.nba
+
+    @property
+    def obligations(self) -> np.ndarray:
+        """What each bank owes, interbank plus nonbank: the vector pbar."""
+        return self.bl + self.nbl
 
 
 def _bank_count(exposures: ExposureMatrix, sheets: BalanceSheetSet) -> int:
@@ -146,10 +152,11 @@ class BalanceConfig:
     ``lambda_min`` is the regulatory floor of the capital/assets ratio;
     each bank's ratio is drawn from Normal(lambda_min, sigma) conditioned
     on exceeding the floor. ``xi`` scales nonbank assets relative to
-    interbank activity.
+    interbank activity. The defaults are the reference parameters, which
+    ``ExperimentSpec`` and ``contagion shock`` read from here.
     """
 
-    lambda_min: float
+    lambda_min: float = 0.05
     sigma: float = 0.01
     xi: float = 2.0
     seed: int = 0

@@ -105,10 +105,11 @@ class ClearingSolution:
     """Settled payments and the induced default set for one shock.
 
     ``payments[i]`` is what bank i actually pays on its total obligations
-    ``sheets.bl[i] + sheets.nbl[i]``; only banks in ``defaulted`` pay less.
+    ``sheets.obligations[i]``; only banks in ``defaulted`` pay less.
     ``defaulted`` holds every insolvent bank, including the shocked one when
-    the shock sinks it. ``iterations`` counts inner fixed-point sweeps and
-    ``initial_writeoff`` is the shocked bank's written-off nonbank assets.
+    the shock sinks it. ``iterations`` counts inner fixed-point sweeps,
+    ``shocked_bank`` is the bank shocked and ``initial_writeoff`` its
+    written-off nonbank assets.
     """
 
     payments: np.ndarray
@@ -181,26 +182,29 @@ def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
 def _settle(
     exposures: ExposureMatrix,
     sheets: BalanceSheetSet,
+    obligations: np.ndarray,
     shocks: np.ndarray,
     recovery_on_nonbank: float,
     defaulted_nonbank_recovery: float,
     trace: Optional[IO[str]] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Clear a batch of shocks; node ``j * n + i`` is bank i under ``shocks[j]``.
 
     Each round re-solves the defaulted payers of every shock that gained
     defaults by successive substitution of ``p_i = min(pbar_i, e_i +
     sum_j ratio_j * w_ji)`` (``e_i`` the recoverable nonbank assets),
     one ``np.bincount`` over the payers' edges per sweep; a shock stops
-    sweeping once its own payments move by at most ``_INNER_TOL``. Only a
-    batch of one may pass ``trace``. Returns the sorted defaulted nodes,
-    their payment ratios and the inner sweeps of each shock.
+    sweeping once its own payments move by at most ``_INNER_TOL``.
+    ``obligations`` is ``sheets.obligations``, read once by the caller. Only
+    a batch of one may pass ``trace``. Returns the sorted defaulted nodes,
+    their payment ratios, the inner sweeps and the write-off of each shock.
     """
     n = exposures.n
-    ba, bl, nba, nbl, e = sheets.ba, sheets.bl, sheets.nba, sheets.nbl, sheets.e
+    ba, nba, e = sheets.ba, sheets.nba, sheets.e
     # The shocked bank's loss buffer is lowered by the write-off of its
     # nonbank assets.
-    shocked_e = e[shocks] - (1.0 - recovery_on_nonbank) * nba[shocks]
+    writeoff = (1.0 - recovery_on_nonbank) * nba[shocks]
+    shocked_e = e[shocks] - writeoff
 
     def own(nodes, per_bank, per_shock):
         """Values of nodes: by bank, but ``per_shock`` for a shocked bank."""
@@ -226,10 +230,10 @@ def _settle(
         max_delta = 0.0
         fresh = new[:0]
         j, i = np.divmod(defaulted, n)
-        obligations = bl[i] + nbl[i]
+        owes = obligations[i]
         # Every shock with new defaults re-solves all of its payers.
         busy = np.bincount(new // n, minlength=shocks.size)[j] > 0
-        at = np.flatnonzero(busy & (obligations > 0.0))
+        at = np.flatnonzero(busy & (owes > 0.0))
         if at.size:
             payers, block, bank = defaulted[at], j[at], i[at]
             # Edge list of the payers' own rows, in CSR order.
@@ -256,7 +260,7 @@ def _settle(
             shocked = bank == shocks[block]
             recovery = np.where(shocked, recovery_on_nonbank, defaulted_nonbank_recovery)
             e_d = recovery * nba[bank]
-            pbar_d = obligations[at]
+            pbar_d = owes[at]
             live = np.zeros(shocks.size, dtype=bool)
             live[block] = True
             p_prev = r * pbar_d
@@ -302,7 +306,7 @@ def _settle(
         order = defaulted.argsort(kind="stable")
         defaulted = defaulted[order]
         ratio = np.concatenate((ratio, np.ones(new.size)))[order]
-    return defaulted, ratio, iterations
+    return defaulted, ratio, iterations, writeoff
 
 
 def clear(
@@ -329,8 +333,8 @@ def clear(
 
     Returns:
         The payments and the default set. The rest follows from them and
-        the sheets: bank i owes ``bl[i] + nbl[i]`` and receives the sum of
-        its debtors' payment ratios times their obligations to it.
+        the sheets: bank i owes ``sheets.obligations[i]`` and receives the
+        sum of its debtors' payment ratios times their obligations to it.
         Recomputing the payment map at the solution moves no entry by more
         than 1e-10.
     """
@@ -339,29 +343,27 @@ def clear(
     if s >= n:
         raise ValueError(f"shocked bank {s} outside [0, {n})")
 
-    # With one shock, node i is bank i.
-    recovery = scenario.recovery_on_nonbank
-    defaulted, ratio, iterations = _settle(
-        exposures, sheets, np.array([s]), recovery,
+    # With one shock, node i is bank i. Solvent banks pay in full.
+    payments = sheets.obligations
+    defaulted, ratio, iterations, writeoff = _settle(
+        exposures, sheets, payments, np.array([s]), scenario.recovery_on_nonbank,
         scenario.defaulted_nonbank_recovery, trace,
     )
-    # Solvent banks pay in full.
-    payments = sheets.bl + sheets.nbl
     payments[defaulted] *= ratio
     return ClearingSolution(
         payments=payments,
         defaulted=frozenset(defaulted.tolist()),
         iterations=int(iterations[0]),
         shocked_bank=s,
-        initial_writeoff=float((1.0 - recovery) * sheets.nba[s]),
+        initial_writeoff=float(writeoff[0]),
     )
 
 
 def clear_all(
     exposures: ExposureMatrix,
     sheets: BalanceSheetSet,
-    recovery_on_nonbank: float = 0.0,
-    defaulted_nonbank_recovery: float = 1.0,
+    recovery_on_nonbank: float = ShockScenario.recovery_on_nonbank,
+    defaulted_nonbank_recovery: float = ShockScenario.defaulted_nonbank_recovery,
 ) -> AllBanksClearing:
     """Shock every bank in turn; equal to clearing each shock separately.
 
@@ -378,22 +380,20 @@ def clear_all(
     n = _bank_count(exposures, sheets)
     ShockScenario(0, recovery_on_nonbank, defaulted_nonbank_recovery)  # validates
     v0 = gross_system_volume(sheets)
-    pbar = sheets.bl + sheets.nbl
-    writeoff = (1.0 - recovery_on_nonbank) * sheets.nba
+    pbar = sheets.obligations
 
     links = np.diff(exposures.indptr) + 1
     cuts = np.flatnonzero(np.diff((np.cumsum(links) - links) // _BATCH_LINKS)) + 1
     scores = []
     iterations = max_cascade = 0
     for shocks in np.split(np.arange(n), cuts):
-        defaulted, ratio, sweeps = _settle(
-            exposures, sheets, shocks, recovery_on_nonbank, defaulted_nonbank_recovery
+        defaulted, ratio, sweeps, writeoff = _settle(
+            exposures, sheets, pbar, shocks, recovery_on_nonbank,
+            defaulted_nonbank_recovery,
         )
         j, bank = np.divmod(defaulted, n)
         owes = pbar[bank]
-        scores.append(
-            _score(shocks, j, bank, owes - ratio * owes, writeoff[shocks], n, v0)
-        )
+        scores.append(_score(shocks, j, bank, owes - ratio * owes, writeoff, n, v0))
         iterations += int(sweeps.sum())
         max_cascade = max(max_cascade, int(np.bincount(j, minlength=shocks.size).max()))
     # The batches are consecutive banks, so their scores join in bank order.
@@ -487,7 +487,7 @@ def cascade_metrics(
             f"not {shocked_bank}"
         )
     defaulted = np.sort(np.fromiter(solution.defaulted, np.int64, len(solution.defaulted)))
-    unpaid = (sheets.bl + sheets.nbl - solution.payments)[defaulted]
+    unpaid = (sheets.obligations - solution.payments)[defaulted]
     di, ti, dc = (float(v[0]) for v in _score(
         np.array([shocked_bank]), np.zeros_like(defaulted), defaulted, unpaid,
         solution.initial_writeoff, len(sheets), v0,

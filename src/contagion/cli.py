@@ -54,16 +54,18 @@ def build_parser() -> argparse.ArgumentParser:
     shock = sub.add_parser("shock", help="clear a single-bank default")
     shock.add_argument("--edges", type=Path, required=True, help="edge-list path")
     shock.add_argument("--bank", type=int, required=True, help="bank to shock")
-    shock.add_argument("--lambda-min", type=float, default=0.05, dest="lambda_min")
-    shock.add_argument("--sigma", type=float, default=0.01)
-    shock.add_argument("--xi", type=float, default=2.0)
-    shock.add_argument("--seed", type=int, default=0, help="balance-sheet seed")
+    sheet, scenario = balance.BalanceConfig, clearing.ShockScenario  # own the defaults
+    shock.add_argument("--lambda-min", type=float, default=sheet.lambda_min, dest="lambda_min")
+    shock.add_argument("--sigma", type=float, default=sheet.sigma)
+    shock.add_argument("--xi", type=float, default=sheet.xi)
+    shock.add_argument("--seed", type=int, default=sheet.seed, help="balance-sheet seed")
     shock.add_argument(
-        "--recovery", type=float, default=0.0,
+        "--recovery", type=float, default=scenario.recovery_on_nonbank,
         help="surviving fraction of the shocked bank's nonbank assets",
     )
     shock.add_argument(
-        "--defaulted-recovery", type=float, default=1.0, dest="defaulted_recovery",
+        "--defaulted-recovery", type=float, default=scenario.defaulted_nonbank_recovery,
+        dest="defaulted_recovery",
         help="fraction of other defaulted banks' nonbank assets available "
         "to their creditors",
     )

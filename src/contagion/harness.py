@@ -122,16 +122,15 @@ class ExperimentSpec:
     type_variant: int
     n_nodes: int
     replications: int
-    lambda_min: float = 0.05
-    sigma: float = 0.01
-    xi: float = 2.0
+    lambda_min: float = BalanceConfig.lambda_min
+    sigma: float = BalanceConfig.sigma
+    xi: float = BalanceConfig.xi
     master_seed: int = 0
 
     def __post_init__(self) -> None:
         # Spec files are JSON: a string or a bool must not pass for a number.
         integers = ("type_variant", "n_nodes", "replications", "master_seed")
         _require(self, numbers.Integral, *integers)
-        _require(self, numbers.Real, "lambda_min", "sigma", "xi")
         if self.network_family not in FAMILIES:
             raise ValueError(
                 f"network_family must be one of {FAMILIES}, "
@@ -149,7 +148,7 @@ class ExperimentSpec:
             raise ValueError(
                 f"master_seed must be a non-negative integer, got {self.master_seed}"
             )
-        BalanceConfig(self.lambda_min, self.sigma, self.xi, 0)  # validates
+        BalanceConfig(self.lambda_min, self.sigma, self.xi)  # validates
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentSpec":
@@ -494,9 +493,10 @@ def write_run_directory(report: ExperimentReport, outdir: str | Path) -> Path:
         g_seed = replication_seeds(report.spec.master_seed, rec.rep)[0]
         write_edge_list(rec.graph, out / f"edges_{rec.rep}.csv", g_seed)
         s = rec.sheets
+        columns = [f.name for f in fields(s)]  # the last, lam, is written "lambda"
         _write_table(
-            out / f"balances_{rec.rep}.csv", ("bank", "ba", "bl", "nba", "nbl", "e", "lambda"),
-            zip(range(len(s)), *(a.tolist() for a in (s.ba, s.bl, s.nba, s.nbl, s.e, s.lam))),
+            out / f"balances_{rec.rep}.csv", ("bank", *columns[:-1], "lambda"),
+            zip(range(len(s)), *(getattr(s, c).tolist() for c in columns)),
         )
 
     payload = {

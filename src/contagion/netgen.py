@@ -20,20 +20,22 @@ never passes it, and a new node's slot is opened from the slots it covers
 (about one addition on average). The descent subtracts each slot it takes
 from the scaled uniform and adds the new link's 1 to each slot it passes:
 those are exactly the grown slots that cover the pick, so an accepted link
-needs no second walk. A link-only step takes that 1 back with a walk up
-the tree when its target draw hits the source and is redrawn, and for both
-picks when the step is discarded. Uniforms come from the generator in
+needs no second walk. Where rounding puts the scaled uniform at or past
+the tree's sum of the ``n`` weights (offsets neither integer nor dyadic
+only), the descent ends past the last node, having passed only ``+inf``
+slots; the pick is clamped to node ``n - 1``, whose weight is at least
+``delta > 0``, and its one grown slot, slot ``n``, gets the 1. A link-only
+step takes that 1 back with a walk up the tree when its target draw hits
+the source and is redrawn, and for both picks when the step is discarded;
+node steps are never discarded. Uniforms come from the generator in
 blocks, in the order scalar ``rng.random()`` calls would give them. With
 integer or dyadic offsets every weight, slot sum, subtraction and
-``+-1`` is exact, so the draws, and the graphs, are those of a per-draw
-``cumsum`` + ``searchsorted(side="right")`` at the same seed; with other
-offsets the law is the same and a draw can differ only where rounding moves
-a boundary, or where a take-back ``(v + 1) - 1`` left a slot one ulp away
+``+-1`` is exact, so the tree holds exactly what per-link updates would
+give and the draws, and the graphs, are those of a per-draw ``cumsum`` +
+``searchsorted(side="right")`` at the same seed; with other offsets the
+law is the same and a draw can differ only where rounding moves a
+boundary, or where a take-back ``(v + 1) - 1`` left a slot one ulp away
 from ``v``.
-``augment_random_links`` samples the missing links without replacement from
-the absent pairs when the target holds more than half the ``n * (n - 1)``
-possible links; below that it draws node ids in blocks that equal scalar
-``rng.integers(n)`` calls and tests a whole block's pairs at once.
 
 Also provides the closed-form limit exponents of the in/out degree
 distributions, the one-parameter family of attachment parameters used to
@@ -281,23 +283,9 @@ def generate(params: GenParams) -> DirectedGraph:
     record nothing, so degrees and selection weights always refer to the
     current simple graph.
 
-    Each preferential draw costs O(log n): the in- and out-weights live in
-    two frontier Fenwick trees (see the module docstring), a uniform is
-    scaled by the weight sum ``m + n * delta`` of the ``n`` existing nodes
-    and ``m`` links, and the draw descends one tree, adding the link's 1 to
-    every slot it passes, which are the slots that cover the pick. With
-    integer or dyadic offsets it picks what ``searchsorted(cumsum(weights),
-    x, side="right")`` picks. Where rounding puts the scaled uniform at or
-    past the tree's sum of the ``n`` weights (other offsets only), the
-    descent ends past the last node, having passed only ``+inf`` slots; the
-    pick is clamped to node ``n - 1``, whose weight is at least
-    ``delta > 0``, and its one grown slot, slot ``n``, gets the 1. A target
-    draw redrawn for a self-link, and both draws of a discarded step, take
-    their 1 back. Node steps are never discarded. With integer or dyadic
-    offsets every ``+-1`` is exact and the tree holds exactly what per-link
-    updates would give; with other offsets a take-back can leave a slot one
-    ulp off. The descent is written out in the loop, since a call per draw
-    costs more than the descent.
+    Each preferential draw costs O(log n); the module docstring gives the
+    Fenwick trees, the take-back and the rounding contract. The descent is
+    written out in the loop, since a call per draw costs more than it.
 
     Args:
         params: validated generation parameters.
@@ -479,11 +467,11 @@ def augment_random_links(
     The target density picks the sampler. A dense target, one of more than
     half the n * (n - 1) possible links, lists the absent pairs in
     row-major order and lets ``rng.choice`` draw the missing links from
-    them without replacement. A sparse target draws pairs of
-    ``rng.integers(n)`` ids and keeps, in draw order, the first pairs that
-    are new links; as at most half the pairs are links, each draw is one
-    with probability at least (n - 1) / (2n). Both give a uniformly random
-    set of absent pairs.
+    them without replacement. A sparse target draws node ids in blocks that
+    equal scalar ``rng.integers(n)`` calls, tests a whole block's pairs at
+    once and keeps, in draw order, the first pairs that are new links; as
+    at most half the pairs are links, each draw is one with probability at
+    least (n - 1) / (2n). Both give a uniformly random set of absent pairs.
 
     Raises:
         ValueError: if ``seed`` is no non-negative integer, or the target
@@ -535,12 +523,13 @@ def augment_random_links(
         drawn = s * n
         drawn += t
         del s, t  # each temporary is freed once read: a block can be large
-        first = np.zeros(pairs, dtype=bool)
-        first[np.unique(drawn, return_index=True)[1]] = True
-        hit &= first
-        # A sentinel past every code keeps each position in range.
+        # Each distinct code is looked up once, at its first draw. A
+        # sentinel past every code keeps each position in range.
+        distinct, at = np.unique(drawn, return_index=True)
         known = np.append(codes, n * n)
-        hit &= known[known.searchsorted(drawn)] != drawn
+        new = np.zeros(pairs, dtype=bool)
+        new[at[known[known.searchsorted(distinct)] != distinct]] = True
+        hit &= new
         hits = np.flatnonzero(hit)[:missing]
         missing -= hits.size
         codes = np.sort(np.concatenate((codes, drawn[hits])))

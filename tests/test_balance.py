@@ -241,6 +241,19 @@ class TestBuildBalanceSheets:
             with pytest.raises(ValueError, match=f"{name} is not finite at bank 3"):
                 BalanceSheetSet(**columns)
 
+    def test_sheets_own_copies_of_their_columns(self):
+        _, _, sheets = _sheets(n=20)
+        names = ("ba", "bl", "nba", "nbl", "e", "lam")
+        columns = {c: getattr(sheets, c).copy() for c in names}
+        owned = BalanceSheetSet(**columns)
+        for name in names:
+            given = columns[name]
+            assert given.flags.writeable  # the caller's array is left as it was
+            assert not getattr(owned, name).flags.writeable
+            given[0] = 2.0
+            assert getattr(owned, name)[0] == getattr(sheets, name)[0]
+        assert np.array_equal(owned.obligations, sheets.bl + sheets.nbl)
+
     def test_columns_of_unequal_length_rejected(self):
         _, _, sheets = _sheets(n=20)
         names = ("ba", "bl", "nba", "nbl", "e", "lam")

@@ -1,14 +1,16 @@
+import inspect
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from contagion import harness, netgen
 from contagion.balance import BalanceConfig, build_balance_sheets, build_exposures
-from contagion.cli import main
-from contagion.clearing import clear_all
+from contagion.cli import build_parser, main
+from contagion.clearing import ShockScenario, clear_all
 from contagion.netgen import read_edge_list
 
 from conftest import WORKER_MODES, fail_replication_one
@@ -222,6 +224,23 @@ class TestShockCommand:
         fresh = [b for r in rounds for b in r["new_defaults"]]
         assert record["defaulted"] == sorted(fresh)
         assert len(fresh) == len(set(fresh)) > 1
+
+    def test_defaults_are_those_of_the_sheet_and_scenario_dataclasses(self):
+        sheet = {f.name: f.default for f in fields(BalanceConfig)}
+        scenario = {f.name: f.default for f in fields(ShockScenario)}
+        args = build_parser().parse_args(["shock", "--edges", "e.csv", "--bank", "0"])
+        assert (args.lambda_min, args.sigma, args.xi, args.seed) == (
+            sheet["lambda_min"], sheet["sigma"], sheet["xi"], sheet["seed"]
+        )
+        assert (args.recovery, args.defaulted_recovery) == (
+            scenario["recovery_on_nonbank"], scenario["defaulted_nonbank_recovery"]
+        )
+        spec = {f.name: f.default for f in fields(harness.ExperimentSpec)}
+        for name in ("lambda_min", "sigma", "xi"):
+            assert spec[name] == sheet[name]
+        signature = inspect.signature(clear_all).parameters
+        for name in ("recovery_on_nonbank", "defaulted_nonbank_recovery"):
+            assert signature[name].default == scenario[name]
 
     def _assert_edge_file_error(self, tmp_path, capsys, text, message):
         net = tmp_path / "net.csv"
