@@ -8,9 +8,6 @@ and walks through the rounds of the resulting cascade: who fails, what
 fraction of obligations gets paid, and how much system value evaporates.
 """
 
-import io
-import json
-
 import numpy as np
 
 from contagion import (
@@ -38,15 +35,12 @@ print(f"shocking bank {shocked}: out-degree {graph.out_degree[shocked]}, "
       f"interbank debt {sheets.bl[shocked]:.2f}, "
       f"nonbank assets {sheets.nba[shocked]:.2f}")
 
-trace = io.StringIO()
-solution = clear(exposures, sheets, ShockScenario(shocked), trace=trace)
+solution = clear(exposures, sheets, ShockScenario(shocked))
 
 print("\ncascade rounds")
-for line in trace.getvalue().splitlines():
-    record = json.loads(line)
-    fresh = record["new_defaults"]
-    print(f"  round {record['round']}: {len(fresh):3d} new defaults "
-          f"(max payment change {record['max_delta']:.3e})")
+for round_no, (fresh, max_delta) in enumerate(solution.rounds):
+    print(f"  round {round_no}: {len(fresh):3d} new defaults "
+          f"(max payment change {max_delta:.3e})")
 
 # Every bank owes its interbank plus its nonbank liabilities.
 obligations = sheets.obligations

@@ -12,7 +12,7 @@ bank, each round marks every bank whose accumulated losses exceed its
 equity as defaulted and re-solves the payment fixed point restricted to the
 defaulted set (solvent banks always pay in full), until no further bank
 fails (the fictitious-default sequence of Eisenberg and Noe, 2001).
-Per-shock impact fractions are then read off the solution.
+Impacts and each round's new defaults are read off the solution; no I/O.
 
 Within a round the default set is fixed, so the fixed point couples only
 the defaulted banks that owe something (the payers). Each round keeps the
@@ -32,10 +32,8 @@ do, in batches of consecutive banks, and returns per-bank DI/TI/DC arrays.
 from __future__ import annotations
 
 import itertools
-import json
 import numbers
 from dataclasses import dataclass
-from typing import IO, Optional
 
 import numpy as np
 
@@ -109,7 +107,8 @@ class ClearingSolution:
     ``defaulted`` holds every insolvent bank, including the shocked one when
     the shock sinks it. ``iterations`` counts inner fixed-point sweeps,
     ``shocked_bank`` is the bank shocked and ``initial_writeoff`` its
-    written-off nonbank assets.
+    written-off nonbank assets. ``rounds`` pairs each round's new defaults
+    (increasing; none in the last round) with its largest payment change.
     """
 
     payments: np.ndarray
@@ -117,6 +116,7 @@ class ClearingSolution:
     iterations: int
     shocked_bank: int
     initial_writeoff: float
+    rounds: tuple[tuple[tuple[int, ...], float], ...]
 
 
 @dataclass(frozen=True)
@@ -186,8 +186,7 @@ def _settle(
     shocks: np.ndarray,
     recovery_on_nonbank: float,
     defaulted_nonbank_recovery: float,
-    trace: Optional[IO[str]] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
     """Clear a batch of shocks; node ``j * n + i`` is bank i under ``shocks[j]``.
 
     Each round re-solves the defaulted payers of every shock that gained
@@ -195,9 +194,9 @@ def _settle(
     sum_j ratio_j * w_ji)`` (``e_i`` the recoverable nonbank assets),
     one ``np.bincount`` over the payers' edges per sweep; a shock stops
     sweeping once its own payments move by at most ``_INNER_TOL``.
-    ``obligations`` is ``sheets.obligations``, read once by the caller. Only
-    a batch of one may pass ``trace``. Returns the sorted defaulted nodes,
-    their payment ratios, the inner sweeps and the write-off of each shock.
+    ``obligations`` is ``sheets.obligations``, read once by the caller.
+    Returns the sorted defaulted nodes, their ratios, the inner sweeps and
+    write-off of each shock, and each round's sorted new nodes and max delta.
     """
     n = exposures.n
     ba, nba, e = sheets.ba, sheets.nba, sheets.e
@@ -221,6 +220,7 @@ def _settle(
     new = nodes[_trigger(own(nodes, e, shocked_e)) < 0.0]
     defaulted, ratio = new, np.ones(new.size)
     iterations = np.zeros(shocks.size, dtype=np.int64)
+    rounds = []
     # The loop ends within n + 1 rounds. A shock re-solves only in rounds
     # after it gained defaults (only busy shocks' payers spread losses), and
     # its new defaults are banks it had not lost yet; so it takes part in a
@@ -296,9 +296,7 @@ def _settle(
             loss = np.bincount(slot, shortfall)
             failing = owed[loss > _trigger(own(owed, e, shocked_e))]
             fresh = failing[~_locate(defaulted, failing)[1]]
-        if trace is not None:
-            record = {"round": round_no, "new_defaults": (new % n).tolist()}
-            trace.write(json.dumps(record | {"max_delta": max_delta}) + "\n")
+        rounds.append((new, max_delta))
         if new.size == 0:
             break
         new = fresh
@@ -306,14 +304,13 @@ def _settle(
         order = defaulted.argsort(kind="stable")
         defaulted = defaulted[order]
         ratio = np.concatenate((ratio, np.ones(new.size)))[order]
-    return defaulted, ratio, iterations, writeoff
+    return defaulted, ratio, iterations, writeoff, rounds
 
 
 def clear(
     exposures: ExposureMatrix,
     sheets: BalanceSheetSet,
     scenario: ShockScenario,
-    trace: Optional[IO[str]] = None,
 ) -> ClearingSolution:
     """Settle all obligations after one bank's nonbank assets are shocked.
 
@@ -327,16 +324,13 @@ def clear(
             both counts when they differ.
         scenario: which bank is shocked and how much of its nonbank assets
             survive.
-        trace: optional text sink receiving one JSON line per round with
-            the newly defaulted banks and the round's maximum payment
-            change.
 
     Returns:
-        The payments and the default set. The rest follows from them and
-        the sheets: bank i owes ``sheets.obligations[i]`` and receives the
-        sum of its debtors' payment ratios times their obligations to it.
-        Recomputing the payment map at the solution moves no entry by more
-        than 1e-10.
+        The payments, the default set and its rounds. The rest follows
+        from them and the sheets: bank i owes ``sheets.obligations[i]`` and
+        receives the sum of its debtors' payment ratios times their
+        obligations to it. Recomputing the payment map at the solution
+        moves no entry by more than 1e-10.
     """
     n = _bank_count(exposures, sheets)
     s = scenario.shocked_bank
@@ -345,9 +339,9 @@ def clear(
 
     # With one shock, node i is bank i. Solvent banks pay in full.
     payments = sheets.obligations
-    defaulted, ratio, iterations, writeoff = _settle(
+    defaulted, ratio, iterations, writeoff, rounds = _settle(
         exposures, sheets, payments, np.array([s]), scenario.recovery_on_nonbank,
-        scenario.defaulted_nonbank_recovery, trace,
+        scenario.defaulted_nonbank_recovery,
     )
     payments[defaulted] *= ratio
     return ClearingSolution(
@@ -356,6 +350,7 @@ def clear(
         iterations=int(iterations[0]),
         shocked_bank=s,
         initial_writeoff=float(writeoff[0]),
+        rounds=tuple((tuple(new.tolist()), delta) for new, delta in rounds),
     )
 
 
@@ -387,7 +382,7 @@ def clear_all(
     scores = []
     iterations = max_cascade = 0
     for shocks in np.split(np.arange(n), cuts):
-        defaulted, ratio, sweeps, writeoff = _settle(
+        defaulted, ratio, sweeps, writeoff, _ = _settle(
             exposures, sheets, pbar, shocks, recovery_on_nonbank,
             defaulted_nonbank_recovery,
         )

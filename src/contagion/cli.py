@@ -16,7 +16,6 @@ import argparse
 import json
 import logging
 import sys
-from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -158,9 +157,12 @@ def _cmd_shock(args: argparse.Namespace) -> int:
         recovery_on_nonbank=args.recovery,
         defaulted_nonbank_recovery=args.defaulted_recovery,
     )
-    trace = nullcontext() if args.trace is None else open(args.trace, "w", encoding="ascii")
-    with trace as sink:
-        solution = clearing.clear(exposures, sheets, scenario, trace=sink)
+    solution = clearing.clear(exposures, sheets, scenario)
+    if args.trace is not None:
+        with open(args.trace, "w", encoding="ascii") as sink:
+            for round_no, (banks, max_delta) in enumerate(solution.rounds):
+                record = {"round": round_no, "new_defaults": list(banks), "max_delta": max_delta}
+                sink.write(json.dumps(record) + "\n")
     a0 = clearing.total_initial_assets(sheets)
     result = clearing.cascade_metrics(solution, sheets, args.bank, a0)
     print(

@@ -156,8 +156,8 @@ class ExperimentSpec:
 
         Raises:
             ValueError: naming the file, when it is not UTF-8 JSON, holds no JSON
-                object, or an object with unknown keys or without a required
-                one.
+                object, an object with unknown keys or without a required
+                one, or a value the spec refuses.
         """
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -175,7 +175,10 @@ class ExperimentSpec:
         ]
         if missing:
             raise ValueError(f"{path}: missing spec keys {missing}")
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except ValueError as exc:  # a value of the wrong type or out of range
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def replication_seeds(master_seed: int, rep: int) -> tuple[int, int, int]:
@@ -343,7 +346,7 @@ def _run_specs(
                             point.type_variant, point.n_nodes, rep + 1, point.replications)
         except Exception as exc:
             # Same type, so callers still catch it; pool.map names no replication.
-            raise type(exc)(f"replication {rep}: {exc}") from exc
+            raise type(exc)(f"replication {rep}: {str(exc) or type(exc).__name__}") from exc
     reports = {spec: _report(spec, recs, start, n_workers) for spec, recs in records.items()}
     return [reports[spec] for spec in specs]
 

@@ -1,6 +1,4 @@
-import io
 import itertools
-import json
 from functools import partial
 
 import numpy as np
@@ -219,28 +217,42 @@ class TestFixedPointProperties:
         exposures = build_exposures(g)
         sheets = build_balance_sheets(exposures, BalanceConfig(0.01, 0.01, 2.0, 8))
         shocked = int(np.argmax(g.out_degree))
-        sink = io.StringIO()
-        sol = clear(exposures, sheets, ShockScenario(shocked), trace=sink)
-        rounds = [json.loads(line) for line in sink.getvalue().splitlines()]
-        assert 2 <= len(rounds) <= g.n + 1
+        sol = clear(exposures, sheets, ShockScenario(shocked))
+        assert 2 <= len(sol.rounds) <= g.n + 1
         seen: set[int] = set()
-        for record in rounds:
-            fresh = set(record["new_defaults"])
+        for banks, _ in sol.rounds:
+            fresh = set(banks)
             assert not (fresh & seen)
             seen |= fresh
         assert seen == set(sol.defaulted)
-        assert rounds[-1]["new_defaults"] == []
+        assert sol.rounds[-1][0] == ()
+
+    @pytest.mark.parametrize("recovery,defaulted_recovery", [(0.0, 0.0), (1.0, 1.0)])
+    def test_rounds_partition_the_default_set(self, recovery, defaulted_recovery):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            exposures, sheets = random_small_system(rng)
+            s = int(rng.integers(exposures.n))
+            sol = clear(exposures, sheets, ShockScenario(s, recovery, defaulted_recovery))
+            assert 1 <= len(sol.rounds) <= exposures.n + 1
+            assert sol.rounds[-1][0] == ()
+            seen: set[int] = set()
+            for banks, max_delta in sol.rounds:
+                assert all(type(b) is int for b in banks)
+                assert list(banks) == sorted(set(banks))
+                assert not (set(banks) & seen)
+                seen |= set(banks)
+                assert max_delta >= 0.0
+            assert seen == sol.defaulted
 
     def test_oracle_equivalence_on_a_deep_cascade(self):
         g = generate(params_from_delta_in(3.0).with_size(1000, 8))
         exposures = build_exposures(g)
         sheets = build_balance_sheets(exposures, BalanceConfig(0.01, 0.01, 2.0, 8))
         shocked = int(np.argmax(sheets.bl))
-        sink = io.StringIO()
-        sol = clear(exposures, sheets, ShockScenario(shocked), trace=sink)
-        rounds = sink.getvalue().splitlines()
+        sol = clear(exposures, sheets, ShockScenario(shocked))
         # A multi-round cascade with a payer subsystem of dozens of banks.
-        assert len(sol.defaulted) >= 50 and len(rounds) >= 4
+        assert len(sol.defaulted) >= 50 and len(sol.rounds) >= 4
 
         dense = dense_exposures(exposures)
         external = sheets.nba.copy()

@@ -10,7 +10,7 @@ import pytest
 from contagion import harness, netgen
 from contagion.balance import BalanceConfig, build_balance_sheets, build_exposures
 from contagion.cli import build_parser, main
-from contagion.clearing import ShockScenario, clear_all
+from contagion.clearing import ShockScenario, clear, clear_all
 from contagion.netgen import read_edge_list
 
 from conftest import WORKER_MODES, fail_replication_one
@@ -224,6 +224,11 @@ class TestShockCommand:
         fresh = [b for r in rounds for b in r["new_defaults"]]
         assert record["defaulted"] == sorted(fresh)
         assert len(fresh) == len(set(fresh)) > 1
+        scenario = ShockScenario(bank, 0.0, float(defaulted_recovery))
+        assert trace.read_text().splitlines() == [
+            json.dumps({"round": k, "new_defaults": list(banks), "max_delta": max_delta})
+            for k, (banks, max_delta) in enumerate(clear(exposures, sheets, scenario).rounds)
+        ]
 
     def test_defaults_are_those_of_the_sheet_and_scenario_dataclasses(self):
         sheet = {f.name: f.default for f in fields(BalanceConfig)}
@@ -364,6 +369,18 @@ class TestShockCommand:
         assert captured.out == ""
         assert captured.err == "contagion shock: error: --bank 200 outside [0, 200)\n"
 
+    def test_unwritable_trace_is_a_one_line_error(self, tmp_path, capsys):
+        net = self._network(tmp_path)
+        capsys.readouterr()
+        trace = tmp_path / "missing" / "trace.jsonl"
+        rc = main(["shock", "--edges", str(net), "--bank", "0", "--trace", str(trace)])
+        assert rc != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"contagion shock: error: [Errno 2] No such file or directory: '{trace}'\n"
+        )
+
 
 class TestSweepCommand:
     def test_runs_spec_and_sweeps(self, tmp_path, capsys):
@@ -463,7 +480,7 @@ class TestSweepCommand:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"contagion sweep: error: {message}\n"
+        assert captured.err == f"contagion sweep: error: {spec_path}: {message}\n"
 
     def test_oversized_sweep_point_fails_before_any_replication(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -500,6 +517,27 @@ class TestSweepCommand:
         ]
         # Every point runs before the first file is written.
         assert not (tmp_path / "r").exists()
+
+    def test_bare_memory_error_in_a_replication_keeps_its_name(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # List allocations in growth raise MemoryError without text.
+        def out_of_memory(task):
+            raise MemoryError()
+
+        monkeypatch.setattr(harness, "_run_replication", out_of_memory)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "network_family": "GC", "type_variant": 0, "n_nodes": 60,
+            "replications": 1, "master_seed": 1,
+        }))
+        rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r"),
+                   "--workers", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error" in line] == [
+            "contagion sweep: error: replication 0: MemoryError"
+        ]
 
 
 class TestProgressLogging:
